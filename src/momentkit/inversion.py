@@ -32,6 +32,39 @@ from .transform import (
 _METHODS = ("geneig", "companion")
 
 
+def _factor(m: MomentSequence, tol_rank: float) -> tuple[ExpCoefficients, HankelSystem]:
+    """The x-side of ``m``: its a-sequence and Hankel system, built once.
+
+    Every entry point takes each side of a problem from here, or from a
+    caller that already built it, so a side gets one Hankel build and
+    one existence decision per call.
+
+    Raises
+    ------
+    NoSolution
+        When a0 is outside range(A1).
+    NoPositiveBranches
+        When n_x = 0.
+    """
+    a = exp_transform(m)
+    h = build_hankel(a, m.n_x, m.n_y, tol_rank)
+    if not solvable(h):
+        raise NoSolution("first Hankel column is outside the range of the Hankel block")
+    return a, h
+
+
+def _check_reduced(h: HankelSystem) -> None:
+    """Raise SingularReducedSystem when A1_tilde is numerically singular.
+
+    At full rank A1_tilde is A1, whose rank build_hankel decided on the
+    same matrix at the same tolerance, so only a reduced system is
+    decided again.
+    """
+    r = h.n_x_tilde
+    if r < h.n_x and numeric_rank(h.A1_tilde, h.tol_rank) < r:
+        raise SingularReducedSystem("reduced matrix is numerically singular")
+
+
 def companion_coefficients(h: HankelSystem) -> np.ndarray:
     """Coefficients c' = (c_1..c_r) of the reduced companion polynomial.
 
@@ -46,11 +79,9 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
         reduced matrix is provably nonsingular, so this signals either
         unsolvable data or a tolerance failure; re-run analyze.
     """
-    r = h.n_x_tilde
-    if r == 0:
+    if h.n_x_tilde == 0:
         return np.zeros(0)
-    if numeric_rank(h.A1_tilde, h.tol_rank) < r:
-        raise SingularReducedSystem("reduced matrix is numerically singular")
+    _check_reduced(h)
     return np.linalg.solve(h.A1_tilde, -h.A0_tilde[:, 0])
 
 
@@ -62,27 +93,25 @@ def _companion_matrix(cprime: np.ndarray) -> np.ndarray:
     return C
 
 
-def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet):
+def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet, side=None):
     """One side of the pipeline: the n_x branch values of ``m``.
 
-    Returns (values, info) where values has length m.n_x with the
-    minimal solution's nonzero roots first (ascending) and exact zeros
-    as padding; info carries the raw eigenvalues for diagnostics.
+    ``side`` is the (a, h) pair of ``m`` from ``_factor`` when the caller
+    already holds it.  Returns (values, info) where values has length
+    m.n_x with the minimal solution's nonzero roots first (ascending) and
+    exact zeros as padding; info carries the raw eigenvalues for
+    diagnostics.
     """
     info = {"eigenvalues": [], "zeros_filtered": 0, "rank": 0}
     if m.n_x == 0:
         return (), info
-    a = exp_transform(m)
-    h = build_hankel(a, m.n_x, m.n_y, tol.rank)
+    a, h = side or _factor(m, tol.rank)
     info["rank"] = h.A1_rank
-    if not solvable(h):
-        raise NoSolution("first Hankel column is outside the range of the Hankel block")
     if h.n_x_tilde == 0:
         return (0.0,) * m.n_x, info
 
     if method == "geneig":
-        if numeric_rank(h.A1_tilde, tol.rank) < h.n_x_tilde:
-            raise SingularReducedSystem("reduced matrix is numerically singular")
+        _check_reduced(h)
         roots = np.linalg.eigvals(np.linalg.solve(h.A1_tilde, h.A0_tilde))
     else:
         roots = np.linalg.eigvals(_companion_matrix(companion_coefficients(h)))
@@ -95,6 +124,15 @@ def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet):
         raise NonRealSolution("retained roots have significant imaginary parts")
     values = sorted(float(v) for v in kept.real)
     return tuple(values) + (0.0,) * (m.n_x - len(values)), info
+
+
+def _invert(m: MomentSequence, method: str, tol: ToleranceSet, x_side=None):
+    """``invert_min_degree(m, method, tol, full_output=True)``, reusing
+    the solvable x-side (a, h) of ``m`` when the caller already built it
+    with ``tol.rank``."""
+    xs, info_x = _side_roots(m, method, tol, x_side)
+    ys, info_y = _side_roots(m.negated(), method, tol)
+    return BranchSolution.from_branches(xs, ys), {"x": info_x, "y": info_y, "method": method}
 
 
 def invert_min_degree(
@@ -133,13 +171,8 @@ def invert_min_degree(
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
-    tol = tol or ToleranceSet()
-    xs, info_x = _side_roots(m, method, tol)
-    ys, info_y = _side_roots(m.negated(), method, tol)
-    sol = BranchSolution.from_branches(xs, ys)
-    if full_output:
-        return sol, {"x": info_x, "y": info_y, "method": method}
-    return sol
+    sol, info = _invert(m, method, tol or ToleranceSet())
+    return (sol, info) if full_output else sol
 
 
 def d_coefficients(c: Sequence[float], a, n_y: int) -> np.ndarray:
@@ -184,15 +217,14 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
     return BranchSolution.from_branches(xs, ys)
 
 
-def _solve_cbar(m: MomentSequence, a: ExpCoefficients, tol: ToleranceSet) -> np.ndarray:
-    """One solution of ``A1 cbar = -a0`` (minimum-norm when A1 is singular)."""
+def _solve_cbar(m: MomentSequence, tol: ToleranceSet) -> tuple[ExpCoefficients, np.ndarray]:
+    """The a-sequence of ``m`` and one solution of ``A1 cbar = -a0``
+    (minimum-norm when A1 is singular)."""
     if m.n_x == 0:
-        return np.zeros(0)
-    h = build_hankel(a, m.n_x, m.n_y, tol.rank)
-    if not solvable(h):
-        raise NoSolution("first Hankel column is outside the range of the Hankel block")
+        return exp_transform(m), np.zeros(0)
+    a, h = _factor(m, tol.rank)
     cbar, *_ = np.linalg.lstsq(h.A1, -h.a0, rcond=None)
-    return cbar
+    return a, cbar
 
 
 def next_exp_coefficient(a, cbar: Sequence[float], k: int) -> float:
@@ -223,10 +255,10 @@ def next_moment(
         When the moment data admits no solution.
     """
     tol = tol or ToleranceSet()
-    a = exp_transform(m)
     if cbar is None:
-        cvec = _solve_cbar(m, a, tol)
+        a, cvec = _solve_cbar(m, tol)
     else:
+        a = exp_transform(m)
         cvec = np.asarray(cbar, dtype=float)
         if cvec.shape != (m.n_x,):
             raise ValueError(f"cbar must have length n_x = {m.n_x}")
@@ -246,9 +278,7 @@ def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = Non
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    tol = tol or ToleranceSet()
-    a = exp_transform(m)
-    cvec = _solve_cbar(m, a, tol)
+    a, cvec = _solve_cbar(m, tol or ToleranceSet())
     avals = list(a.values)
     mvals = list(m.values)
     K = m.K

@@ -15,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoSolution, RepeatedRoots
-from .inversion import invert_min_degree, next_exp_coefficient, _solve_cbar
-from .structure import HankelSystem, build_hankel, numeric_rank, solvable
+from .errors import RepeatedRoots
+from .inversion import _factor, _invert, next_exp_coefficient
+from .structure import HankelSystem, numeric_rank
 from .tolerances import ToleranceSet
-from .transform import BranchSolution, MomentSequence, as_exp_coefficients, exp_transform
+from .transform import BranchSolution, MomentSequence, as_exp_coefficients
 
 _SEPARATION_FACTOR = 1e-8
 
@@ -122,9 +122,10 @@ class MarkovCertificate:
     interlacing_applicable: bool
 
 
-def _extended_matrix(m: MomentSequence, a, h: HankelSystem, tol: ToleranceSet) -> np.ndarray:
-    """A with one more Toeplitz row (a_{K+1}, a_K, ..., a_{n_y+1}) appended."""
-    cbar = _solve_cbar(m, a, tol)
+def _extended_matrix(m: MomentSequence, a, h: HankelSystem) -> np.ndarray:
+    """A with one more Toeplitz row (a_{K+1}, a_K, ..., a_{n_y+1}) appended;
+    a_{K+1} comes from the minimum-norm solution of ``A1 cbar = -a0``."""
+    cbar, *_ = np.linalg.lstsq(h.A1, -h.a0, rcond=None)
     a_next = next_exp_coefficient(a, cbar, m.K + 1)
     ext = np.zeros((h.n_x + 1, h.n_x + 1))
     ext[: h.n_x, :] = h.A
@@ -145,16 +146,13 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> Ma
         When n_x = 0; there is no block to certify.
     """
     tol = tol or ToleranceSet()
-    a = exp_transform(m)
-    h = build_hankel(a, m.n_x, m.n_y, tol.rank)
-    if not solvable(h):
-        raise NoSolution("first Hankel column is outside the range of the Hankel block")
+    a, h = _factor(m, tol.rank)
 
     spd = _is_spd(np.fliplr(h.A1))
-    ext = _extended_matrix(m, a, h, tol)
+    ext = _extended_matrix(m, a, h)
     extended_singular = numeric_rank(ext, tol.rank) < h.n_x + 1
 
-    sol = invert_min_degree(m, tol=tol)
+    sol, _ = _invert(m, "companion", tol, x_side=(a, h))
 
     applicable = m.n_x == m.n_y
     interlaced = False

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonRealSolution, NoPositiveBranches, SingularReducedSystem
-from .transform import BranchSolution, MomentSequence, as_exp_coefficients, exp_transform
+from .tolerances import ToleranceSet
+from .transform import (
+    BranchSolution,
+    ExpCoefficients,
+    MomentSequence,
+    as_exp_coefficients,
+    exp_transform,
+)
 
 
 def numeric_rank(matrix, tol_rel: float = 1e-9) -> int:
@@ -30,13 +37,20 @@ def numeric_rank(matrix, tol_rel: float = 1e-9) -> int:
     return int(np.count_nonzero(s > tol_rel * s[0]))
 
 
-def _toeplitz_slice(a, shift: int, rows: int, cols: int) -> np.ndarray:
-    """Matrix with entry a[shift + i - j], 1-based row i, 0-based column j."""
-    M = np.empty((rows, cols))
-    for i in range(1, rows + 1):
-        for j in range(cols):
-            M[i - 1, j] = a[shift + i - j]
-    return M
+def _toeplitz_slice(a: ExpCoefficients, shift: int, rows: int, cols: int) -> np.ndarray:
+    """Matrix with entry a[shift + i - j], 1-based row i, 0-based column j.
+
+    Entries with a negative index are 0; an index above the order of
+    ``a`` raises IndexError, as item access on ``a`` does.
+    """
+    if rows and shift + rows > a.order:
+        raise IndexError(f"coefficient a_{shift + rows} undefined; only a_0..a_{a.order} known")
+    v = a.values
+    M = [
+        [v[k] if k >= 0 else 0.0 for k in range(shift + i, shift + i - cols, -1)]
+        for i in range(1, rows + 1)
+    ]
+    return np.array(M, dtype=float).reshape(rows, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +60,13 @@ class HankelSystem:
     A is n_x x (n_x+1) with entries a_{n_y+i-j} (1-based row i, 0-based
     column j); a0 is its first column and A1 the last n_x columns.  The
     reduced pair (A0_tilde, A1_tilde) is built at the numeric rank of A1.
+    At full rank (A1_rank == n_x) the reduced pair is (A0, A1) itself:
+    the reduced slices then have the same shifts and sizes as A's, so the
+    pair is not assembled again, and A1_tilde's rank is A1_rank, already
+    decided on the same matrix at the same tolerance.
+
+    Every array is read-only, since A0_tilde and A1_tilde may alias A and
+    A1.
     """
 
     A: np.ndarray
@@ -88,11 +109,16 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = 1e-9) -> HankelSystem:
     rank = numeric_rank(A1, tol_rank)
     n_x_tilde = rank
     n_y_tilde = n_y - n_x + n_x_tilde
-    # 1-based column index in the displayed reduced matrices; the slice
-    # helper counts columns from zero, hence the shifts n_y_tilde and
-    # n_y_tilde - 1 for first entries a_{n_y_tilde+1} and a_{n_y_tilde}
-    A0_tilde = _toeplitz_slice(coeffs, n_y_tilde, n_x_tilde, n_x_tilde)
-    A1_tilde = _toeplitz_slice(coeffs, n_y_tilde - 1, n_x_tilde, n_x_tilde)
+    if rank == n_x:
+        A0_tilde, A1_tilde = A[:, :n_x], A1
+    else:
+        # 1-based column index in the displayed reduced matrices; the slice
+        # helper counts columns from zero, hence the shifts n_y_tilde and
+        # n_y_tilde - 1 for first entries a_{n_y_tilde+1} and a_{n_y_tilde}
+        A0_tilde = _toeplitz_slice(coeffs, n_y_tilde, n_x_tilde, n_x_tilde)
+        A1_tilde = _toeplitz_slice(coeffs, n_y_tilde - 1, n_x_tilde, n_x_tilde)
+    for M in (A, a0, A1, A0_tilde, A1_tilde):
+        M.flags.writeable = False
     return HankelSystem(
         A=A,
         a0=a0,
@@ -132,15 +158,22 @@ class SolvabilityReport:
 
 
 def _minimal_degree(h: HankelSystem, tol_rank: float) -> int:
-    """Smallest j >= 1 with a0 in span{a_1..a_j}, or 0 for a0 = 0."""
+    """Smallest j >= 1 with a0 in span{a_1..a_j}, or 0 for a0 = 0.
+
+    Called only on solvable systems.  The prefixes stop at j = n_x - 1:
+    at j = n_x the test compares rank([a0 | A1]) = rank(A) with rank(A1)
+    on the same matrices at the same tolerance, which is the existence
+    test the caller has already passed, and the answer is n_x whichever
+    way it goes.
+    """
     scale = max(1.0, float(np.max(np.abs(h.A))))
     if float(np.max(np.abs(h.a0))) <= tol_rank * scale:
         return 0
-    for j in range(1, h.n_x + 1):
+    for j in range(1, h.n_x):
         cols = h.A1[:, :j]
         if numeric_rank(np.column_stack([h.a0, cols]), tol_rank) == numeric_rank(cols, tol_rank):
             return j
-    return h.n_x  # unreachable when a0 is in range(A1)
+    return h.n_x
 
 
 def analyze(m: MomentSequence, tol_rank: float = 1e-9) -> SolvabilityReport:
@@ -149,10 +182,16 @@ def analyze(m: MomentSequence, tol_rank: float = 1e-9) -> SolvabilityReport:
     Always returns a report; unsolvable data yields ``exists=False``
     rather than an error.  When a solution exists and is real, the
     minimal-degree solution is attached and its degree equals d_min.
-    """
-    from .inversion import invert_min_degree  # cycle: inversion builds on structure
-    from .tolerances import ToleranceSet
 
+    The x-side is built and its existence decided once here; the
+    minimal solution is read off that same system, so the inversion
+    builds only the y-side.  Its result is the one ``invert_min_degree``
+    returns, whose own x-side build would repeat the same computation on
+    the same moments at the same tolerance.
+    """
+    from .inversion import _invert  # cycle: inversion builds on structure
+
+    x_side = None
     if m.n_x == 0:
         # no x-side system: the polynomial pair (1, q) always exists and
         # the family has no room to grow
@@ -160,6 +199,7 @@ def analyze(m: MomentSequence, tol_rank: float = 1e-9) -> SolvabilityReport:
     else:
         a = exp_transform(m)
         h = build_hankel(a, m.n_x, m.n_y, tol_rank)
+        x_side = (a, h)
         rank = h.A1_rank
         exists = solvable(h)
         d_min = _minimal_degree(h, tol_rank) if exists else 0
@@ -169,7 +209,7 @@ def analyze(m: MomentSequence, tol_rank: float = 1e-9) -> SolvabilityReport:
     minimal = None
     if exists:
         try:
-            minimal = invert_min_degree(m, tol=ToleranceSet(rank=tol_rank))
+            minimal, _ = _invert(m, "companion", ToleranceSet(rank=tol_rank), x_side)
         except (NonRealSolution, SingularReducedSystem):
             minimal = None  # polynomial solution exists; branch values do not
     return SolvabilityReport(

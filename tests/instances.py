@@ -11,10 +11,27 @@ import numpy as np
 from momentkit import MomentSequence, forward_moments
 
 
+# bound on the rejection draws of one separated_values call; the suite's
+# configurations place their values within a few dozen draws
+MAX_DRAWS = 10_000
+
+
 def separated_values(rng, count, lo=-3.0, hi=3.0, gap=0.2, min_abs=0.1):
-    """``count`` values in [lo, hi], pairwise >= gap apart, |v| >= min_abs."""
+    """``count`` values in [lo, hi], pairwise >= gap apart, |v| >= min_abs.
+
+    Values are drawn one at a time and rejected when too close to an
+    earlier one.  Raises ValueError when they cannot fit,
+    (count - 1) * gap > hi - lo, or when MAX_DRAWS draws do not place them
+    all: the earlier values can leave no room although the count would fit.
+    """
+    if (count - 1) * gap > hi - lo:
+        raise ValueError(f"{count} values with gap {gap} do not fit in [{lo}, {hi}]")
     values = []
+    draws = 0
     while len(values) < count:
+        if draws == MAX_DRAWS:
+            raise ValueError(f"placed {len(values)} of {count} values with gap {gap} in {MAX_DRAWS} draws")
+        draws += 1
         v = float(rng.uniform(lo, hi))
         if abs(v) < min_abs:
             continue

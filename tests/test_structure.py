@@ -33,6 +33,16 @@ def test_build_hankel_cancellation_instance():
     assert np.array_equal(h.A1_tilde, [[1.0]])
 
 
+def test_build_hankel_arrays_are_read_only():
+    # full rank, where the reduced pair aliases A and A1, and reduced rank
+    for coeffs, n_x, n_y in (((1.0, 3.0, 7.0), 2, 0), ((1.0, 1.0, 1.0, 1.0), 2, 1)):
+        h = build_hankel(ExpCoefficients(coeffs), n_x, n_y)
+        assert np.shares_memory(h.A1_tilde, h.A1) == (h.A1_rank == n_x)
+        for name in ("A", "a0", "A1", "A0", "A0_tilde", "A1_tilde"):
+            with pytest.raises(ValueError):
+                getattr(h, name)[...] = 0.0
+
+
 def test_build_hankel_zero_moments():
     h = build_hankel(ExpCoefficients((1.0, 0.0, 0.0)), 1, 1)
     assert np.array_equal(h.A1, [[0.0]])
