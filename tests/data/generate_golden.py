@@ -1,15 +1,19 @@
 """Write ``golden_outcomes.json``: the outcome of every entry point on a
 fixed-seed instance set, as recorded from the code it is run against.
 
-    PYTHONPATH=src python tests/data/generate_golden.py
+    PYTHONPATH=src python tests/data/generate_golden.py [--check]
 
 ``tests/test_equivalence.py`` replays the stored moments and compares
 each outcome with the recorded one.  Regenerate the file only for a
 change that is meant to alter results, and say so in CHANGES.md.
+
+``--check`` writes nothing: it prints every (label, call, old -> new)
+that differs from the committed file and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import sys
@@ -79,19 +83,53 @@ def instances():
     return out
 
 
-def main():
-    cases = []
-    for label, m in instances():
-        cases.append({
+def cases():
+    """The records of the golden file, from the code this is run against."""
+    return [
+        {
             "label": label,
             "moments": list(m.values),
             "n_x": m.n_x,
             "n_y": m.n_y,
             "outcomes": {name: outcome(call, m) for name, call in CALLS},
-        })
-    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(c) for c in cases) + "\n]\n")
-    print(f"wrote {len(cases)} instances x {len(CALLS)} calls to {GOLDEN.name}")
+        }
+        for label, m in instances()
+    ]
+
+
+def differences(old, new):
+    """(label, field, old, new) for every input or outcome that differs,
+    compared as the JSON text the file would hold."""
+    stored = {case["label"]: case for case in old}
+    out = []
+    for case in new:
+        was = stored.pop(case["label"], {})
+        for key in ("moments", "n_x", "n_y"):
+            if json.dumps(was.get(key)) != json.dumps(case[key]):
+                out.append((case["label"], key, was.get(key), case[key]))
+        for name, value in case["outcomes"].items():
+            before = was.get("outcomes", {}).get(name)
+            if json.dumps(before) != json.dumps(value):
+                out.append((case["label"], name, before, value))
+    out += [(label, "instance", "present", None) for label in stored]
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="compare with the committed file; write nothing")
+    args = parser.parse_args(argv)
+    new = cases()
+    if args.check:
+        found = differences(json.loads(GOLDEN.read_text()), new)
+        for label, name, before, after in found:
+            print(f"{label}  {name}: {json.dumps(before)} -> {json.dumps(after)}")
+        print(f"{len(found)} differences in {len(new)} instances x {len(CALLS)} calls")
+        return 1 if found else 0
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(c) for c in new) + "\n]\n")
+    print(f"wrote {len(new)} instances x {len(CALLS)} calls to {GOLDEN.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
