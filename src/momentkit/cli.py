@@ -29,7 +29,7 @@ from .errors import (
 from .inversion import extend_moments, family_member, invert_min_degree, next_moment
 from .markov import markov_certificate
 from .structure import analyze
-from .tolerances import ToleranceSet
+from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, ToleranceSet
 from .transform import BranchSolution, MomentSequence, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
@@ -319,9 +319,9 @@ _EXIT_BY_ERROR = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
-    common.add_argument("--tol-rank", type=float, default=None, help="relative rank tolerance (default 1e-9; env MOMENTKIT_TOL_RANK)")
+    common.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
     common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots (default scale-aware)")
-    common.add_argument("--tol-imag", type=float, default=None, help="imaginary-part tolerance for real roots (default 1e-8)")
+    common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
     common.add_argument("--verbose", action="store_true", help="attach diagnostics to the output object")
 
     parser = argparse.ArgumentParser(prog="momentkit", description=__doc__)
@@ -353,13 +353,8 @@ def _tolerances(args) -> ToleranceSet:
                 rank = float(env)
             except ValueError as exc:
                 raise InputError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
-    if rank is None:
-        rank = 1e-9
-    return ToleranceSet(
-        rank=rank,
-        zero=args.tol_zero,
-        imag=args.tol_imag if args.tol_imag is not None else 1e-8,
-    )
+    given = {"rank": rank, "zero": args.tol_zero, "imag": args.tol_imag}
+    return ToleranceSet(**{name: v for name, v in given.items() if v is not None})
 
 
 def _fail(kind: str, detail: str, code: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonRealSolution, NoPositiveBranches, SingularReducedSystem
-from .tolerances import ToleranceSet
+from .tolerances import DEFAULT_RANK, ToleranceSet
 from .transform import (
     BranchSolution,
     ExpCoefficients,
@@ -23,7 +23,7 @@ from .transform import (
 )
 
 
-def numeric_rank(matrix, tol_rel: float = 1e-9) -> int:
+def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
     """Number of singular values above ``tol_rel * sigma_max``.
 
     Returns 0 for an empty or all-zero matrix.
@@ -87,7 +87,7 @@ class HankelSystem:
         return self.A[:, : self.n_x]
 
 
-def build_hankel(a, n_x: int, n_y: int, tol_rank: float = 1e-9) -> HankelSystem:
+def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> HankelSystem:
     """Assemble A, A1 and the reduced pair for a sequence a_0..a_{n_x+n_y}.
 
     Raises
@@ -176,7 +176,7 @@ def _minimal_degree(h: HankelSystem, tol_rank: float) -> int:
     return h.n_x
 
 
-def analyze(m: MomentSequence, tol_rank: float = 1e-9) -> SolvabilityReport:
+def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityReport:
     """Decide existence, degree bounds and uniqueness for a moment sequence.
 
     Always returns a report; unsolvable data yields ``exists=False``

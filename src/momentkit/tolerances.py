@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# defaults of the rank and imaginary-part thresholds, for every entry
+# point that takes them
+DEFAULT_RANK = 1e-9
+DEFAULT_IMAG = 1e-8
+
 
 @dataclass(frozen=True)
 class ToleranceSet:
@@ -24,9 +29,9 @@ class ToleranceSet:
         Minimum spacing between recovered frequencies (trig inversion).
     """
 
-    rank: float = 1e-9
+    rank: float = DEFAULT_RANK
     zero: float | None = None
-    imag: float = 1e-8
+    imag: float = DEFAULT_IMAG
     separation: float = 1e-8
 
     def zero_cutoff(self, coeffs) -> float:
