@@ -32,8 +32,8 @@ from .transform import (
 _METHODS = ("geneig", "companion")
 
 
-def _factor(m: MomentSequence, tol_rank: float) -> tuple[ExpCoefficients, HankelSystem]:
-    """The x-side of ``m``: its a-sequence and Hankel system, built once.
+def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
+    """The x-side of ``m``: its Hankel system, built once.
 
     Every entry point takes each side of a problem from here, or from a
     caller that already built it, so a side gets one Hankel build and
@@ -46,11 +46,10 @@ def _factor(m: MomentSequence, tol_rank: float) -> tuple[ExpCoefficients, Hankel
     NoPositiveBranches
         When n_x = 0.
     """
-    a = exp_transform(m)
-    h = build_hankel(a, m.n_x, m.n_y, tol_rank)
+    h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
     if not solvable(h):
         raise NoSolution("first Hankel column is outside the range of the Hankel block")
-    return a, h
+    return h
 
 
 def _check_reduced(h: HankelSystem) -> None:
@@ -93,10 +92,10 @@ def _companion_matrix(cprime: np.ndarray) -> np.ndarray:
     return C
 
 
-def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet, side=None):
+def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     """One side of the pipeline: the n_x branch values of ``m``.
 
-    ``side`` is the (a, h) pair of ``m`` from ``_factor`` when the caller
+    ``h`` is the Hankel system of ``m`` from ``_factor`` when the caller
     already holds it.  Returns (values, info) where values has length
     m.n_x with the minimal solution's nonzero roots first (ascending) and
     exact zeros as padding; info carries the raw eigenvalues for
@@ -105,7 +104,8 @@ def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet, side=None):
     info = {"eigenvalues": [], "zeros_filtered": 0, "rank": 0}
     if m.n_x == 0:
         return (), info
-    a, h = side or _factor(m, tol.rank)
+    if h is None:
+        h = _factor(m, tol.rank)
     info["rank"] = h.A1_rank
     if h.n_x_tilde == 0:
         return (0.0,) * m.n_x, info
@@ -117,7 +117,7 @@ def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet, side=None):
         roots = np.linalg.eigvals(_companion_matrix(companion_coefficients(h)))
     info["eigenvalues"] = list(roots)
 
-    cutoff = tol.zero_cutoff(a.values)
+    cutoff = tol.zero_cutoff(h.a.values)
     kept = roots[np.abs(roots) > cutoff]
     info["zeros_filtered"] = len(roots) - len(kept)
     if np.any(np.abs(kept.imag) > tol.imag * (1.0 + np.abs(kept.real))):
@@ -126,11 +126,11 @@ def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet, side=None):
     return tuple(values) + (0.0,) * (m.n_x - len(values)), info
 
 
-def _invert(m: MomentSequence, method: str, tol: ToleranceSet, x_side=None):
+def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     """``invert_min_degree(m, method, tol, full_output=True)``, reusing
-    the solvable x-side (a, h) of ``m`` when the caller already built it
-    with ``tol.rank``."""
-    xs, info_x = _side_roots(m, method, tol, x_side)
+    the solvable x-side Hankel system ``h`` of ``m`` when the caller
+    already built it with ``tol.rank``."""
+    xs, info_x = _side_roots(m, method, tol, h)
     ys, info_y = _side_roots(m.negated(), method, tol)
     return BranchSolution.from_branches(xs, ys), {"x": info_x, "y": info_y, "method": method}
 
@@ -217,24 +217,36 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
     return BranchSolution.from_branches(xs, ys)
 
 
-def _solve_cbar(m: MomentSequence, tol: ToleranceSet) -> tuple[ExpCoefficients, np.ndarray]:
-    """The a-sequence of ``m`` and one solution of ``A1 cbar = -a0``
-    (minimum-norm when A1 is singular)."""
-    if m.n_x == 0:
-        return exp_transform(m), np.zeros(0)
-    a, h = _factor(m, tol.rank)
+def _solve_cbar(h: HankelSystem) -> np.ndarray:
+    """One solution of ``A1 cbar = -a0`` (minimum-norm when A1 is singular)."""
     cbar, *_ = np.linalg.lstsq(h.A1, -h.a0, rcond=None)
-    return a, cbar
+    return cbar
 
 
-def next_exp_coefficient(a, cbar: Sequence[float], k: int) -> float:
-    """a_k for k above the known order, from the coefficient recursion.
+def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar, count: int):
+    """a_0..a_{K+count} and m_1..m_{K+count} as two lists.
 
-    Valid for any solution vector cbar of the full system; the value is
-    the same for all of them.  ``a`` may already contain extended entries.
+    Each new a_k comes from the coefficient recursion a_k = -sum_j
+    cbar_j a_{k-j}, valid for any solution cbar of the full system (the
+    value is the same for all of them), and each new m_k from the
+    triangular row of the exponential transform, k a_k = m_k + sum_{j<k}
+    m_j a_{k-j}.
     """
-    cvec = np.asarray(cbar, dtype=float)
-    return -sum(cvec[j - 1] * a[k - j] for j in range(1, len(cvec) + 1))
+    avals = list(a.values)
+    mvals = list(m.values)
+    for k in range(m.K + 1, m.K + count + 1):
+        a_k = -sum(cbar[j - 1] * avals[k - j] for j in range(1, len(cbar) + 1))
+        avals.append(a_k)
+        mvals.append(k * a_k - sum(mvals[j - 1] * avals[k - j] for j in range(1, k)))
+    return avals, mvals
+
+
+def _min_norm_moments(m: MomentSequence, tol: ToleranceSet, count: int) -> list:
+    """m_1..m_{K+count} from the minimum-norm solution of ``m``'s system."""
+    if m.n_x == 0:
+        return _recurrence(m, exp_transform(m), np.zeros(0), count)[1]
+    h = _factor(m, tol.rank)
+    return _recurrence(m, h.a, _solve_cbar(h), count)[1]
 
 
 def next_moment(
@@ -254,17 +266,12 @@ def next_moment(
     NoSolution
         When the moment data admits no solution.
     """
-    tol = tol or ToleranceSet()
     if cbar is None:
-        a, cvec = _solve_cbar(m, tol)
-    else:
-        a = exp_transform(m)
-        cvec = np.asarray(cbar, dtype=float)
-        if cvec.shape != (m.n_x,):
-            raise ValueError(f"cbar must have length n_x = {m.n_x}")
-    K = m.K
-    a_next = next_exp_coefficient(a, cvec, K + 1)
-    return float((K + 1) * a_next - sum(m.values[j - 1] * a[K + 1 - j] for j in range(1, K + 1)))
+        return float(_min_norm_moments(m, tol or ToleranceSet(), 1)[-1])
+    cvec = np.asarray(cbar, dtype=float)
+    if cvec.shape != (m.n_x,):
+        raise ValueError(f"cbar must have length n_x = {m.n_x}")
+    return float(_recurrence(m, exp_transform(m), cvec, 1)[1][-1])
 
 
 def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = None) -> tuple[float, ...]:
@@ -278,14 +285,4 @@ def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = Non
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    a, cvec = _solve_cbar(m, tol or ToleranceSet())
-    avals = list(a.values)
-    mvals = list(m.values)
-    K = m.K
-    for i in range(1, count + 1):
-        k = K + i
-        a_k = -sum(cvec[j - 1] * avals[k - j] for j in range(1, m.n_x + 1))
-        avals.append(a_k)
-        m_k = k * a_k - sum(mvals[j - 1] * avals[k - j] for j in range(1, k))
-        mvals.append(m_k)
-    return tuple(float(v) for v in mvals)
+    return tuple(float(v) for v in _min_norm_moments(m, tol or ToleranceSet(), count))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RepeatedRoots
-from .inversion import _factor, _invert, next_exp_coefficient
+from .inversion import _factor, _invert, _recurrence, _solve_cbar
 from .structure import HankelSystem, numeric_rank
 from .tolerances import ToleranceSet
 from .transform import BranchSolution, MomentSequence, as_exp_coefficients
@@ -122,14 +122,13 @@ class MarkovCertificate:
     interlacing_applicable: bool
 
 
-def _extended_matrix(m: MomentSequence, a, h: HankelSystem) -> np.ndarray:
+def _extended_matrix(m: MomentSequence, h: HankelSystem) -> np.ndarray:
     """A with one more Toeplitz row (a_{K+1}, a_K, ..., a_{n_y+1}) appended;
     a_{K+1} comes from the minimum-norm solution of ``A1 cbar = -a0``."""
-    cbar, *_ = np.linalg.lstsq(h.A1, -h.a0, rcond=None)
-    a_next = next_exp_coefficient(a, cbar, m.K + 1)
+    avals, _ = _recurrence(m, h.a, _solve_cbar(h), 1)
     ext = np.zeros((h.n_x + 1, h.n_x + 1))
     ext[: h.n_x, :] = h.A
-    ext[h.n_x, 0] = a_next
+    ext[h.n_x, 0] = avals[-1]
     ext[h.n_x, 1:] = h.a0[::-1]
     return ext
 
@@ -146,13 +145,13 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> Ma
         When n_x = 0; there is no block to certify.
     """
     tol = tol or ToleranceSet()
-    a, h = _factor(m, tol.rank)
+    h = _factor(m, tol.rank)
 
     spd = _is_spd(np.fliplr(h.A1))
-    ext = _extended_matrix(m, a, h)
+    ext = _extended_matrix(m, h)
     extended_singular = numeric_rank(ext, tol.rank) < h.n_x + 1
 
-    sol, _ = _invert(m, "companion", tol, x_side=(a, h))
+    sol, _ = _invert(m, "companion", tol, h)
 
     applicable = m.n_x == m.n_y
     interlaced = False

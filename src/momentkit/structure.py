@@ -55,40 +55,63 @@ def _toeplitz_slice(a: ExpCoefficients, shift: int, rows: int, cols: int) -> np.
 
 @dataclass(frozen=True, eq=False)
 class HankelSystem:
-    """The assembled matrices for one side of a moment problem.
+    """One side of a moment problem: its a-sequence and Hankel matrices.
 
     A is n_x x (n_x+1) with entries a_{n_y+i-j} (1-based row i, 0-based
-    column j); a0 is its first column and A1 the last n_x columns.  The
-    reduced pair (A0_tilde, A1_tilde) is built at the numeric rank of A1.
-    At full rank (A1_rank == n_x) the reduced pair is (A0, A1) itself:
-    the reduced slices then have the same shifts and sizes as A's, so the
-    pair is not assembled again, and A1_tilde's rank is A1_rank, already
-    decided on the same matrix at the same tolerance.
+    column j); a0 is its first column, A0 its first n_x columns and A1
+    its last n_x columns, all views of A.  With r = A1_rank the reduced
+    pencil is the same Hankel form at size r: the r x (r+1) block T with
+    first entry a_{n_y_tilde+1}, and (A0_tilde, A1_tilde) = (T[:, :r],
+    T[:, 1:]).  At full rank (r == n_x) T has A's shifts and sizes, so T
+    is A itself and A1_tilde's rank is A1_rank, already decided on the
+    same matrix at the same tolerance.
 
-    Every array is read-only, since A0_tilde and A1_tilde may alias A and
-    A1.
+    Every array is read-only, since the views share their data.
     """
 
+    a: ExpCoefficients
     A: np.ndarray
-    a0: np.ndarray
-    A1: np.ndarray
     A1_rank: int
-    n_x_tilde: int
-    n_y_tilde: int
-    A0_tilde: np.ndarray
-    A1_tilde: np.ndarray
-    n_x: int
+    T: np.ndarray
     n_y: int
     tol_rank: float
 
     @property
+    def n_x(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def n_x_tilde(self) -> int:
+        return self.A1_rank
+
+    @property
+    def n_y_tilde(self) -> int:
+        return self.n_y - self.n_x + self.A1_rank
+
+    @property
+    def a0(self) -> np.ndarray:
+        return self.A[:, 0]
+
+    @property
     def A0(self) -> np.ndarray:
-        """First n_x columns of A."""
         return self.A[:, : self.n_x]
+
+    @property
+    def A1(self) -> np.ndarray:
+        return self.A[:, 1:]
+
+    @property
+    def A0_tilde(self) -> np.ndarray:
+        return self.T[:, : self.A1_rank]
+
+    @property
+    def A1_tilde(self) -> np.ndarray:
+        return self.T[:, 1:]
 
 
 def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> HankelSystem:
-    """Assemble A, A1 and the reduced pair for a sequence a_0..a_{n_x+n_y}.
+    """Assemble A, decide rank(A1) and build the reduced block for a
+    sequence a_0..a_{n_x+n_y}.
 
     Raises
     ------
@@ -104,34 +127,14 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
             f"need coefficients a_0..a_{n_x + n_y}, got a_0..a_{coeffs.order}"
         )
     A = _toeplitz_slice(coeffs, n_y, n_x, n_x + 1)
-    a0 = A[:, 0].copy()
-    A1 = A[:, 1:].copy()
-    rank = numeric_rank(A1, tol_rank)
-    n_x_tilde = rank
-    n_y_tilde = n_y - n_x + n_x_tilde
+    A.flags.writeable = False
+    rank = numeric_rank(A[:, 1:], tol_rank)
     if rank == n_x:
-        A0_tilde, A1_tilde = A[:, :n_x], A1
+        T = A
     else:
-        # 1-based column index in the displayed reduced matrices; the slice
-        # helper counts columns from zero, hence the shifts n_y_tilde and
-        # n_y_tilde - 1 for first entries a_{n_y_tilde+1} and a_{n_y_tilde}
-        A0_tilde = _toeplitz_slice(coeffs, n_y_tilde, n_x_tilde, n_x_tilde)
-        A1_tilde = _toeplitz_slice(coeffs, n_y_tilde - 1, n_x_tilde, n_x_tilde)
-    for M in (A, a0, A1, A0_tilde, A1_tilde):
-        M.flags.writeable = False
-    return HankelSystem(
-        A=A,
-        a0=a0,
-        A1=A1,
-        A1_rank=rank,
-        n_x_tilde=n_x_tilde,
-        n_y_tilde=n_y_tilde,
-        A0_tilde=A0_tilde,
-        A1_tilde=A1_tilde,
-        n_x=n_x,
-        n_y=n_y,
-        tol_rank=tol_rank,
-    )
+        T = _toeplitz_slice(coeffs, n_y - n_x + rank, rank, rank + 1)
+        T.flags.writeable = False
+    return HankelSystem(a=coeffs, A=A, A1_rank=rank, T=T, n_y=n_y, tol_rank=tol_rank)
 
 
 def solvable(h: HankelSystem) -> bool:
@@ -157,7 +160,7 @@ class SolvabilityReport:
     tol_rank: float
 
 
-def _minimal_degree(h: HankelSystem, tol_rank: float) -> int:
+def _minimal_degree(h: HankelSystem) -> int:
     """Smallest j >= 1 with a0 in span{a_1..a_j}, or 0 for a0 = 0.
 
     Called only on solvable systems.  The prefixes stop at j = n_x - 1:
@@ -166,12 +169,12 @@ def _minimal_degree(h: HankelSystem, tol_rank: float) -> int:
     test the caller has already passed, and the answer is n_x whichever
     way it goes.
     """
-    scale = max(1.0, float(np.max(np.abs(h.A))))
+    A, tol_rank = h.A, h.tol_rank
+    scale = max(1.0, float(np.max(np.abs(A))))
     if float(np.max(np.abs(h.a0))) <= tol_rank * scale:
         return 0
     for j in range(1, h.n_x):
-        cols = h.A1[:, :j]
-        if numeric_rank(np.column_stack([h.a0, cols]), tol_rank) == numeric_rank(cols, tol_rank):
+        if numeric_rank(A[:, : j + 1], tol_rank) == numeric_rank(A[:, 1 : j + 1], tol_rank):
             return j
     return h.n_x
 
@@ -191,25 +194,23 @@ def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityRep
     """
     from .inversion import _invert  # cycle: inversion builds on structure
 
-    x_side = None
+    h = None
     if m.n_x == 0:
         # no x-side system: the polynomial pair (1, q) always exists and
         # the family has no room to grow
         exists, rank, d_min, d_max, unique = True, 0, 0, 0, True
     else:
-        a = exp_transform(m)
-        h = build_hankel(a, m.n_x, m.n_y, tol_rank)
-        x_side = (a, h)
+        h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
         rank = h.A1_rank
         exists = solvable(h)
-        d_min = _minimal_degree(h, tol_rank) if exists else 0
+        d_min = _minimal_degree(h) if exists else 0
         d_max = d_min + m.n_x - rank
         unique = rank == m.n_x
 
     minimal = None
     if exists:
         try:
-            minimal, _ = _invert(m, "companion", ToleranceSet(rank=tol_rank), x_side)
+            minimal, _ = _invert(m, "companion", ToleranceSet(rank=tol_rank), h)
         except (NonRealSolution, SingularReducedSystem):
             minimal = None  # polynomial solution exists; branch values do not
     return SolvabilityReport(

@@ -201,6 +201,10 @@ def test_next_moment_invariant_over_particular_solutions():
         null = scipy.linalg.null_space(h.A1, rcond=1e-9)
         assert null.shape[1] >= 1
         values = [next_moment(m_ext)]
+        # one recursion serves both entry points, so the minimum-norm
+        # value agrees bit for bit
+        assert values[0] == extend_moments(m_ext, 1)[-1]
+        assert next_moment(m_ext, cbar=base) == values[0]
         for _ in range(5):
             perturbed = base + null @ rng.uniform(-2, 2, size=null.shape[1])
             values.append(next_moment(m_ext, cbar=perturbed))

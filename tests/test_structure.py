@@ -36,9 +36,15 @@ def test_build_hankel_cancellation_instance():
 def test_build_hankel_arrays_are_read_only():
     # full rank, where the reduced pair aliases A and A1, and reduced rank
     for coeffs, n_x, n_y in (((1.0, 3.0, 7.0), 2, 0), ((1.0, 1.0, 1.0, 1.0), 2, 1)):
-        h = build_hankel(ExpCoefficients(coeffs), n_x, n_y)
+        a = ExpCoefficients(coeffs)
+        h = build_hankel(a, n_x, n_y)
+        assert h.a is a
+        assert all(np.shares_memory(getattr(h, name), h.A) for name in ("a0", "A0", "A1"))
         assert np.shares_memory(h.A1_tilde, h.A1) == (h.A1_rank == n_x)
-        for name in ("A", "a0", "A1", "A0", "A0_tilde", "A1_tilde"):
+        # the reduced pair is one block T, which is A itself at full rank
+        assert all(np.shares_memory(getattr(h, name), h.T) for name in ("A0_tilde", "A1_tilde"))
+        assert (h.T is h.A) == (h.A1_rank == n_x)
+        for name in ("A", "a0", "A1", "A0", "T", "A0_tilde", "A1_tilde"):
             with pytest.raises(ValueError):
                 getattr(h, name)[...] = 0.0
 
