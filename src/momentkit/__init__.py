@@ -45,11 +45,8 @@ from .transform import (
     BranchSolution,
     ExpCoefficients,
     MomentSequence,
-    PolynomialPair,
-    branch_to_polynomials,
     exp_transform,
     forward_moments,
-    inv_exp_transform,
     poly_from_roots,
 )
 from .trig import TrigSignal, trig_forward, trig_invert
@@ -68,7 +65,6 @@ __all__ = [
     "NoPositiveBranches",
     "NoSolution",
     "NonRealSolution",
-    "PolynomialPair",
     "RankDeficientSignal",
     "RepeatedRoots",
     "SingularReducedSystem",
@@ -77,7 +73,6 @@ __all__ = [
     "TrigSignal",
     "WeightData",
     "analyze",
-    "branch_to_polynomials",
     "build_hankel",
     "companion_coefficients",
     "d_coefficients",
@@ -87,7 +82,6 @@ __all__ = [
     "factorization_residual",
     "family_member",
     "forward_moments",
-    "inv_exp_transform",
     "invert_min_degree",
     "markov_certificate",
     "next_moment",

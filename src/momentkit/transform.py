@@ -50,12 +50,6 @@ class MomentSequence:
     def K(self) -> int:
         return len(self.values)
 
-    def moment(self, k: int) -> float:
-        """m_k with 1-based k."""
-        if not 1 <= k <= self.K:
-            raise IndexError(f"moment index {k} outside 1..{self.K}")
-        return self.values[k - 1]
-
     def negated(self) -> "MomentSequence":
         """The sign-flipped problem with branch roles interchanged."""
         return MomentSequence(tuple(-v for v in self.values), self.n_y, self.n_x)
@@ -131,26 +125,6 @@ class BranchSolution:
         return len(self.ys)
 
 
-@dataclass(frozen=True)
-class PolynomialPair:
-    """Coefficient vectors (ascending powers) of the solution pair (p, q).
-
-    Both polynomials are normalized to one at the origin; their roots are
-    the reciprocals of the nonzero branch values.
-    """
-
-    c: tuple[float, ...]
-    d: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", _as_float_tuple(self.c, "c"))
-        object.__setattr__(self, "d", _as_float_tuple(self.d, "d"))
-        if not self.c or self.c[0] != 1.0:
-            raise ValueError("c_0 must equal 1")
-        if not self.d or self.d[0] != 1.0:
-            raise ValueError("d_0 must equal 1")
-
-
 def _moment_values(m) -> tuple[float, ...]:
     if isinstance(m, MomentSequence):
         return m.values
@@ -203,19 +177,6 @@ def exp_transform(m) -> ExpCoefficients:
     return ExpCoefficients(tuple(a))
 
 
-def inv_exp_transform(a) -> tuple[float, ...]:
-    """Recover m_1..m_K from a_0..a_K; exact inverse of :func:`exp_transform`."""
-    coeffs = as_exp_coefficients(a)
-    K = coeffs.order
-    m = [0.0] * (K + 1)  # 1-based
-    for k in range(1, K + 1):
-        s = k * coeffs[k]
-        for j in range(1, k):
-            s -= m[j] * coeffs[k - j]
-        m[k] = s
-    return tuple(m[1:])
-
-
 def poly_from_roots(branch_values: Sequence[float]) -> tuple[float, ...]:
     """Coefficients (ascending powers) of prod_j (1 - v_j z).
 
@@ -227,7 +188,3 @@ def poly_from_roots(branch_values: Sequence[float]) -> tuple[float, ...]:
         coeffs = np.convolve(coeffs, np.array([1.0, -v]))
     return tuple(float(c) for c in coeffs)
 
-
-def branch_to_polynomials(sol: BranchSolution) -> PolynomialPair:
-    """Coefficient representation of a branch solution."""
-    return PolynomialPair(poly_from_roots(sol.xs), poly_from_roots(sol.ys))

@@ -5,10 +5,8 @@ from momentkit import (
     BranchSolution,
     ExpCoefficients,
     MomentSequence,
-    branch_to_polynomials,
     exp_transform,
     forward_moments,
-    inv_exp_transform,
     poly_from_roots,
 )
 from oracles import (
@@ -75,25 +73,6 @@ def test_exp_transform_matches_exact_oracle():
         assert np.allclose(got, [float(v) for v in expected], rtol=1e-13, atol=1e-13)
 
 
-def test_inv_exp_transform_worked_values():
-    assert inv_exp_transform((1.0, 0.0, 0.0)) == (0.0, 0.0)
-    assert inv_exp_transform((1.0, 2.0, 2.0)) == (2.0, 0.0)
-    assert inv_exp_transform((1.0, 3.0, 7.0)) == (3.0, 5.0)
-
-
-def test_inv_exp_transform_rejects_bad_leading_coefficient():
-    with pytest.raises(ValueError):
-        inv_exp_transform((2.0, 1.0))
-
-
-def test_inv_exp_transform_matches_exact_oracle():
-    rng = np.random.default_rng(17)
-    for _ in range(15):
-        K = int(rng.integers(1, 8))
-        a = [1] + [int(v) for v in rng.integers(-4, 5, size=K)]
-        assert list(inv_exp_transform(a)) == [float(v) for v in exact_inv_exp_transform(a)]
-
-
 def test_poly_from_roots_matches_exact_oracle():
     rng = np.random.default_rng(18)
     for _ in range(15):
@@ -107,7 +86,7 @@ def test_round_trip_random():
         K = int(rng.integers(1, 13))
         values = rng.uniform(-2, 2, size=K)
         m = MomentSequence(tuple(values), K, 0)
-        back = inv_exp_transform(exp_transform(m))
+        back = exact_inv_exp_transform(exp_transform(m).values)
         scale = max(abs(v) for v in values)
         assert max(abs(a - b) for a, b in zip(back, values)) <= 1e-12 * scale
 
@@ -160,20 +139,6 @@ def test_polynomial_product_is_coefficient_convolution():
         conv = convolve_lists(f, g)
         product += [0.0] * (len(conv) - len(product))
         assert product == conv
-
-
-def test_branch_to_polynomials_examples():
-    pair = branch_to_polynomials(BranchSolution.from_branches([1.0, 2.0], []))
-    assert pair.c == (1.0, -3.0, 2.0)
-    assert pair.d == (1.0,)
-
-    pair = branch_to_polynomials(BranchSolution.from_branches([0.0], [0.0]))
-    assert pair.c == (1.0, 0.0)
-    assert pair.d == (1.0, 0.0)
-
-    pair = branch_to_polynomials(BranchSolution.from_branches([1.0], [-1.0]))
-    assert pair.c == (1.0, -1.0)
-    assert pair.d == (1.0, 1.0)
 
 
 def test_branch_solution_canonical_order_and_degree():
