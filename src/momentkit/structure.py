@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonRealSolution, NoPositiveBranches, SingularReducedSystem
+from .errors import NonRealSolution, NoPositiveBranches, NoSolution, SingularReducedSystem
 from .tolerances import DEFAULT_RANK, ToleranceSet
 from .transform import (
     BranchSolution,
@@ -183,8 +183,11 @@ def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityRep
     """Decide existence, degree bounds and uniqueness for a moment sequence.
 
     Always returns a report; unsolvable data yields ``exists=False``
-    rather than an error.  When a solution exists and is real, the
-    minimal-degree solution is attached and its degree equals d_min.
+    rather than an error.  When a solution exists and its branch values
+    are recovered, the minimal-degree solution is attached and its
+    degree equals d_min.  It is None when they are not real, when the
+    reduced system is singular, or when the sign-flipped y-side is
+    judged unsolvable at this tolerance.
 
     The x-side is built and its existence decided once here; the
     minimal solution is read off that same system, so the inversion
@@ -211,8 +214,8 @@ def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityRep
     if exists:
         try:
             minimal, _ = _invert(m, "companion", ToleranceSet(rank=tol_rank), h)
-        except (NonRealSolution, SingularReducedSystem):
-            minimal = None  # polynomial solution exists; branch values do not
+        except (NonRealSolution, SingularReducedSystem, NoSolution):
+            minimal = None
     return SolvabilityReport(
         exists=exists,
         rank_A1=rank,

@@ -46,6 +46,19 @@ def test_analyze_golden(capsys, tmp_path):
     assert out["unique"] is False
     assert np.allclose(out["minimal_solution"]["xs"], [1.0, 0.0], atol=1e-10)
 
+    # separated/n=8/1 of the golden set, at the conditioning limit: the
+    # x-side is solvable, the sign-flipped y-side is judged unsolvable
+    moments = [
+        -4.9535132067536285, -9.681077875394063, -9.254540533719785, -86.87589161169726,
+        -31.43991938380492, -659.8998413638022, -89.88739929787005, -4869.195604708729,
+        -64.19919552735337, -35910.05916617864, 1455.048856993133, -266017.4276349605,
+        11727.119134542038, -1978234.0712442957, 27760.64546279912, -14747066.58094415,
+    ]
+    code, out = run_cli(capsys, ["analyze"], {"moments": moments, "n_x": 8, "n_y": 8}, tmp_path)
+    assert code == 0
+    assert out["exists"] is True
+    assert out["minimal_solution"] is None
+
 
 def test_forward_invert_round_trip(capsys, tmp_path):
     code, mdoc = run_cli(
