@@ -244,9 +244,11 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar, count: int):
 def _min_norm_moments(m: MomentSequence, tol: ToleranceSet, count: int) -> list:
     """m_1..m_{K+count} from the minimum-norm solution of ``m``'s system."""
     if m.n_x == 0:
-        return _recurrence(m, exp_transform(m), np.zeros(0), count)[1]
-    h = _factor(m, tol.rank)
-    return _recurrence(m, h.a, _solve_cbar(h), count)[1]
+        a, cbar = exp_transform(m), np.zeros(0)
+    else:
+        h = _factor(m, tol.rank)
+        a, cbar = h.a, _solve_cbar(h)
+    return _recurrence(m, a, cbar, count)[1]
 
 
 def next_moment(
@@ -267,11 +269,13 @@ def next_moment(
         When the moment data admits no solution.
     """
     if cbar is None:
-        return float(_min_norm_moments(m, tol or ToleranceSet(), 1)[-1])
-    cvec = np.asarray(cbar, dtype=float)
-    if cvec.shape != (m.n_x,):
-        raise ValueError(f"cbar must have length n_x = {m.n_x}")
-    return float(_recurrence(m, exp_transform(m), cvec, 1)[1][-1])
+        mvals = _min_norm_moments(m, tol or ToleranceSet(), 1)
+    else:
+        cvec = np.asarray(cbar, dtype=float)
+        if cvec.shape != (m.n_x,):
+            raise ValueError(f"cbar must have length n_x = {m.n_x}")
+        _, mvals = _recurrence(m, exp_transform(m), cvec, 1)
+    return float(mvals[-1])
 
 
 def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = None) -> tuple[float, ...]:
