@@ -1,4 +1,4 @@
-"""Batch command-line front end with a versioned JSON interchange format.
+"""Command-line front end with a versioned JSON interchange format.
 
 One invocation processes one request: a JSON object on standard input
 (or ``--input FILE``) goes in, a JSON object comes out on standard
@@ -10,6 +10,7 @@ round-trips are bit-faithful.  Exit codes: 0 success, 2 no solution,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -172,7 +173,7 @@ def _cmd_transform(doc, args, tol):
 
 
 def _cmd_analyze(doc, args, tol):
-    report = analyze(_read_moments(doc), tol_rank=tol.rank)
+    report = analyze(_read_moments(doc), tol=tol)
     minimal = None
     if report.minimal_solution is not None:
         minimal = _branch_doc(report.minimal_solution)
@@ -316,7 +317,16 @@ _EXIT_BY_ERROR = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused.
+
+    Reuse is safe: ``parse_args`` returns a fresh ``Namespace`` on every
+    call and never mutates the parser, and nothing calls ``add_argument``
+    or ``set_defaults`` once it is built.  Building it takes most of an
+    in-process request's time, so it is not rebuilt per request, and not
+    built at import either.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
     common.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")

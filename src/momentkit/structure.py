@@ -179,7 +179,7 @@ def _minimal_degree(h: HankelSystem) -> int:
     return h.n_x
 
 
-def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityReport:
+def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityReport:
     """Decide existence, degree bounds and uniqueness for a moment sequence.
 
     Always returns a report; unsolvable data yields ``exists=False``
@@ -187,7 +187,9 @@ def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityRep
     are recovered, the minimal-degree solution is attached and its
     degree equals d_min.  It is None when they are not real, when the
     reduced system is singular, or when the sign-flipped y-side is
-    judged unsolvable at this tolerance.
+    judged unsolvable at this tolerance.  ``tol`` (default
+    ``ToleranceSet()``) sets every threshold of the analysis and of the
+    minimal solution; the report records ``tol.rank``.
 
     The x-side is built and its existence decided once here; the
     minimal solution is read off that same system, so the inversion
@@ -197,13 +199,14 @@ def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityRep
     """
     from .inversion import _invert  # cycle: inversion builds on structure
 
+    tol = tol or ToleranceSet()
     h = None
     if m.n_x == 0:
         # no x-side system: the polynomial pair (1, q) always exists and
         # the family has no room to grow
         exists, rank, d_min, d_max, unique = True, 0, 0, 0, True
     else:
-        h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
+        h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank)
         rank = h.A1_rank
         exists = solvable(h)
         d_min = _minimal_degree(h) if exists else 0
@@ -213,7 +216,7 @@ def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityRep
     minimal = None
     if exists:
         try:
-            minimal, _ = _invert(m, "companion", ToleranceSet(rank=tol_rank), h)
+            minimal, _ = _invert(m, "companion", tol, h)
         except (NonRealSolution, SingularReducedSystem, NoSolution):
             minimal = None
     return SolvabilityReport(
@@ -223,5 +226,5 @@ def analyze(m: MomentSequence, tol_rank: float = DEFAULT_RANK) -> SolvabilityRep
         d_max=d_max,
         unique=unique,
         minimal_solution=minimal,
-        tol_rank=tol_rank,
+        tol_rank=tol.rank,
     )

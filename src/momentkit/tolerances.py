@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # defaults of the rank and imaginary-part thresholds, for every entry
@@ -27,12 +28,29 @@ class ToleranceSet:
         non-real.
     separation
         Minimum spacing between recovered frequencies (trig inversion).
+
+    A value outside these ranges (``0 < rank < 1``; ``imag`` and
+    ``separation`` finite and positive; ``zero`` None or finite and
+    non-negative), NaN included, raises ``ValueError``: a NaN or infinite
+    cutoff decides every comparison the same way and returns a wrong
+    answer instead of an error.
     """
 
     rank: float = DEFAULT_RANK
     zero: float | None = None
     imag: float = DEFAULT_IMAG
     separation: float = 1e-8
+
+    def __post_init__(self):
+        # each test is false for NaN, so NaN fails it
+        if not 0.0 < self.rank < 1.0:
+            raise ValueError(f"rank tolerance must lie in (0, 1), got {self.rank!r}")
+        if not 0.0 < self.imag < math.inf:
+            raise ValueError(f"imag tolerance must be finite and > 0, got {self.imag!r}")
+        if not 0.0 < self.separation < math.inf:
+            raise ValueError(f"separation tolerance must be finite and > 0, got {self.separation!r}")
+        if self.zero is not None and not 0.0 <= self.zero < math.inf:
+            raise ValueError(f"zero tolerance must be None or finite and >= 0, got {self.zero!r}")
 
     def zero_cutoff(self, coeffs) -> float:
         if self.zero is not None:

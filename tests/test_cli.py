@@ -1,9 +1,18 @@
+import argparse
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from momentkit import cli
 from momentkit.cli import main
+
+README_INSTANCE = {"moments": [2, 6, 20, 66], "n_x": 2, "n_y": 2}
 
 
 def run_cli(capsys, args, payload=None, tmp_path=None):
@@ -249,3 +258,105 @@ def test_verbose_diagnostics(capsys, tmp_path):
     assert code == 0
     assert out["diagnostics"]["method"] == "geneig"
     assert out["diagnostics"]["zeros_filtered_x"] == 0
+
+
+def test_analyze_honours_every_tolerance(capsys, tmp_path):
+    # a double root that is real only at the looser imaginary-part cutoff
+    doc = {"moments": [2, 1.99999999], "n_x": 2, "n_y": 0}
+    code, inverted = run_cli(capsys, ["invert", "--tol-imag", "1e-3"], doc, tmp_path)
+    assert code == 0
+    code, report = run_cli(capsys, ["analyze", "--tol-imag", "1e-3"], doc, tmp_path)
+    assert code == 0
+    assert report["minimal_solution"] is not None
+    assert report["minimal_solution"]["xs"] == inverted["xs"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-rank", "nan"), ("--tol-rank", "inf"), ("--tol-rank", "0"),
+    ("--tol-imag", "nan"), ("--tol-zero", "-1"),
+])
+def test_invalid_tolerance_flag_rejected(capsys, tmp_path, flag, value):
+    for command in ("invert", "analyze"):
+        code, out = run_cli(capsys, [command, flag, value], README_INSTANCE, tmp_path)
+        assert code == 4
+        assert out["error"]["kind"] == "BadInput"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "2"])
+def test_invalid_tolerance_env_rejected(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("MOMENTKIT_TOL_RANK", value)
+    code, out = run_cli(capsys, ["invert"], README_INSTANCE, tmp_path)
+    assert code == 4
+    assert out["error"]["kind"] == "BadInput"
+
+
+def test_parser_reuse_leaks_nothing_between_requests(capsys, tmp_path):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(README_INSTANCE))
+    given = ["--input", str(path)]
+    requests = [
+        ["invert", "--verbose", "--tol-rank", "1e-3", *given],
+        ["invert", *given],
+        ["no-such-command"],
+        ["--help"],
+        ["extend", "--count", "2", *given],
+        ["extend", *given],
+        ["analyze", *given],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _ in fresh] == [0, 0, 4, 0, 0, 4, 0]
+    for _ in range(2):
+        assert [run(argv) for argv in requests] == fresh
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # a fresh copy of the module, so earlier tests' requests do not count
+    spec = importlib.util.spec_from_file_location("momentkit._cli_copy", cli.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert built == []  # importing builds no parser
+
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(README_INSTANCE))
+    assert module.main(["invert", "--input", str(path)]) == 0
+    assert built
+    built.clear()
+    for argv in (["invert", "--verbose"], ["analyze"], ["next"], ["extend", "--count", "3"], ["extend"]) * 2:
+        module.main([*argv, "--input", str(path)])
+    assert built == []
+
+
+def test_cold_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + ((os.pathsep + env["PYTHONPATH"]) if env.get("PYTHONPATH") else "")
+    command = [sys.executable, "-m", "momentkit"]
+
+    proc = subprocess.run(
+        [*command, "invert"], input=json.dumps(README_INSTANCE),
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout)
+    assert np.allclose(sorted(out["xs"]), [1.0, 3.0], rtol=0, atol=1e-10)
+    assert np.allclose(sorted(out["ys"]), [0.0, 2.0], rtol=0, atol=1e-10)
+
+    proc = subprocess.run([*command, "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: momentkit")

@@ -5,6 +5,7 @@ from momentkit import (
     ExpCoefficients,
     MomentSequence,
     NoPositiveBranches,
+    ToleranceSet,
     analyze,
     build_hankel,
     exp_transform,
@@ -148,8 +149,23 @@ def test_analyze_empty_positive_side():
 
 
 def test_analyze_records_tolerance():
-    report = analyze(MomentSequence((3.0, 5.0), 2, 0), tol_rank=1e-7)
+    report = analyze(MomentSequence((3.0, 5.0), 2, 0), tol=ToleranceSet(rank=1e-7))
     assert report.tol_rank == 1e-7
+
+
+@pytest.mark.parametrize("bad", [
+    {"rank": float("nan")}, {"rank": float("inf")}, {"rank": 0.0}, {"rank": 1.0}, {"rank": -1e-9},
+    {"imag": float("nan")}, {"imag": float("inf")}, {"imag": 0.0},
+    {"separation": float("nan")}, {"separation": float("inf")}, {"separation": -1.0},
+    {"zero": float("nan")}, {"zero": float("inf")}, {"zero": -1e-12},
+], ids=repr)
+def test_tolerance_set_rejects_invalid_values(bad):
+    with pytest.raises(ValueError):
+        ToleranceSet(**bad)
+
+
+def test_tolerance_set_accepts_boundary_values():
+    ToleranceSet(rank=0.5, zero=0.0, imag=1e3, separation=1e-300)
 
 
 def test_degree_bounds_hold_for_family_members():
