@@ -247,7 +247,7 @@ def _cmd_family(doc, args, tol):
 
 def _cmd_markov_check(doc, args, tol):
     m = _read_moments(doc)
-    cert = markov_certificate(m, tol=tol)
+    cert, info = markov_certificate(m, tol=tol, full_output=True)
     out = {
         "schema": SCHEMA,
         "spd": cert.spd,
@@ -257,7 +257,7 @@ def _cmd_markov_check(doc, args, tol):
         "interlacing_applicable": cert.interlacing_applicable,
     }
     if args.verbose:
-        sol = invert_min_degree(m, tol=tol)
+        sol = info["minimal_solution"]
         out["diagnostics"] = {"minimal_solution": {"xs": list(sol.xs), "ys": list(sol.ys)}}
     return out
 

@@ -4,8 +4,9 @@ Two equivalent extraction routes are provided: the eigenvalues of the
 reduced matrix pencil, and the roots of the companion polynomial whose
 coefficients come from one triangular solve.  Both yield the minimal
 degree solution's x-values together with structurally guaranteed zeros,
-which are filtered at a scale-aware cutoff.  The y-values come from the
-sign-flipped problem with the branch roles interchanged.
+which are filtered at a scale-aware cutoff.  The y-values are read off
+the same system: the companion coefficients give p, and q = p*a,
+truncated, has the y-values as reciprocal roots.
 
 The same reduced machinery propagates higher moments without ever forming
 branch values, which is the numerically preferred route when only the
@@ -33,11 +34,11 @@ _METHODS = ("geneig", "companion")
 
 
 def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
-    """The x-side of ``m``: its Hankel system, built once.
+    """The Hankel system of ``m``, built once.
 
-    Every entry point takes each side of a problem from here, or from a
-    caller that already built it, so a side gets one Hankel build and
-    one existence decision per call.
+    Every entry point takes its system from here, or from a caller that
+    already built it, so a problem gets one Hankel build and one
+    existence decision per call; the y-side is read off the same system.
 
     Raises
     ------
@@ -84,54 +85,71 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
     return np.linalg.solve(h.A1_tilde, -h.A0_tilde[:, 0])
 
 
-def _companion_matrix(cprime: np.ndarray) -> np.ndarray:
-    n = len(cprime)
+def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of z^n + coeffs[0] z^(n-1) + ... + coeffs[n-1], as the
+    eigenvalues of its companion matrix."""
+    n = len(coeffs)
+    if n == 0:
+        return np.zeros(0)
     C = np.zeros((n, n))
-    C[:, 0] = -cprime
+    C[:, 0] = -coeffs
     C[np.arange(n - 1), np.arange(1, n)] = 1.0
-    return C
+    return np.linalg.eigvals(C)
 
 
-def _side_roots(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
-    """One side of the pipeline: the n_x branch values of ``m``.
+def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceSet, rank: int):
+    """One side's branch values from its polynomial's roots.
 
-    ``h`` is the Hankel system of ``m`` from ``_factor`` when the caller
-    already holds it.  Returns (values, info) where values has length
-    m.n_x with the minimal solution's nonzero roots first (ascending) and
-    exact zeros as padding; info carries the raw eigenvalues for
-    diagnostics.
+    Roots at or below ``cutoff`` are structural zeros and are dropped;
+    the rest must be real.  Returns (values, info): values has length
+    ``count`` with the nonzero roots first (ascending) and exact zeros as
+    padding, and info carries the raw roots, the filtered-zero count and
+    the side's rank for diagnostics.
+
+    Raises
+    ------
+    NonRealSolution
+        When a retained root has a significant imaginary part.
     """
-    info = {"eigenvalues": [], "zeros_filtered": 0, "rank": 0}
-    if m.n_x == 0:
-        return (), info
-    if h is None:
-        h = _factor(m, tol.rank)
-    info["rank"] = h.A1_rank
-    if h.n_x_tilde == 0:
-        return (0.0,) * m.n_x, info
-
-    if method == "geneig":
-        _check_reduced(h)
-        roots = np.linalg.eigvals(np.linalg.solve(h.A1_tilde, h.A0_tilde))
-    else:
-        roots = np.linalg.eigvals(_companion_matrix(companion_coefficients(h)))
-    info["eigenvalues"] = list(roots)
-
-    cutoff = tol.zero_cutoff(h.a.values)
     kept = roots[np.abs(roots) > cutoff]
-    info["zeros_filtered"] = len(roots) - len(kept)
     if np.any(np.abs(kept.imag) > tol.imag * (1.0 + np.abs(kept.real))):
         raise NonRealSolution("retained roots have significant imaginary parts")
     values = sorted(float(v) for v in kept.real)
-    return tuple(values) + (0.0,) * (m.n_x - len(values)), info
+    info = {"eigenvalues": list(roots), "zeros_filtered": len(roots) - len(kept), "rank": rank}
+    return tuple(values) + (0.0,) * (count - len(values)), info
 
 
 def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     """``invert_min_degree(m, method, tol, full_output=True)``, reusing
     the solvable x-side Hankel system ``h`` of ``m`` when the caller
-    already built it with ``tol.rank``."""
-    xs, info_x = _side_roots(m, method, tol, h)
-    ys, info_y = _side_roots(m.negated(), method, tol)
+    already built it with ``tol.rank``.
+
+    The x-values come from the reduced pencil by ``method``.  The
+    y-values come from the same system: with p = (1, c') the reduced
+    x-polynomial, q = p*a truncated at degree n_y_tilde has the y-values
+    as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
+    z^(n_y_tilde-1) + ... + d_n_y_tilde.  With n_x = 0, p = 1 and q is
+    a_0..a_{n_y}.
+    """
+    if m.n_x == 0:
+        a, rank, n_y_tilde = exp_transform(m), 0, m.n_y
+        cprime = x_roots = np.zeros(0)
+    else:
+        if h is None:
+            h = _factor(m, tol.rank)
+        a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
+        cprime = companion_coefficients(h)
+        if method == "geneig" and rank:
+            x_roots = np.linalg.eigvals(np.linalg.solve(h.A1_tilde, h.A0_tilde))
+        else:
+            x_roots = _monic_roots(cprime)
+    cutoff = tol.zero_cutoff(a.values)
+    xs, info_x = _branch_values(x_roots, m.n_x, cutoff, tol, rank)
+
+    # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
+    # companion_coefficients has raised SingularReducedSystem
+    d = d_coefficients(np.concatenate(([1.0], cprime)), a, n_y_tilde)
+    ys, info_y = _branch_values(_monic_roots(d[1:]), m.n_y, cutoff, tol, n_y_tilde)
     return BranchSolution.from_branches(xs, ys), {"x": info_x, "y": info_y, "method": method}
 
 
@@ -148,12 +166,15 @@ def invert_min_degree(
     m : MomentSequence
         Moments m_1..m_K with the split (n_x, n_y).
     method : {"companion", "geneig"}
-        Root extraction route; the two provably agree and are tested
-        against each other.
+        Route to the x-values; the two provably agree and are tested
+        against each other.  The y-values come from q = p*a on the same
+        Hankel system, not from the sign-flipped problem, so they are the
+        same for both methods.
     tol : ToleranceSet, optional
     full_output : bool
         When true, also return a diagnostics dict with the raw
-        eigenvalues and filtered-zero counts per side.
+        eigenvalues, filtered-zero counts and polynomial degree per side
+        (``rank``: rank(A1) for x, n_y_tilde for y).
 
     Returns
     -------
@@ -187,11 +208,8 @@ def d_coefficients(c: Sequence[float], a, n_y: int) -> np.ndarray:
     if n_y < 0:
         raise ValueError("n_y must be nonnegative")
     coeffs = as_exp_coefficients(a)
-    d = np.zeros(n_y + 1)
-    for k in range(n_y + 1):
-        top = min(k, len(cvec) - 1)
-        d[k] = sum(cvec[j] * coeffs[k - j] for j in range(top + 1))
-    return d
+    coeffs[n_y]  # IndexError when a_{n_y} is undefined
+    return np.convolve(cvec[: n_y + 1], coeffs.values[: n_y + 1])[: n_y + 1]
 
 
 def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSolution:

@@ -133,9 +133,13 @@ def _extended_matrix(m: MomentSequence, h: HankelSystem) -> np.ndarray:
     return ext
 
 
-def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> MarkovCertificate:
+def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_output: bool = False):
     """Certificates: SPD of the reversed block, interlacing, extended-matrix
     singularity and weight positivity for the minimal solution of ``m``.
+
+    With ``full_output`` also returns ``{"minimal_solution": sol}``, the
+    ``BranchSolution`` the interlacing and weight certificates were
+    computed from, as ``(MarkovCertificate, dict)``.
 
     Raises
     ------
@@ -168,13 +172,14 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> Ma
     except RepeatedRoots:
         weights_positive = False
 
-    return MarkovCertificate(
+    cert = MarkovCertificate(
         spd=spd,
         interlaced=interlaced,
         extended_singular=extended_singular,
         weights_positive=weights_positive,
         interlacing_applicable=applicable,
     )
+    return (cert, {"minimal_solution": sol}) if full_output else cert
 
 
 def density_eval(sol: BranchSolution, x: float) -> float:

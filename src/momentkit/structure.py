@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonRealSolution, NoPositiveBranches, NoSolution, SingularReducedSystem
+from .errors import NonRealSolution, NoPositiveBranches, SingularReducedSystem
 from .tolerances import DEFAULT_RANK, ToleranceSet
 from .transform import (
     BranchSolution,
@@ -185,17 +185,16 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     Always returns a report; unsolvable data yields ``exists=False``
     rather than an error.  When a solution exists and its branch values
     are recovered, the minimal-degree solution is attached and its
-    degree equals d_min.  It is None when they are not real, when the
-    reduced system is singular, or when the sign-flipped y-side is
-    judged unsolvable at this tolerance.  ``tol`` (default
-    ``ToleranceSet()``) sets every threshold of the analysis and of the
-    minimal solution; the report records ``tol.rank``.
+    degree equals d_min.  It is None when they are not real or when the
+    reduced system is singular.  ``tol`` (default ``ToleranceSet()``)
+    sets every threshold of the analysis and of the minimal solution;
+    the report records ``tol.rank``.
 
-    The x-side is built and its existence decided once here; the
-    minimal solution is read off that same system, so the inversion
-    builds only the y-side.  Its result is the one ``invert_min_degree``
-    returns, whose own x-side build would repeat the same computation on
-    the same moments at the same tolerance.
+    The Hankel system is built and its existence decided once here; the
+    minimal solution, both sides of it, is read off that same system, so
+    the inversion builds nothing.  Its result is the one
+    ``invert_min_degree`` returns, whose own build would repeat the same
+    computation on the same moments at the same tolerance.
     """
     from .inversion import _invert  # cycle: inversion builds on structure
 
@@ -217,7 +216,7 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     if exists:
         try:
             minimal, _ = _invert(m, "companion", tol, h)
-        except (NonRealSolution, SingularReducedSystem, NoSolution):
+        except (NonRealSolution, SingularReducedSystem):
             minimal = None
     return SolvabilityReport(
         exists=exists,

@@ -1,17 +1,18 @@
 """Structural call counts of each entry point on one fixed instance.
 
-Each side of a problem is factored once: one Hankel build and one
-existence decision per side, shared by every entry point.  These are
-counts, not times, so they hold on any machine.
+Each problem is factored once: one Hankel build and one existence
+decision, shared by every entry point, with the y-side read off the same
+system.  These are counts, not times, so they hold on any machine.
 """
 
+import json
 import sys
 
 import numpy as np
 import pytest
 
 import momentkit as mk
-from momentkit import structure
+from momentkit import cli, structure
 
 M = mk.forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4], 10)
 
@@ -40,12 +41,27 @@ def counts(monkeypatch):
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: mk.analyze(M), {"build_hankel": 2, "svd": 12, "lstsq": 0, "solve": 2}),
-    (lambda: mk.markov_certificate(M), {"build_hankel": 2, "svd": 5, "lstsq": 1, "solve": 2}),
-    (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 2, "svd": 4, "lstsq": 0, "solve": 2}),
-    (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 2, "svd": 4, "lstsq": 0, "solve": 2}),
+    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 10, "lstsq": 0, "solve": 1}),
+    (lambda: mk.markov_certificate(M), {"build_hankel": 1, "svd": 3, "lstsq": 1, "solve": 1}),
+    (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
+    (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 2}),
     (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 2, "lstsq": 1, "solve": 0}),
 ], ids=["analyze", "markov_certificate", "invert_companion", "invert_geneig", "next_moment"])
 def test_call_counts(counts, call, want):
     call()
     assert counts == want
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["markov-check"], 1),
+    (["markov-check", "--verbose"], 1),
+    (["next"], 1),
+    # the diagnostic is a deliberately independent second route
+    (["next", "--verbose"], 2),
+])
+def test_cli_build_counts(counts, capsys, tmp_path, argv, builds):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"moments": [2, 6, 20, 66], "n_x": 2, "n_y": 2}))
+    assert cli.main(argv + ["--input", str(path)]) == 0
+    capsys.readouterr()
+    assert counts["build_hankel"] == builds

@@ -56,17 +56,27 @@ def test_analyze_golden(capsys, tmp_path):
     assert np.allclose(out["minimal_solution"]["xs"], [1.0, 0.0], atol=1e-10)
 
     # separated/n=8/1 of the golden set, at the conditioning limit: the
-    # x-side is solvable, the sign-flipped y-side is judged unsolvable
+    # y-values read off q = p*a recover the generating values, which an
+    # independent solve of the sign-flipped problem judged unsolvable
     moments = [
         -4.9535132067536285, -9.681077875394063, -9.254540533719785, -86.87589161169726,
         -31.43991938380492, -659.8998413638022, -89.88739929787005, -4869.195604708729,
         -64.19919552735337, -35910.05916617864, 1455.048856993133, -266017.4276349605,
         11727.119134542038, -1978234.0712442957, 27760.64546279912, -14747066.58094415,
     ]
+    xs = [
+        -1.5675396483330966, -0.9960491607510069, 1.606386143558785, 1.45450603625223,
+        2.5639298990366743, -0.5894059200642925, -0.4846787060719451, -2.1503583600711793,
+    ]
+    ys = [
+        2.369923806068277, 2.73515979709384, 0.401320704893827, 2.0361364491372393,
+        0.709400487987681, 1.057080735867447, -2.6905795798874785, -1.8281389108510357,
+    ]
     code, out = run_cli(capsys, ["analyze"], {"moments": moments, "n_x": 8, "n_y": 8}, tmp_path)
     assert code == 0
-    assert out["exists"] is True
-    assert out["minimal_solution"] is None
+    assert (out["exists"], out["rank_A1"], out["unique"]) == (True, 8, True)
+    assert np.allclose(out["minimal_solution"]["xs"], sorted(xs), atol=1e-6)
+    assert np.allclose(out["minimal_solution"]["ys"], sorted(ys), atol=1e-6)
 
 
 def test_forward_invert_round_trip(capsys, tmp_path):

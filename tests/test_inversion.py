@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,7 +27,7 @@ from instances import (
     multiset_distance,
     random_solvable_instance,
 )
-from oracles import power_sum
+from oracles import convolve_lists, power_sum
 
 
 def test_companion_coefficients_worked_cases():
@@ -82,6 +84,22 @@ def test_d_coefficients_worked_cases():
     assert np.allclose(d_coefficients((1.0,), (1.0, 0.0, 0.0), 1), [1.0, 0.0])
     with pytest.raises(ValueError):
         d_coefficients((2.0, 1.0), (1.0, 0.0), 1)
+    with pytest.raises(IndexError):
+        d_coefficients((1.0,), (1.0, 0.0), 2)
+
+
+def test_d_coefficients_match_exact_convolution():
+    rng = np.random.default_rng(30)
+    for _ in range(50):
+        c = [1.0] + list(rng.normal(size=int(rng.integers(0, 6))))
+        a = [1.0] + list(rng.normal(size=int(rng.integers(0, 8))))
+        n_y = int(rng.integers(0, len(a)))
+        exact = convolve_lists([Fraction(v) for v in c], [Fraction(v) for v in a[: n_y + 1]])[: n_y + 1]
+        size = convolve_lists([abs(v) for v in c], [abs(v) for v in a[: n_y + 1]])[: n_y + 1]
+        d = d_coefficients(c, a, n_y)
+        assert d.shape == (n_y + 1,)
+        # each d_k is a sum of at most 6 rounded products
+        assert all(abs(dk - float(ek)) <= 8 * np.finfo(float).eps * sk for dk, ek, sk in zip(d, exact, size))
 
 
 def test_d_coefficients_encode_negative_branches():
@@ -154,7 +172,8 @@ def test_methods_agree():
         a = invert_min_degree(m, method="geneig")
         b = invert_min_degree(m, method="companion")
         assert multiset_distance(a.xs, b.xs) < 1e-8
-        assert multiset_distance(a.ys, b.ys) < 1e-8
+        # both routes read the ys off the same companion coefficients
+        assert a.ys == b.ys
 
 
 def test_zero_count_matches_reduced_size_minus_degree():
@@ -172,6 +191,7 @@ def test_zero_count_matches_reduced_size_minus_degree():
         h = build_hankel(a, m.n_x, m.n_y)
         assert sol.degree == degree
         assert info["x"]["zeros_filtered"] == h.n_x_tilde - degree
+        assert info["y"]["rank"] == h.n_y_tilde
 
 
 def test_next_moment_worked_cases():
@@ -247,9 +267,13 @@ def test_extend_moments_degenerate_instance():
 
 
 def test_negation_symmetry():
+    # the ys come from q = p*a on m's own system, the flipped problem's xs
+    # from its own reduced pencil
     rng = np.random.default_rng(39)
-    for _ in range(30):
-        xs, ys, m = random_solvable_instance(rng)
+    problems = [random_solvable_instance(rng)[2] for _ in range(30)]
+    rng = np.random.default_rng(41)
+    problems += [matched_pair_extension(rng)[4] for _ in range(20)]
+    for m in problems:
         sol = invert_min_degree(m)
         flipped = invert_min_degree(m.negated())
         assert multiset_distance(sol.xs, flipped.ys) < 1e-8
