@@ -119,6 +119,18 @@ def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceS
     return tuple(values) + (0.0,) * (count - len(values)), info
 
 
+def _reciprocal(a: Sequence[float]) -> list:
+    """The power series 1/a to the length of ``a`` (a_0 = 1), which is the
+    exponential transform of the negated moments."""
+    r = [1.0] + [0.0] * (len(a) - 1)
+    for k in range(1, len(a)):
+        s = 0.0
+        for j in range(1, k + 1):
+            s -= a[j] * r[k - j]
+        r[k] = s
+    return r
+
+
 def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     """``invert_min_degree(m, method, tol, full_output=True)``, reusing
     the solvable x-side Hankel system ``h`` of ``m`` when the caller
@@ -130,6 +142,11 @@ def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
     z^(n_y_tilde-1) + ... + d_n_y_tilde.  With n_x = 0, p = 1 and q is
     a_0..a_{n_y}.
+
+    Each side's zeros are cut at the scale of its own problem's series:
+    a for the xs, and for the ys 1/a, the series of the sign-flipped
+    problem.  a_k grows like max|x|^k, so a cutoff taken from a would
+    zero a small y beside a large x.
     """
     if m.n_x == 0:
         a, rank, n_y_tilde = exp_transform(m), 0, m.n_y
@@ -143,13 +160,13 @@ def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
             x_roots = np.linalg.eigvals(np.linalg.solve(h.A1_tilde, h.A0_tilde))
         else:
             x_roots = _monic_roots(cprime)
-    cutoff = tol.zero_cutoff(a.values)
-    xs, info_x = _branch_values(x_roots, m.n_x, cutoff, tol, rank)
+    xs, info_x = _branch_values(x_roots, m.n_x, tol.zero_cutoff(a.values), tol, rank)
 
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
     d = d_coefficients(np.concatenate(([1.0], cprime)), a, n_y_tilde)
-    ys, info_y = _branch_values(_monic_roots(d[1:]), m.n_y, cutoff, tol, n_y_tilde)
+    y_cutoff = tol.zero_cutoff(_reciprocal(a.values))
+    ys, info_y = _branch_values(_monic_roots(d[1:]), m.n_y, y_cutoff, tol, n_y_tilde)
     return BranchSolution.from_branches(xs, ys), {"x": info_x, "y": info_y, "method": method}
 
 

@@ -22,7 +22,9 @@ class ToleranceSet:
     zero
         Absolute cutoff below which an eigenvalue is treated as a
         structural zero of the reduced system.  ``None`` selects the
-        scale-aware default ``1e-8 * (1 + max|a_k|)`` per instance.
+        scale-aware default ``1e-8 * (1 + max|a_k|)`` per instance and
+        side, with a the series of the side's own problem (1/a for the
+        y-side).
     imag
         A root with ``|Im z| > imag * (1 + |Re z|)`` makes the solution
         non-real.

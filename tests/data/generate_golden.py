@@ -123,11 +123,13 @@ def power_sums(xs, ys, count):
 
 
 def relative_gap(got, want):
-    """max |got - want| over max(1, max |want|); inf for a length mismatch."""
-    if len(got) != len(want):
+    """max |got - want| over max(1, max |want|); inf for a length mismatch
+    or a NaN on either side."""
+    gaps = [abs(g - w) for g, w in zip(got, want)]
+    if len(got) != len(want) or any(math.isnan(v) for v in gaps):
         return math.inf
     scale = max([1.0] + [abs(w) for w in want])
-    return max((abs(g - w) for g, w in zip(got, want)), default=0.0) / scale
+    return max(gaps, default=0.0) / scale
 
 
 def branches_right(sol, truth, moments):
@@ -225,10 +227,13 @@ def cases():
 def float_drift(old, new, scale=None):
     """Largest float difference between two JSON values of the same shape,
     relative to the largest magnitude in its field, or None when they
-    differ in anything but floats."""
+    differ in anything but floats.  A non-finite value that differs from
+    its counterpart drifts by inf, so no NaN reaches the maximum."""
     if isinstance(old, float) and type(new) is float:
         if old == new or (math.isnan(old) and math.isnan(new)):
             return 0.0
+        if not (math.isfinite(old) and math.isfinite(new)):
+            return math.inf
         ref = scale if scale is not None else max(abs(old), abs(new))
         return abs(old - new) / ref if ref else math.inf
     if type(old) is not type(new):

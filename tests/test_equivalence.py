@@ -12,6 +12,7 @@ become anything else, whether or not the file is regenerated.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ _spec.loader.exec_module(golden)
 
 CASES = json.loads(golden.GOLDEN.read_text())
 REL = 1e-12
+NAN, INF = float("nan"), float("inf")
 
 
 def test_golden_set_covers_every_call_and_the_conditioning_limit():
@@ -40,6 +42,18 @@ def test_recorded_classes_follow_from_the_recorded_outcomes():
         assert case["truth"], case["label"]
         for name, value in case["outcomes"].items():
             assert case["classes"][name] == golden.classify(name, value, case), (case["label"], name)
+
+
+def test_a_nan_never_passes_for_a_number():
+    # max() skips a NaN that is not first, so each comparison must turn it into inf
+    for got, want in (([1.0, NAN], [1.0, 2.0]), ([1.0, 2.0], [1.0, NAN]), ([NAN, 2.0], [1.0, 2.0])):
+        assert golden.float_drift(want, got) == math.inf
+        assert golden.float_drift({"xs": want}, {"xs": got}) == math.inf
+        assert golden.relative_gap(got, want) == math.inf
+    assert golden.float_drift([1.0, INF], [1.0, 2.0]) == math.inf
+    assert golden.float_drift([1.0, NAN], [1.0, NAN]) == 0.0
+    sol = {"xs": [1.0, NAN], "ys": []}
+    assert not golden.branches_right(sol, {"xs": [1.0, 2.0], "ys": []}, [3.0, 5.0])
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["label"] for case in CASES])

@@ -78,6 +78,16 @@ def test_invert_empty_side():
     assert multiset_distance(sol.ys, (1.0, 2.0)) < 1e-10
 
 
+@pytest.mark.parametrize("method", ["companion", "geneig"])
+def test_small_value_beside_a_large_one_is_kept(method):
+    # a_k = x^(k-1) (x - y) grows with the large value; each side's zeros
+    # are cut at its own problem's scale, so 0.005 is no structural zero
+    for x, y in ((1000.0, 0.005), (0.005, 1000.0)):
+        sol = invert_min_degree(MomentSequence((x - y, x**2 - y**2), 1, 1), method)
+        assert abs(sol.xs[0] - x) <= 1e-10 * max(1.0, x)
+        assert abs(sol.ys[0] - y) <= 1e-10 * max(1.0, y)
+
+
 def test_d_coefficients_worked_cases():
     assert np.allclose(d_coefficients((1.0, -3.0, 2.0), (1.0, 3.0, 7.0), 0), [1.0])
     assert np.allclose(d_coefficients((1.0, -1.0), (1.0, 2.0, 2.0), 1), [1.0, 1.0])
