@@ -103,19 +103,15 @@ def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceS
     Roots at or below ``cutoff`` are structural zeros and are dropped;
     the rest must be real.  Returns (values, info): values has length
     ``count`` with the nonzero roots first (ascending) and exact zeros as
-    padding, and info carries the raw roots, the filtered-zero count and
-    the side's rank for diagnostics.
-
-    Raises
-    ------
-    NonRealSolution
-        When a retained root has a significant imaginary part.
+    padding, or is None when a retained root has a significant imaginary
+    part; info carries the raw roots, the filtered-zero count and the
+    side's rank for diagnostics.
     """
     kept = roots[np.abs(roots) > cutoff]
-    if np.any(np.abs(kept.imag) > tol.imag * (1.0 + np.abs(kept.real))):
-        raise NonRealSolution("retained roots have significant imaginary parts")
-    values = sorted(float(v) for v in kept.real)
     info = {"eigenvalues": list(roots), "zeros_filtered": len(roots) - len(kept), "rank": rank}
+    if np.any(np.abs(kept.imag) > tol.imag * (1.0 + np.abs(kept.real))):
+        return None, info
+    values = sorted(float(v) for v in kept.real)
     return tuple(values) + (0.0,) * (count - len(values)), info
 
 
@@ -147,6 +143,10 @@ def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     a for the xs, and for the ys 1/a, the series of the sign-flipped
     problem.  a_k grows like max|x|^k, so a cutoff taken from a would
     zero a small y beside a large x.
+
+    NonRealSolution is raised once both sides are read; it carries deg
+    p, the x-roots above the cutoff counting complex ones, as
+    ``_degree``, which ``analyze`` reports as d_min.
     """
     if m.n_x == 0:
         a, rank, n_y_tilde = exp_transform(m), 0, m.n_y
@@ -167,6 +167,10 @@ def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     d = d_coefficients(np.concatenate(([1.0], cprime)), a, n_y_tilde)
     y_cutoff = tol.zero_cutoff(_reciprocal(a.values))
     ys, info_y = _branch_values(_monic_roots(d[1:]), m.n_y, y_cutoff, tol, n_y_tilde)
+    if xs is None or ys is None:
+        exc = NonRealSolution("retained roots have significant imaginary parts")
+        exc._degree = rank - info_x["zeros_filtered"]
+        raise exc
     return BranchSolution.from_branches(xs, ys), {"x": info_x, "y": info_y, "method": method}
 
 

@@ -1,9 +1,10 @@
 """Hankel matrices of the transformed sequence, numeric rank, and solvability.
 
 The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence;
-its first column against the remaining block A1 decides existence, the
-rank of A1 decides uniqueness, and column-prefix spans give the degree
-bounds of the solution family.
+its first column against the remaining block A1 decides existence and
+the rank of A1 decides uniqueness.  The degree bounds of the solution
+family are read off the minimal solution's p: d_min is deg p, the count
+of its roots that pass the zero filter, and d_max = d_min + n_x - rank.
 """
 
 from __future__ import annotations
@@ -146,8 +147,13 @@ def solvable(h: HankelSystem) -> bool:
 class SolvabilityReport:
     """Existence, degree bounds, uniqueness and the minimal solution.
 
-    d_min/d_max are meaningful only when ``exists`` is true (they default
-    to 0 and n_x - rank_A1 otherwise so the bound arithmetic stays valid).
+    d_min is deg p of the minimal polynomial pair: the number of p's
+    roots above the x-side zero cutoff, complex roots included, so it
+    depends on ``tol.zero`` as well as ``tol.rank``.  It equals the
+    attached minimal solution's degree, and 0 <= d_min <= rank_A1.
+    d_max = d_min + n_x - rank_A1.  When no solution exists, or the
+    reduced system is singular so p is undetermined, d_min is 0 and
+    d_max is n_x - rank_A1, which keeps the bound arithmetic valid.
     tol_rank records the rank tolerance the analysis was run with.
     """
 
@@ -160,35 +166,16 @@ class SolvabilityReport:
     tol_rank: float
 
 
-def _minimal_degree(h: HankelSystem) -> int:
-    """Smallest j >= 1 with a0 in span{a_1..a_j}, or 0 for a0 = 0.
-
-    Called only on solvable systems.  The prefixes stop at j = n_x - 1:
-    at j = n_x the test compares rank([a0 | A1]) = rank(A) with rank(A1)
-    on the same matrices at the same tolerance, which is the existence
-    test the caller has already passed, and the answer is n_x whichever
-    way it goes.
-    """
-    A, tol_rank = h.A, h.tol_rank
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if float(np.max(np.abs(h.a0))) <= tol_rank * scale:
-        return 0
-    for j in range(1, h.n_x):
-        if numeric_rank(A[:, : j + 1], tol_rank) == numeric_rank(A[:, 1 : j + 1], tol_rank):
-            return j
-    return h.n_x
-
-
 def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityReport:
     """Decide existence, degree bounds and uniqueness for a moment sequence.
 
     Always returns a report; unsolvable data yields ``exists=False``
     rather than an error.  When a solution exists and its branch values
-    are recovered, the minimal-degree solution is attached and its
-    degree equals d_min.  It is None when they are not real or when the
-    reduced system is singular.  ``tol`` (default ``ToleranceSet()``)
-    sets every threshold of the analysis and of the minimal solution;
-    the report records ``tol.rank``.
+    are recovered, the minimal-degree solution is attached; it is None
+    when they are not real or when the reduced system is singular (see
+    ``SolvabilityReport`` for d_min in each case).  ``tol`` (default
+    ``ToleranceSet()``) sets every threshold of the analysis and of the
+    minimal solution; the report records ``tol.rank``.
 
     The Hankel system is built and its existence decided once here; the
     minimal solution, both sides of it, is read off that same system, so
@@ -199,31 +186,25 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     from .inversion import _invert  # cycle: inversion builds on structure
 
     tol = tol or ToleranceSet()
-    h = None
-    if m.n_x == 0:
-        # no x-side system: the polynomial pair (1, q) always exists and
-        # the family has no room to grow
-        exists, rank, d_min, d_max, unique = True, 0, 0, 0, True
-    else:
-        h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank)
-        rank = h.A1_rank
-        exists = solvable(h)
-        d_min = _minimal_degree(h) if exists else 0
-        d_max = d_min + m.n_x - rank
-        unique = rank == m.n_x
-
-    minimal = None
+    # with n_x = 0 there is no x-side system: p = 1 always exists
+    h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank) if m.n_x else None
+    rank = h.A1_rank if h is not None else 0
+    exists = h is None or solvable(h)
+    d_min, minimal = 0, None
     if exists:
         try:
             minimal, _ = _invert(m, "companion", tol, h)
-        except (NonRealSolution, SingularReducedSystem):
-            minimal = None
+            d_min = minimal.degree
+        except NonRealSolution as exc:
+            d_min = exc._degree
+        except SingularReducedSystem:
+            pass
     return SolvabilityReport(
         exists=exists,
         rank_A1=rank,
         d_min=d_min,
-        d_max=d_max,
-        unique=unique,
+        d_max=d_min + m.n_x - rank,
+        unique=rank == m.n_x,
         minimal_solution=minimal,
         tol_rank=tol.rank,
     )

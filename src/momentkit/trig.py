@@ -20,7 +20,10 @@ from .tolerances import ToleranceSet
 
 @dataclass(frozen=True)
 class TrigSignal:
-    """Frequencies in (-pi, pi] and complex amplitudes of an exponential sum."""
+    """Frequencies in (-pi, pi] and complex amplitudes of an exponential sum.
+
+    Every frequency and amplitude must be finite (ValueError otherwise).
+    """
 
     freqs: tuple[float, ...]
     amps: tuple[complex, ...]
@@ -30,6 +33,8 @@ class TrigSignal:
         object.__setattr__(self, "amps", tuple(complex(a) for a in self.amps))
         if len(self.freqs) != len(self.amps):
             raise ValueError("freqs and amps must have the same length")
+        if not (np.all(np.isfinite(self.freqs)) and np.all(np.isfinite(self.amps))):
+            raise ValueError("freqs and amps must be finite")
 
 
 def trig_forward(sig: TrigSignal, count: int) -> np.ndarray:
@@ -68,6 +73,8 @@ def trig_invert(
 
     Raises
     ------
+    ValueError
+        A moment is not finite, or there are not 2r of them.
     RankDeficientSignal
         The r x r moment matrix has numeric rank below r: the data does
         not carry r resolvable modes.
@@ -80,6 +87,8 @@ def trig_invert(
     mv = np.asarray(m, dtype=complex)
     if mv.ndim != 1 or mv.size != 2 * r:
         raise ValueError(f"need exactly 2r = {2 * r} moments, got {mv.size}")
+    if not np.all(np.isfinite(mv)):
+        raise ValueError("moments must be finite")
 
     H0 = np.array([[mv[i + j] for j in range(r)] for i in range(r)])
     H1 = np.array([[mv[i + j + 1] for j in range(r)] for i in range(r)])

@@ -17,8 +17,9 @@ answer (a domain error, or a report without a minimal solution), and
 
 ``--check`` writes nothing: it prints every outcome whose class moved
 (``label  call: wrong -> right``), every other change that is not
-float-only as ``old -> new`` JSON, and one line with the largest
-float-only drift; it exits 1 if anything differs.
+float-only as ``old -> new`` JSON (for a dict outcome, only the fields
+that differ: ``d_min: 6 -> 7, d_max: 7 -> 8``), and one line with the
+largest float-only drift; it exits 1 if anything differs.
 """
 
 from __future__ import annotations
@@ -270,6 +271,21 @@ def differences(old, new):
     return out
 
 
+def field_changes(before, after):
+    """``old -> new`` as JSON text; for two dicts with the same keys, one
+    ``key: old -> new`` item per field that differs, or ``key: drift x``
+    for a field that differs only in floats."""
+    if not (isinstance(before, dict) and isinstance(after, dict) and before.keys() == after.keys()):
+        return f"{json.dumps(before)} -> {json.dumps(after)}"
+    parts = []
+    for key in before:
+        was, now = json.dumps(before[key]), json.dumps(after[key])
+        if was != now:
+            drift = float_drift(before[key], after[key])
+            parts.append(f"{key}: {was} -> {now}" if drift is None else f"{key}: drift {drift:.3g}")
+    return ", ".join(parts)
+
+
 def report(old, new):
     """Lines describing ``differences(old, new)``: class moves, other
     changes beyond floats, and the largest float-only drift."""
@@ -284,7 +300,7 @@ def report(old, new):
         if was != now:
             lines.append(f"{label}  {name}: {was} -> {now}")
         elif drift is None:
-            lines.append(f"{label}  {name}: {json.dumps(before)} -> {json.dumps(after)}")
+            lines.append(f"{label}  {name}: {field_changes(before, after)}")
         else:
             drifts.append((drift, now, label, name))
     if drifts:

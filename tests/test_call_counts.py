@@ -1,4 +1,4 @@
-"""Structural call counts of each entry point on one fixed instance.
+"""Structural call counts of each entry point on fixed instances.
 
 Each problem is factored once: one Hankel build and one existence
 decision, shared by every entry point, with the y-side read off the same
@@ -15,6 +15,7 @@ import momentkit as mk
 from momentkit import cli, structure
 
 M = mk.forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4], 10)
+M3 = mk.forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4], 6)
 
 
 @pytest.fixture
@@ -41,12 +42,14 @@ def counts(monkeypatch):
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 10, "lstsq": 0, "solve": 1}),
+    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
+    # the same at n = 3: the count does not grow with n_x
+    (lambda: mk.analyze(M3), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
     (lambda: mk.markov_certificate(M), {"build_hankel": 1, "svd": 3, "lstsq": 1, "solve": 1}),
     (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
     (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 2}),
     (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 2, "lstsq": 1, "solve": 0}),
-], ids=["analyze", "markov_certificate", "invert_companion", "invert_geneig", "next_moment"])
+], ids=["analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment"])
 def test_call_counts(counts, call, want):
     call()
     assert counts == want

@@ -155,6 +155,18 @@ def test_trig_commands_golden(capsys, tmp_path):
     assert np.allclose(out["amps"], [[1, 0], [1, 0]], atol=1e-10)
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["trig-invert", "--modes", "1"], {"moments": [[float("inf"), 0], [1, 0]]}),
+    (["trig-invert", "--modes", "1"], {"moments": [[1, 0], [1, float("nan")]]}),
+    (["trig-forward", "--count", "2"], {"freqs": [float("nan")], "amps": [[1, 0]]}),
+    (["trig-forward", "--count", "2"], {"freqs": [0.0], "amps": [[float("inf"), 0]]}),
+], ids=["invert-inf", "invert-nan", "forward-nan-freq", "forward-inf-amp"])
+def test_trig_rejects_non_finite_input(capsys, tmp_path, argv, doc):
+    code, out = run_cli(capsys, argv, doc, tmp_path)
+    assert code == 4
+    assert out["error"]["kind"] == "BadInput"
+
+
 def test_exit_code_no_solution(capsys, tmp_path):
     code, out = run_cli(
         capsys, ["invert"], {"moments": [0, 1], "n_x": 1, "n_y": 1}, tmp_path

@@ -56,6 +56,13 @@ def test_a_nan_never_passes_for_a_number():
     assert not golden.branches_right(sol, {"xs": [1.0, 2.0], "ys": []}, [3.0, 5.0])
 
 
+def test_check_names_only_the_fields_that_differ():
+    before = {"d_min": 6, "d_max": 7, "minimal_solution": {"xs": [1.0]}, "tol_rank": 1e-9}
+    after = {"d_min": 7, "d_max": 8, "minimal_solution": {"xs": [1.0 + 2.0**-52]}, "tol_rank": 1e-9}
+    assert golden.field_changes(before, after) == "d_min: 6 -> 7, d_max: 7 -> 8, minimal_solution: drift 2.22e-16"
+    assert golden.field_changes({"error": "NoSolution"}, 1.0) == '{"error": "NoSolution"} -> 1.0'
+
+
 @pytest.mark.parametrize("case", CASES, ids=[case["label"] for case in CASES])
 def test_no_outcome_moves_away_from_right(case):
     m = mk.MomentSequence(tuple(case["moments"]), case["n_x"], case["n_y"])
@@ -71,3 +78,17 @@ def test_outcomes_match_golden(case):
         got, want = golden.outcome(call, m), case["outcomes"][name]
         drift = golden.float_drift(want, got)
         assert drift is not None and drift <= REL, f"{name}: {got!r} != {want!r}"
+
+
+def test_report_degrees_agree_with_the_minimal_solution():
+    # d_min is deg p of the attached minimal solution, and p has at most rank_A1 roots
+    broken = []
+    for case in CASES:
+        m = mk.MomentSequence(tuple(case["moments"]), case["n_x"], case["n_y"])
+        report = mk.analyze(m)
+        sol = report.minimal_solution
+        if not (0 <= report.d_min <= report.rank_A1 and report.d_max <= m.n_x) or (
+            sol is not None and sol.degree != report.d_min
+        ):
+            broken.append(case["label"])
+    assert broken == []

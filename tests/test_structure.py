@@ -5,15 +5,17 @@ from momentkit import (
     ExpCoefficients,
     MomentSequence,
     NoPositiveBranches,
+    SingularReducedSystem,
     ToleranceSet,
     analyze,
     build_hankel,
     exp_transform,
     family_member,
     forward_moments,
+    invert_min_degree,
     numeric_rank,
 )
-from instances import matched_pair_extension, random_solvable_instance
+from instances import matched_pair_extension, moments_of, random_solvable_instance, separated_values
 
 
 def test_build_hankel_pure_positive_instance():
@@ -148,6 +150,38 @@ def test_analyze_empty_positive_side():
     assert report.minimal_solution.ys == (2.0,)
 
 
+def test_analyze_singular_reduced_system_takes_the_default_bounds():
+    # a_k grows like 3000^k, so the reduced block of rank 2 is numerically singular
+    m = forward_moments([1000.0, 2000.0, 3000.0], [], 3)
+    with pytest.raises(SingularReducedSystem):
+        invert_min_degree(m)
+    report = analyze(m)
+    assert report.exists and report.rank_A1 == 2
+    assert (report.d_min, report.d_max) == (0, 1)
+    assert report.minimal_solution is None
+
+
+def test_d_min_never_exceeds_the_rank():
+    # a column-prefix rank search read d_min 3 > rank_A1 2 here, so d_max 4 > n_x
+    m = MomentSequence((
+        0.005768462054954406, -0.00018837061700831514, 4.623818400394297e-07,
+        -2.1507382911929936e-08, 8.158966990488474e-11, -2.3560847294262367e-12,
+    ), 3, 3)
+    report = analyze(m)
+    assert (report.rank_A1, report.d_min, report.d_max) == (2, 2, 3)
+    assert report.minimal_solution.degree == report.d_min
+
+
+def test_d_min_does_not_depend_on_the_scale():
+    # an absolute a0 = 0 test read d_min 0 on some of these
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        values = [v * 2.0**-10 for v in separated_values(rng, 4)]
+        report = analyze(moments_of(values[:2], values[2:]))
+        assert (report.rank_A1, report.d_min, report.d_max, report.unique) == (2, 2, 2, True)
+        assert report.minimal_solution.degree == 2
+
+
 def test_analyze_records_tolerance():
     report = analyze(MomentSequence((3.0, 5.0), 2, 0), tol=ToleranceSet(rank=1e-7))
     assert report.tol_rank == 1e-7
@@ -175,7 +209,7 @@ def test_degree_bounds_hold_for_family_members():
         report = analyze(m_ext)
         assert report.exists
         sol = report.minimal_solution
-        assert report.d_min <= sol.degree <= report.d_max
+        assert report.d_min == sol.degree <= report.d_max
         member = family_member(sol, [t])
         assert report.d_min <= member.degree <= report.d_max
 

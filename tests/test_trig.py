@@ -113,3 +113,14 @@ def test_close_nodes_rejected():
 def test_moment_count_validated():
     with pytest.raises(ValueError):
         trig_invert([1.0, 1.0, 1.0], 2)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(1.0, float("inf"))], ids=repr)
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        trig_invert([bad, 1.0], 1)
+    with pytest.raises(ValueError, match="finite"):
+        TrigSignal((0.0,), (bad,))
+    if isinstance(bad, float):
+        with pytest.raises(ValueError, match="finite"):
+            TrigSignal((bad,), (1.0,))
