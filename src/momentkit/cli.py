@@ -5,11 +5,17 @@ One invocation processes one request: a JSON object on standard input
 output.  Floating-point values are emitted with 17 significant digits so
 round-trips are bit-faithful.  Exit codes: 0 success, 2 no solution,
 3 non-real solution, 4 malformed input, 1 internal error.
+
+Result documents are the library's result dataclasses, field by field in
+declaration order (``BranchSolution``, ``SolvabilityReport``,
+``MarkovCertificate``), so a field added to one of them becomes an
+additive ``momentkit/1`` output field.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +37,7 @@ from .inversion import extend_moments, family_member, invert_min_degree, next_mo
 from .markov import markov_certificate
 from .structure import analyze
 from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, ToleranceSet
-from .transform import BranchSolution, MomentSequence, exp_transform, forward_moments
+from .transform import MomentSequence, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
 SCHEMA = "momentkit/1"
@@ -64,6 +70,8 @@ def _emit(obj) -> str:
     if isinstance(obj, dict):
         items = (json.dumps(str(k)) + ": " + _emit(v) for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
+    if dataclasses.is_dataclass(obj):
+        return _emit(_fields(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -142,13 +150,14 @@ def _read_branches(doc) -> tuple[list[float], list[float], int | None]:
 # ---------------------------------------------------------------------------
 # output builders
 
-def _branch_doc(sol: BranchSolution) -> dict:
-    return {
-        "schema": SCHEMA,
-        "xs": list(sol.xs),
-        "ys": list(sol.ys),
-        "degree": sol.degree,
-    }
+def _fields(result) -> dict:
+    """The fields of a result dataclass, in order; a shallow walk, since
+    ``dataclasses.asdict`` deep-copies every value."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+
+def _doc(result) -> dict:
+    return {"schema": SCHEMA, **_fields(result)}
 
 
 def _moment_doc(m: MomentSequence) -> dict:
@@ -173,28 +182,13 @@ def _cmd_transform(doc, args, tol):
 
 
 def _cmd_analyze(doc, args, tol):
-    report = analyze(_read_moments(doc), tol=tol)
-    minimal = None
-    if report.minimal_solution is not None:
-        minimal = _branch_doc(report.minimal_solution)
-        minimal.pop("schema")
-    return {
-        "schema": SCHEMA,
-        "exists": report.exists,
-        "rank_A1": report.rank_A1,
-        "d_min": report.d_min,
-        "d_max": report.d_max,
-        "unique": report.unique,
-        "minimal_solution": minimal,
-        "tol_rank": report.tol_rank,
-    }
+    return _doc(analyze(_read_moments(doc), tol=tol))
 
 
 def _cmd_invert(doc, args, tol):
-    m = _read_moments(doc)
+    sol, info = invert_min_degree(_read_moments(doc), method=args.method, tol=tol, full_output=True)
+    out = _doc(sol)
     if args.verbose:
-        sol, info = invert_min_degree(m, method=args.method, tol=tol, full_output=True)
-        out = _branch_doc(sol)
         out["diagnostics"] = {
             "method": info["method"],
             "eigenvalues_x": [_complex_pair(z) for z in info["x"]["eigenvalues"]],
@@ -202,8 +196,7 @@ def _cmd_invert(doc, args, tol):
             "zeros_filtered_x": info["x"]["zeros_filtered"],
             "zeros_filtered_y": info["y"]["zeros_filtered"],
         }
-        return out
-    return _branch_doc(invert_min_degree(m, method=args.method, tol=tol))
+    return out
 
 
 def _cmd_next(doc, args, tol):
@@ -241,24 +234,15 @@ def _parse_roots(text: str) -> list[float]:
 def _cmd_family(doc, args, tol):
     m = _read_moments(doc)
     minimal = invert_min_degree(m, tol=tol)
-    member = family_member(minimal, _parse_roots(args.r_roots))
-    return _branch_doc(member)
+    return _doc(family_member(minimal, _parse_roots(args.r_roots)))
 
 
 def _cmd_markov_check(doc, args, tol):
-    m = _read_moments(doc)
-    cert, info = markov_certificate(m, tol=tol, full_output=True)
-    out = {
-        "schema": SCHEMA,
-        "spd": cert.spd,
-        "interlaced": cert.interlaced,
-        "extended_singular": cert.extended_singular,
-        "weights_positive": cert.weights_positive,
-        "interlacing_applicable": cert.interlacing_applicable,
-    }
+    cert, info = markov_certificate(_read_moments(doc), tol=tol, full_output=True)
+    out = _doc(cert)
     if args.verbose:
         sol = info["minimal_solution"]
-        out["diagnostics"] = {"minimal_solution": {"xs": list(sol.xs), "ys": list(sol.ys)}}
+        out["diagnostics"] = {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}
     return out
 
 
@@ -275,16 +259,13 @@ def _cmd_trig_forward(doc, args, tol):
 def _cmd_trig_invert(doc, args, tol):
     _check_fields(doc, {"moments"}, set())
     moments = _complex_list(doc["moments"], "moments")
-    if args.verbose:
-        sig, info = trig_invert(moments, args.modes, tol=tol, full_output=True)
-    else:
-        sig, info = trig_invert(moments, args.modes, tol=tol), None
+    sig, info = trig_invert(moments, args.modes, tol=tol, full_output=True)
     out = {
         "schema": SCHEMA,
         "freqs": list(sig.freqs),
         "amps": [_complex_pair(a) for a in sig.amps],
     }
-    if info is not None:
+    if args.verbose:
         out["diagnostics"] = {
             "eigenvalues": [_complex_pair(z) for z in info["eigenvalues"]],
             "unit_circle_deviation": info["unit_circle_deviation"],

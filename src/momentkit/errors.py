@@ -22,7 +22,11 @@ class SingularReducedSystem(MomentProblemError):
 
 
 class NoPositiveBranches(MomentProblemError):
-    """Raised by Hankel assembly when n_x = 0; there is no x-side system."""
+    """Raised by ``markov_certificate`` when n_x = 0.
+
+    The Hankel system of n_x = 0 is empty (p = 1), which every other
+    entry point answers from; there is no block to certify.
+    """
 
 
 class FamilyOverflow(MomentProblemError):

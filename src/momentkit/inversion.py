@@ -34,18 +34,17 @@ _METHODS = ("geneig", "companion")
 
 
 def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
-    """The Hankel system of ``m``, built once.
+    """The decided Hankel system of ``m``, built once.
 
-    Every entry point takes its system from here, or from a caller that
-    already built it, so a problem gets one Hankel build and one
+    Every entry point takes its system from here, or builds and decides
+    it as ``analyze`` does, so a problem gets one Hankel build and one
     existence decision per call; the y-side is read off the same system.
+    With n_x = 0 the system is empty and always solvable.
 
     Raises
     ------
     NoSolution
         When a0 is outside range(A1).
-    NoPositiveBranches
-        When n_x = 0.
     """
     h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
     if not solvable(h):
@@ -127,17 +126,16 @@ def _reciprocal(a: Sequence[float]) -> list:
     return r
 
 
-def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
-    """``invert_min_degree(m, method, tol, full_output=True)``, reusing
-    the solvable x-side Hankel system ``h`` of ``m`` when the caller
-    already built it with ``tol.rank``.
+def _invert(h: HankelSystem, method: str, tol: ToleranceSet):
+    """``invert_min_degree(m, method, tol, full_output=True)`` on the
+    solvable Hankel system ``h`` of ``m``, built with ``tol.rank``.
 
     The x-values come from the reduced pencil by ``method``.  The
     y-values come from the same system: with p = (1, c') the reduced
     x-polynomial, q = p*a truncated at degree n_y_tilde has the y-values
     as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
-    z^(n_y_tilde-1) + ... + d_n_y_tilde.  With n_x = 0, p = 1 and q is
-    a_0..a_{n_y}.
+    z^(n_y_tilde-1) + ... + d_n_y_tilde.  The empty system of n_x = 0
+    is the rank-0 case: p = 1 and q is a_0..a_{n_y}.
 
     Each side's zeros are cut at the scale of its own problem's series:
     a for the xs, and for the ys 1/a, the series of the sign-flipped
@@ -148,25 +146,19 @@ def _invert(m: MomentSequence, method: str, tol: ToleranceSet, h=None):
     p, the x-roots above the cutoff counting complex ones, as
     ``_degree``, which ``analyze`` reports as d_min.
     """
-    if m.n_x == 0:
-        a, rank, n_y_tilde = exp_transform(m), 0, m.n_y
-        cprime = x_roots = np.zeros(0)
+    a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
+    cprime = companion_coefficients(h)
+    if method == "geneig" and rank:
+        x_roots = np.linalg.eigvals(np.linalg.solve(h.A1_tilde, h.A0_tilde))
     else:
-        if h is None:
-            h = _factor(m, tol.rank)
-        a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
-        cprime = companion_coefficients(h)
-        if method == "geneig" and rank:
-            x_roots = np.linalg.eigvals(np.linalg.solve(h.A1_tilde, h.A0_tilde))
-        else:
-            x_roots = _monic_roots(cprime)
-    xs, info_x = _branch_values(x_roots, m.n_x, tol.zero_cutoff(a.values), tol, rank)
+        x_roots = _monic_roots(cprime)
+    xs, info_x = _branch_values(x_roots, h.n_x, tol.zero_cutoff(a.values), tol, rank)
 
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
     d = d_coefficients(np.concatenate(([1.0], cprime)), a, n_y_tilde)
     y_cutoff = tol.zero_cutoff(_reciprocal(a.values))
-    ys, info_y = _branch_values(_monic_roots(d[1:]), m.n_y, y_cutoff, tol, n_y_tilde)
+    ys, info_y = _branch_values(_monic_roots(d[1:]), h.n_y, y_cutoff, tol, n_y_tilde)
     if xs is None or ys is None:
         exc = NonRealSolution("retained roots have significant imaginary parts")
         exc._degree = rank - info_x["zeros_filtered"]
@@ -213,7 +205,8 @@ def invert_min_degree(
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
-    sol, info = _invert(m, method, tol or ToleranceSet())
+    tol = tol or ToleranceSet()
+    sol, info = _invert(_factor(m, tol.rank), method, tol)
     return (sol, info) if full_output else sol
 
 
@@ -282,12 +275,8 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar, count: int):
 
 def _min_norm_moments(m: MomentSequence, tol: ToleranceSet, count: int) -> list:
     """m_1..m_{K+count} from the minimum-norm solution of ``m``'s system."""
-    if m.n_x == 0:
-        a, cbar = exp_transform(m), np.zeros(0)
-    else:
-        h = _factor(m, tol.rank)
-        a, cbar = h.a, _solve_cbar(h)
-    return _recurrence(m, a, cbar, count)[1]
+    h = _factor(m, tol.rank)
+    return _recurrence(m, h.a, _solve_cbar(h), count)[1]
 
 
 def next_moment(

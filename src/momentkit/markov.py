@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RepeatedRoots
+from .errors import NoPositiveBranches, RepeatedRoots
 from .inversion import _factor, _invert, _recurrence, _solve_cbar
 from .structure import HankelSystem, numeric_rank
 from .tolerances import ToleranceSet
@@ -146,8 +146,11 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     NoSolution, NonRealSolution
         Propagated from the inversion of ``m``.
     NoPositiveBranches
-        When n_x = 0; there is no block to certify.
+        When n_x = 0; the Hankel system is empty and there is no block
+        to certify.  This is the one entry point that raises it.
     """
+    if m.n_x == 0:
+        raise NoPositiveBranches("n_x = 0: no positive-branch system to build")
     tol = tol or ToleranceSet()
     h = _factor(m, tol.rank)
 
@@ -155,7 +158,7 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     ext = _extended_matrix(m, h)
     extended_singular = numeric_rank(ext, tol.rank) < h.n_x + 1
 
-    sol, _ = _invert(m, "companion", tol, h)
+    sol, _ = _invert(h, "companion", tol)
 
     applicable = m.n_x == m.n_y
     interlaced = False

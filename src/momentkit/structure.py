@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonRealSolution, NoPositiveBranches, SingularReducedSystem
+from .errors import NonRealSolution, SingularReducedSystem
 from .tolerances import DEFAULT_RANK, ToleranceSet
 from .transform import (
     BranchSolution,
@@ -65,7 +65,9 @@ class HankelSystem:
     first entry a_{n_y_tilde+1}, and (A0_tilde, A1_tilde) = (T[:, :r],
     T[:, 1:]).  At full rank (r == n_x) T has A's shifts and sizes, so T
     is A itself and A1_tilde's rank is A1_rank, already decided on the
-    same matrix at the same tolerance.
+    same matrix at the same tolerance.  With no positive branches
+    (n_x = 0) the system is empty: A and T are 0 x 1 and r = 0, so p = 1
+    as in any rank-0 system.
 
     Every array is read-only, since the views share their data.
     """
@@ -114,15 +116,10 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     """Assemble A, decide rank(A1) and build the reduced block for a
     sequence a_0..a_{n_x+n_y}.
 
-    Raises
-    ------
-    NoPositiveBranches
-        When n_x = 0; there is no x-side system and the caller should
-        treat every x-extraction as empty.
+    With n_x = 0 this is the empty system: A is 0 x 1, rank(A1) is 0 and
+    T is A, so p = 1 and every decision on it is made without an SVD.
     """
     coeffs = as_exp_coefficients(a)
-    if n_x == 0:
-        raise NoPositiveBranches("n_x = 0: no positive-branch system to build")
     if coeffs.order != n_x + n_y:
         raise ValueError(
             f"need coefficients a_0..a_{n_x + n_y}, got a_0..a_{coeffs.order}"
@@ -177,23 +174,22 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     ``ToleranceSet()``) sets every threshold of the analysis and of the
     minimal solution; the report records ``tol.rank``.
 
-    The Hankel system is built and its existence decided once here; the
-    minimal solution, both sides of it, is read off that same system, so
-    the inversion builds nothing.  Its result is the one
-    ``invert_min_degree`` returns, whose own build would repeat the same
-    computation on the same moments at the same tolerance.
+    The Hankel system is built and its existence decided once here,
+    also for n_x = 0, where it is the empty system and p = 1; the minimal
+    solution, both sides of it, is read off that decided system alone.
+    Its result is the one ``invert_min_degree`` returns, whose own build
+    would repeat the same computation on the same moments at the same
+    tolerance.
     """
     from .inversion import _invert  # cycle: inversion builds on structure
 
     tol = tol or ToleranceSet()
-    # with n_x = 0 there is no x-side system: p = 1 always exists
-    h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank) if m.n_x else None
-    rank = h.A1_rank if h is not None else 0
-    exists = h is None or solvable(h)
+    h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank)
+    exists = solvable(h)
     d_min, minimal = 0, None
     if exists:
         try:
-            minimal, _ = _invert(m, "companion", tol, h)
+            minimal, _ = _invert(h, "companion", tol)
             d_min = minimal.degree
         except NonRealSolution as exc:
             d_min = exc._degree
@@ -201,10 +197,10 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
             pass
     return SolvabilityReport(
         exists=exists,
-        rank_A1=rank,
+        rank_A1=h.A1_rank,
         d_min=d_min,
-        d_max=d_min + m.n_x - rank,
-        unique=rank == m.n_x,
+        d_max=d_min + h.n_x - h.A1_rank,
+        unique=h.A1_rank == h.n_x,
         minimal_solution=minimal,
         tol_rank=tol.rank,
     )

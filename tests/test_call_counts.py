@@ -16,6 +16,10 @@ from momentkit import cli, structure
 
 M = mk.forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4], 10)
 M3 = mk.forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4], 6)
+# one matched pair (0.8, 0.8): rank(A1) = 3 < n_x, so the reduced block is decided too
+M_PAIR = mk.forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8], 8)
+# no positive branches: the empty system, decided without an SVD
+M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 
 
 @pytest.fixture
@@ -49,7 +53,14 @@ def counts(monkeypatch):
     (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
     (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 2}),
     (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 2, "lstsq": 1, "solve": 0}),
-], ids=["analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment"])
+    # SVDs of A1, A and A1_tilde
+    (lambda: mk.invert_min_degree(M_PAIR), {"build_hankel": 1, "svd": 3, "lstsq": 0, "solve": 1}),
+    (lambda: mk.analyze(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0}),
+    (lambda: mk.invert_min_degree(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0}),
+], ids=[
+    "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
+    "invert_matched_pair", "analyze_empty", "invert_empty",
+])
 def test_call_counts(counts, call, want):
     call()
     assert counts == want

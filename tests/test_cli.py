@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -9,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import momentkit as mk
 from momentkit import cli
 from momentkit.cli import main
 
 README_INSTANCE = {"moments": [2, 6, 20, 66], "n_x": 2, "n_y": 2}
+LEDGER = json.loads((Path(__file__).resolve().parent / "data" / "golden_outcomes.json").read_text())
+# the exit code each library error maps to: 2 no solution, 3 non-real, 4 malformed input
+EXIT_CODES = {"NoSolution": 2, "SingularReducedSystem": 2, "NonRealSolution": 3, "NoPositiveBranches": 4}
 
 
 def run_cli(capsys, args, payload=None, tmp_path=None):
@@ -77,6 +82,38 @@ def test_analyze_golden(capsys, tmp_path):
     assert (out["exists"], out["rank_A1"], out["unique"]) == (True, 8, True)
     assert np.allclose(out["minimal_solution"]["xs"], sorted(xs), atol=1e-6)
     assert np.allclose(out["minimal_solution"]["ys"], sorted(ys), atol=1e-6)
+
+
+def _markov_check_verbose(m):
+    cert, info = mk.markov_certificate(m, full_output=True)
+    sol = info["minimal_solution"]
+    return {**dataclasses.asdict(cert), "diagnostics": {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}}
+
+
+# (argv, the library call whose result the output document holds)
+LEDGER_CALLS = (
+    (["analyze"], lambda m: dataclasses.asdict(mk.analyze(m))),
+    (["invert", "--method", "companion"], lambda m: dataclasses.asdict(mk.invert_min_degree(m, "companion"))),
+    (["invert", "--method", "geneig"], lambda m: dataclasses.asdict(mk.invert_min_degree(m, "geneig"))),
+    (["next"], lambda m: {"next_moment": mk.next_moment(m)}),
+    (["extend", "--count", "3"], lambda m: {"moments": mk.extend_moments(m, 3)}),
+    (["markov-check", "--verbose"], _markov_check_verbose),
+)
+
+
+@pytest.mark.parametrize("case", LEDGER, ids=[case["label"] for case in LEDGER])
+def test_ledger_replays_through_the_cli(capsys, tmp_path, case):
+    # 17 digits round-trip bit for bit, so every float must match exactly
+    doc = {key: case[key] for key in ("moments", "n_x", "n_y")}
+    m = mk.MomentSequence(tuple(case["moments"]), case["n_x"], case["n_y"])
+    for argv, call in LEDGER_CALLS:
+        try:
+            want, want_code = {"schema": "momentkit/1", **call(m)}, 0
+        except mk.MomentProblemError as exc:
+            want = {"error": {"kind": type(exc).__name__, "detail": str(exc)}}
+            want_code = EXIT_CODES[type(exc).__name__]
+        code, out = run_cli(capsys, argv, doc, tmp_path)
+        assert (code, out) == (want_code, json.loads(json.dumps(want))), argv
 
 
 def test_forward_invert_round_trip(capsys, tmp_path):
@@ -181,6 +218,19 @@ def test_exit_code_non_real(capsys, tmp_path):
     )
     assert code == 3
     assert out["error"]["kind"] == "NonRealSolution"
+
+
+def test_exit_code_no_positive_branches(capsys, tmp_path):
+    doc = {"moments": [-3, -5], "n_x": 0, "n_y": 2}
+    code, out = run_cli(capsys, ["markov-check"], doc, tmp_path)
+    assert code == 4
+    assert out["error"] == {
+        "kind": "NoPositiveBranches", "detail": "n_x = 0: no positive-branch system to build",
+    }
+    # every other entry point answers from the empty system
+    code, out = run_cli(capsys, ["invert"], doc, tmp_path)
+    assert code == 0
+    assert np.allclose(out["ys"], [1.0, 2.0], atol=1e-10)
 
 
 def test_exit_code_malformed_json(capsys, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from momentkit import (
     BranchSolution,
     MomentSequence,
+    NoPositiveBranches,
     NoSolution,
     RepeatedRoots,
     ToleranceSet,
@@ -132,6 +133,12 @@ def test_certificate_degenerate_instance():
 def test_certificate_propagates_no_solution():
     with pytest.raises(NoSolution):
         markov_certificate(MomentSequence((0.0, 1.0), 1, 1))
+
+
+def test_certificate_rejects_empty_positive_side():
+    # the empty system answers every other entry point; there is no block here
+    with pytest.raises(NoPositiveBranches, match="n_x = 0: no positive-branch system to build"):
+        markov_certificate(MomentSequence((-3.0, -5.0), 0, 2))
 
 
 def test_certificate_unequal_split_flags_not_applicable():

@@ -4,7 +4,6 @@ import pytest
 from momentkit import (
     ExpCoefficients,
     MomentSequence,
-    NoPositiveBranches,
     SingularReducedSystem,
     ToleranceSet,
     analyze,
@@ -15,6 +14,7 @@ from momentkit import (
     invert_min_degree,
     numeric_rank,
 )
+from momentkit.structure import solvable
 from instances import matched_pair_extension, moments_of, random_solvable_instance, separated_values
 
 
@@ -59,9 +59,13 @@ def test_build_hankel_zero_moments():
     assert np.array_equal(h.a0, [0.0])
 
 
-def test_build_hankel_rejects_empty_positive_side():
-    with pytest.raises(NoPositiveBranches):
-        build_hankel(ExpCoefficients((1.0, -1.0)), 0, 1)
+def test_build_hankel_empty_positive_side_is_the_empty_system():
+    # n_x = 0: no rows, p = 1, and solvable without an SVD
+    h = build_hankel(ExpCoefficients((1.0, -1.0)), 0, 1)
+    assert h.A.shape == (0, 1)
+    assert h.A1_rank == 0 and h.T is h.A
+    assert h.n_y_tilde == 1
+    assert solvable(h)
 
 
 def test_build_hankel_checks_length():
