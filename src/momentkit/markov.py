@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoPositiveBranches, RepeatedRoots
-from .inversion import _factor, _invert, _recurrence, _solve_cbar
-from .structure import HankelSystem, numeric_rank
+from .inversion import _factor, _recurrence, _solve_cbar
+from .structure import HankelSystem, _invert, numeric_rank
 from .tolerances import ToleranceSet
-from .transform import BranchSolution, MomentSequence, as_exp_coefficients
+from .transform import BranchSolution, MomentSequence
 
 _SEPARATION_FACTOR = 1e-8
 
@@ -69,15 +69,14 @@ def _vandermonde(xs: Sequence[float]) -> np.ndarray:
     return np.vander(np.asarray(xs, dtype=float), increasing=True).T
 
 
-def factorization_residual(a, h: HankelSystem, wd: WeightData) -> float:
+def factorization_residual(h: HankelSystem, wd: WeightData) -> float:
     """Max-entry defect of the Vandermonde-diagonal factorizations.
 
     Checks A1 R = V W V^T and A0 R = V W X V^T, with R the anti-identity
     (column reversal), W = diag(weights), X = diag(xs).  A small residual
-    certifies that the a-sequence entries are the weighted power sums of
+    certifies that the entries of ``h.a`` are the weighted power sums of
     the x-values.
     """
-    as_exp_coefficients(a)  # validates the sequence shape
     if len(wd.xs) != h.n_x:
         raise ValueError(f"weight data has {len(wd.xs)} nodes; system expects {h.n_x}")
     V = _vandermonde(wd.xs)
@@ -88,23 +87,18 @@ def factorization_residual(a, h: HankelSystem, wd: WeightData) -> float:
     return float(max(r1, r0))
 
 
-def _is_spd(S: np.ndarray, pivot_rel: float = 1e-12, sym_rel: float = 1e-10) -> bool:
-    """Symmetric positive definiteness via an unpivoted triangular factorization.
+def _is_spd(S: np.ndarray, pivot_rel: float = 1e-12) -> bool:
+    """Positive definiteness of the symmetric S via its Cholesky factor.
 
-    Fails on asymmetry beyond sym_rel or on any pivot <= pivot_rel * max|S|.
+    Fails when the factorization breaks down or any pivot diag(L)**2 is
+    <= pivot_rel * max|S|.  S is a reversed Hankel block, so it is
+    symmetric bit for bit and only its lower triangle is read.
     """
-    n = S.shape[0]
-    scale = float(np.max(np.abs(S))) if S.size else 0.0
-    if np.max(np.abs(S - S.T)) > sym_rel * max(1.0, scale):
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
         return False
-    L = np.zeros_like(S)
-    for k in range(n):
-        pivot = S[k, k] - L[k, :k] @ L[k, :k]
-        if pivot <= pivot_rel * scale or pivot <= 0.0:
-            return False
-        L[k, k] = math.sqrt(pivot)
-        L[k + 1 :, k] = (S[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / L[k, k]
-    return True
+    return bool(np.all(np.diag(L) ** 2 > pivot_rel * np.max(np.abs(S), initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     ext = _extended_matrix(m, h)
     extended_singular = numeric_rank(ext, tol.rank) < h.n_x + 1
 
-    sol, _ = _invert(h, "companion", tol)
+    sol, _ = _invert(h, tol)
 
     applicable = m.n_x == m.n_y
     interlaced = False

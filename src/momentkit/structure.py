@@ -1,15 +1,21 @@
-"""Hankel matrices of the transformed sequence, numeric rank, and solvability.
+"""Hankel matrices of the transformed sequence, numeric rank, solvability,
+and the minimal solution read off the decided system.
 
 The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence;
 its first column against the remaining block A1 decides existence and
-the rank of A1 decides uniqueness.  The degree bounds of the solution
-family are read off the minimal solution's p: d_min is deg p, the count
-of its roots that pass the zero filter, and d_max = d_min + n_x - rank.
+the rank of A1 decides uniqueness.  The x-values are the eigenvalues of
+the reduced pencil (A0_tilde, A1_tilde) = (T[:, :r], T[:, 1:]), whose
+blocks share the columns T[:, 1:r]: A1_tilde^-1 A0_tilde is [-c' |
+shifted identity], the companion matrix of the solution c' of A1_tilde
+c' = -a0_tilde.  The y-values are the reciprocal roots of q = p*a on the
+same system.  d_min is deg p, the count of p's roots that pass the zero
+filter, and d_max = d_min + n_x - rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -140,6 +146,126 @@ def solvable(h: HankelSystem) -> bool:
     return numeric_rank(h.A, h.tol_rank) == h.A1_rank
 
 
+def companion_coefficients(h: HankelSystem) -> np.ndarray:
+    """Coefficients c' = (c_1..c_r) of the reduced companion polynomial.
+
+    Solves ``A1_tilde c' = -a0_tilde`` where a0_tilde is the first column
+    of A0_tilde.  The monic polynomial z^r + c_1 z^{r-1} + ... + c_r then
+    carries the minimal solution's x-values (plus zeros) as roots.
+
+    Raises
+    ------
+    SingularReducedSystem
+        When A1_tilde is numerically singular.  On solvable data the
+        reduced matrix is provably nonsingular, so this signals either
+        unsolvable data or a tolerance failure; re-run analyze.  At full
+        rank A1_tilde is A1, whose rank ``build_hankel`` decided at the
+        same tolerance, so only a reduced system is decided again.
+    """
+    r = h.n_x_tilde
+    if r == 0:
+        return np.zeros(0)
+    if r < h.n_x and numeric_rank(h.A1_tilde, h.tol_rank) < r:
+        raise SingularReducedSystem("reduced matrix is numerically singular")
+    return np.linalg.solve(h.A1_tilde, -h.A0_tilde[:, 0])
+
+
+def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of z^n + coeffs[0] z^(n-1) + ... + coeffs[n-1], as the
+    eigenvalues of its companion matrix."""
+    n = len(coeffs)
+    if n == 0:
+        return np.zeros(0)
+    C = np.zeros((n, n))
+    C[:, 0] = -coeffs
+    C[np.arange(n - 1), np.arange(1, n)] = 1.0
+    return np.linalg.eigvals(C)
+
+
+def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceSet, rank: int):
+    """One side's branch values from its polynomial's roots.
+
+    Roots at or below ``cutoff`` are structural zeros and are dropped;
+    the rest must be real.  Returns (values, info): values has length
+    ``count`` with the nonzero roots first (ascending) and exact zeros as
+    padding, or is None when a retained root has a significant imaginary
+    part; info carries the raw roots, the filtered-zero count and the
+    side's rank for diagnostics.
+    """
+    kept = roots[np.abs(roots) > cutoff]
+    info = {"eigenvalues": list(roots), "zeros_filtered": len(roots) - len(kept), "rank": rank}
+    if np.any(np.abs(kept.imag) > tol.imag * (1.0 + np.abs(kept.real))):
+        return None, info
+    values = sorted(float(v) for v in kept.real)
+    return tuple(values) + (0.0,) * (count - len(values)), info
+
+
+def _reciprocal(a: Sequence[float]) -> list:
+    """The power series 1/a to the length of ``a`` (a_0 = 1), which is the
+    exponential transform of the negated moments."""
+    r = [1.0] + [0.0] * (len(a) - 1)
+    for k in range(1, len(a)):
+        s = 0.0
+        for j in range(1, k + 1):
+            s -= a[j] * r[k - j]
+        r[k] = s
+    return r
+
+
+def d_coefficients(c: Sequence[float], a, n_y: int) -> np.ndarray:
+    """q-coefficients d_0..d_{n_y} from p-coefficients and the a-sequence.
+
+    d_k is the order-k coefficient of the product of p with the
+    transformed series: d_k = sum_j c_j a_{k-j}.
+    """
+    cvec = np.asarray(c, dtype=float)
+    if cvec.ndim != 1 or cvec.size == 0 or cvec[0] != 1.0:
+        raise ValueError("c must be a coefficient vector with c_0 = 1")
+    if n_y < 0:
+        raise ValueError("n_y must be nonnegative")
+    coeffs = as_exp_coefficients(a)
+    coeffs[n_y]  # IndexError when a_{n_y} is undefined
+    return np.convolve(cvec[: n_y + 1], coeffs.values[: n_y + 1])[: n_y + 1]
+
+
+def _invert(h: HankelSystem, tol: ToleranceSet):
+    """``invert_min_degree(m, tol=tol, full_output=True)`` on the solvable
+    Hankel system ``h`` of ``m``, built with ``tol.rank``, without the
+    ``method`` entry of the diagnostics.
+
+    The x-values are the eigenvalues of the reduced pencil, which is the
+    companion matrix of c' = ``companion_coefficients(h)``.  The
+    y-values come from the same system: with p = (1, c') the reduced
+    x-polynomial, q = p*a truncated at degree n_y_tilde has the y-values
+    as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
+    z^(n_y_tilde-1) + ... + d_n_y_tilde.  The empty system of n_x = 0
+    is the rank-0 case: p = 1 and q is a_0..a_{n_y}.
+
+    Each side's zeros are cut at the scale of its own problem's series:
+    a for the xs, and for the ys 1/a, the series of the sign-flipped
+    problem.  a_k grows like max|x|^k, so a cutoff taken from a would
+    zero a small y beside a large x.
+
+    NonRealSolution is raised once both sides are read; it carries deg
+    p, the x-roots above the cutoff counting complex ones, as
+    ``_degree``, which ``analyze`` reports as d_min.
+    """
+    a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
+    cprime = companion_coefficients(h)
+    xs, info_x = _branch_values(_monic_roots(cprime), h.n_x, tol.zero_cutoff(a.values), tol, rank)
+
+    # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
+    # companion_coefficients has raised SingularReducedSystem
+    d = d_coefficients(np.concatenate(([1.0], cprime)), a, n_y_tilde)
+    y_cutoff = tol.zero_cutoff(_reciprocal(a.values))
+    ys, info_y = _branch_values(_monic_roots(d[1:]), h.n_y, y_cutoff, tol, n_y_tilde)
+    if xs is None or ys is None:
+        exc = NonRealSolution("retained roots have significant imaginary parts")
+        exc._degree = rank - info_x["zeros_filtered"]
+        raise exc
+    return BranchSolution.from_branches(xs, ys), {"x": info_x, "y": info_y}
+
+
 @dataclass(frozen=True)
 class SolvabilityReport:
     """Existence, degree bounds, uniqueness and the minimal solution.
@@ -181,15 +307,13 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     would repeat the same computation on the same moments at the same
     tolerance.
     """
-    from .inversion import _invert  # cycle: inversion builds on structure
-
     tol = tol or ToleranceSet()
     h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank)
     exists = solvable(h)
     d_min, minimal = 0, None
     if exists:
         try:
-            minimal, _ = _invert(h, "companion", tol)
+            minimal, _ = _invert(h, tol)
             d_min = minimal.degree
         except NonRealSolution as exc:
             d_min = exc._degree

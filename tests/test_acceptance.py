@@ -226,7 +226,7 @@ def test_criterion_6_markov_suite():
         a = exp_transform(m)
         h = build_hankel(a, m.n_x, m.n_y)
         sol = invert_min_degree(m)
-        residual = factorization_residual(a, h, weights(sol.xs, sol.ys))
+        residual = factorization_residual(h, weights(sol.xs, sol.ys))
         worst_residual = max(worst_residual, residual)
     if worst_residual > 1e-9:
         ok = False

@@ -233,6 +233,14 @@ def test_exit_code_no_positive_branches(capsys, tmp_path):
     assert np.allclose(out["ys"], [1.0, 2.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("args", [["next"], ["extend", "--count", "2"]])
+def test_overflowing_moments_are_bad_input(capsys, tmp_path, args):
+    code, out = run_cli(capsys, args, {"moments": [1e154, 1e154], "n_x": 1, "n_y": 1}, tmp_path)
+    assert code == 4
+    assert out["error"]["kind"] == "BadInput"
+    assert out["error"]["detail"].startswith("m_3 is not finite")
+
+
 def test_exit_code_malformed_json(capsys, tmp_path):
     code, out = run_cli(capsys, ["invert"], "{not json", tmp_path)
     assert code == 4

@@ -15,6 +15,7 @@ from momentkit import (
     markov_certificate,
     weights,
 )
+from momentkit import markov
 from instances import (
     anti_interlaced_branches,
     interlaced_branches,
@@ -65,13 +66,13 @@ def test_factorization_residual_worked_instance():
     m, a, h = _system_for([1.0, 3.0], [0.0, 2.0])
     wd = weights([1.0, 3.0], [0.0, 2.0])
     assert np.allclose(np.fliplr(h.A1), [[2.0, 5.0], [5.0, 14.0]], atol=1e-12)
-    assert factorization_residual(a, h, wd) <= 1e-12
+    assert factorization_residual(h, wd) <= 1e-12
 
 
 def test_factorization_residual_single_branch():
     m, a, h = _system_for([2.0], [])
     wd = weights([2.0], [])
-    assert factorization_residual(a, h, wd) == 0.0
+    assert factorization_residual(h, wd) == 0.0
 
 
 def test_factorization_residual_random():
@@ -84,13 +85,13 @@ def test_factorization_residual_random():
                 vals.append(v)
         xs, ys = vals[:3], vals[3:]
         m, a, h = _system_for(xs, ys)
-        assert factorization_residual(a, h, weights(xs, ys)) <= 1e-9
+        assert factorization_residual(h, weights(xs, ys)) <= 1e-9
 
 
 def test_factorization_residual_dimension_mismatch():
     m, a, h = _system_for([1.0, 3.0], [0.0, 2.0])
     with pytest.raises(ValueError):
-        factorization_residual(a, h, weights([1.0], [0.0]))
+        factorization_residual(h, weights([1.0], [0.0]))
 
 
 def test_weighted_power_sums_reproduce_coefficients():
@@ -195,6 +196,14 @@ def test_repeated_x_value_is_not_spd():
         cert = markov_certificate(moments_of(xs, ys), tol=loose)
         assert not cert.spd
         assert not cert.weights_positive
+
+
+def test_spd_pivot_floor():
+    # positive definite, but a pivot at or below 1e-12 * max|S| counts as singular
+    assert markov._is_spd(np.diag([1.0, 1e-11]))
+    assert not markov._is_spd(np.diag([1.0, 1e-13]))
+    assert not markov._is_spd(np.zeros((2, 2)))
+    assert not markov._is_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_extended_matrix_singular_on_solvable_instances():

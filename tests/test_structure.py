@@ -8,6 +8,7 @@ from momentkit import (
     ToleranceSet,
     analyze,
     build_hankel,
+    companion_coefficients,
     exp_transform,
     family_member,
     forward_moments,
@@ -50,6 +51,21 @@ def test_build_hankel_arrays_are_read_only():
         for name in ("A", "a0", "A1", "A0", "T", "A0_tilde", "A1_tilde"):
             with pytest.raises(ValueError):
                 getattr(h, name)[...] = 0.0
+
+
+def test_reduced_pencil_shares_its_inner_columns():
+    # A0_tilde and A1_tilde are T[:, :r] and T[:, 1:], so A1_tilde^-1 A0_tilde
+    # is the companion matrix [-c' | shifted identity]
+    full = forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4], 10)
+    pair = forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8], 8)
+    for m, rank in ((full, 5), (pair, 3)):
+        h = build_hankel(exp_transform(m), m.n_x, m.n_y)
+        assert h.A1_rank == rank
+        assert np.array_equal(h.A0_tilde[:, 1:], h.A1_tilde[:, :-1])
+        C = np.eye(rank, k=1)
+        C[:, 0] = -companion_coefficients(h)
+        assert np.array_equal((h.A1_tilde @ C)[:, 1:], h.A0_tilde[:, 1:])
+        assert np.allclose(h.A1_tilde @ C, h.A0_tilde, rtol=0.0, atol=1e-12 * np.abs(h.T).max())
 
 
 def test_build_hankel_zero_moments():
