@@ -16,12 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FamilyOverflow, NoSolution
-from .structure import HankelSystem, _invert, build_hankel, solvable
+from .structure import HankelSystem, _count_above, _invert, build_hankel, solvable
 from .structure import companion_coefficients, d_coefficients  # noqa: F401  - public here too
 from .tolerances import ToleranceSet
 from .transform import BranchSolution, ExpCoefficients, MomentSequence, exp_transform
 
 _METHODS = ("geneig", "companion")
+_EPS = float(np.finfo(float).eps)
 
 
 def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
@@ -111,20 +112,26 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
     return BranchSolution.from_branches(xs, ys)
 
 
-def _solve_cbar(h: HankelSystem) -> np.ndarray:
-    """One solution of ``A1 cbar = -a0`` (minimum-norm when A1 is singular)."""
-    cbar, *_ = np.linalg.lstsq(h.A1, -h.a0, rcond=None)
-    return cbar
+def _solve_cbar(h: HankelSystem) -> list:
+    """The minimum-norm solution of ``A1 cbar = -a0``, as a list.
+
+    It is formed from the SVD of A1 that ``build_hankel`` kept, with the
+    cutoff of ``np.linalg.lstsq(A1, -a0, rcond=None)``: singular values
+    at or below eps * n_x * sigma_1 count as zero.
+    """
+    k = _count_above(h.s, _EPS * h.n_x)
+    return (h.Vt[:k].T @ ((h.U[:, :k].T @ -h.a0) / h.s[:k])).tolist()
 
 
-def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar, count: int):
+def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
     """a_0..a_{K+count} and m_1..m_{K+count} as two lists.
 
     Each new a_k comes from the coefficient recursion a_k = -sum_j
     cbar_j a_{k-j}, valid for any solution cbar of the full system (the
     value is the same for all of them), and each new m_k from the
     triangular row of the exponential transform, k a_k = m_k + sum_{j<k}
-    m_j a_{k-j}.
+    m_j a_{k-j}.  ``cbar`` is a list of floats, so the arithmetic is on
+    Python floats: an overflow gives inf or NaN without a warning.
     """
     avals = list(a.values)
     mvals = list(m.values)
@@ -135,14 +142,13 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar, count: int):
     return avals, mvals
 
 
-def _continued_moments(m: MomentSequence, a: ExpCoefficients, cbar, count: int) -> list:
+def _continued_moments(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int) -> list:
     """m_1..m_{K+count} from ``_recurrence``; ValueError names the first
     moment that overflows to a non-finite value."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mvals = _recurrence(m, a, cbar, count)[1]
+    mvals = _recurrence(m, a, cbar, count)[1]
     for k, v in enumerate(mvals, 1):
         if not math.isfinite(v):
-            raise ValueError(f"m_{k} is not finite ({float(v)!r}): the continued moments overflow")
+            raise ValueError(f"m_{k} is not finite ({v!r}): the continued moments overflow")
     return mvals
 
 
@@ -160,8 +166,10 @@ def next_moment(
     """m_{K+1} implied by the moment data, without forming branch values.
 
     Any solution cbar of the full (possibly singular) linear system gives
-    the same value; by default the minimum-norm least-squares solution is
-    used, which is deterministic.  A particular solution may be supplied
+    the same value; by default the minimum-norm solution is used, which is
+    deterministic.  It is formed from the SVD of A1 that the Hankel build
+    keeps, with ``np.linalg.lstsq``'s default cutoff, so no second
+    factorization runs.  A particular solution may be supplied
     through ``cbar``.
 
     Raises
@@ -177,7 +185,7 @@ def next_moment(
         cvec = np.asarray(cbar, dtype=float)
         if cvec.shape != (m.n_x,):
             raise ValueError(f"cbar must have length n_x = {m.n_x}")
-        mvals = _continued_moments(m, exp_transform(m), cvec, 1)
+        mvals = _continued_moments(m, exp_transform(m), cvec.tolist(), 1)
     return float(mvals[-1])
 
 

@@ -118,11 +118,17 @@ class MarkovCertificate:
 
 def _extended_matrix(m: MomentSequence, h: HankelSystem) -> np.ndarray:
     """A with one more Toeplitz row (a_{K+1}, a_K, ..., a_{n_y+1}) appended;
-    a_{K+1} comes from the minimum-norm solution of ``A1 cbar = -a0``."""
+    a_{K+1} comes from the minimum-norm solution of ``A1 cbar = -a0``.
+
+    Raises ValueError when a_{K+1} overflows to a non-finite value.
+    """
     avals, _ = _recurrence(m, h.a, _solve_cbar(h), 1)
+    a_next = avals[-1]
+    if not math.isfinite(a_next):
+        raise ValueError(f"a_{m.K + 1} is not finite ({a_next!r}): the continued coefficients overflow")
     ext = np.zeros((h.n_x + 1, h.n_x + 1))
     ext[: h.n_x, :] = h.A
-    ext[h.n_x, 0] = avals[-1]
+    ext[h.n_x, 0] = a_next
     ext[h.n_x, 1:] = h.a0[::-1]
     return ext
 
@@ -142,6 +148,9 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     NoPositiveBranches
         When n_x = 0; the Hankel system is empty and there is no block
         to certify.  This is the one entry point that raises it.
+    ValueError
+        When a_{K+1}, the new entry of the extended matrix, overflows to
+        a non-finite value.
     """
     if m.n_x == 0:
         raise NoPositiveBranches("n_x = 0: no positive-branch system to build")

@@ -3,17 +3,20 @@ and the minimal solution read off the decided system.
 
 The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence;
 its first column against the remaining block A1 decides existence and
-the rank of A1 decides uniqueness.  The x-values are the eigenvalues of
-the reduced pencil (A0_tilde, A1_tilde) = (T[:, :r], T[:, 1:]), whose
-blocks share the columns T[:, 1:r]: A1_tilde^-1 A0_tilde is [-c' |
-shifted identity], the companion matrix of the solution c' of A1_tilde
-c' = -a0_tilde.  The y-values are the reciprocal roots of q = p*a on the
-same system.  d_min is deg p, the count of p's roots that pass the zero
-filter, and d_max = d_min + n_x - rank.
+the rank of A1 decides uniqueness, both from one SVD of A1 kept on the
+system (the SVD of A only where that cannot certify existence).  The
+x-values are the eigenvalues of the reduced pencil (A0_tilde, A1_tilde)
+= (T[:, :r], T[:, 1:]), whose blocks share the columns T[:, 1:r]:
+A1_tilde^-1 A0_tilde is [-c' | shifted identity], the companion matrix
+of the solution c' of A1_tilde c' = -a0_tilde.  The y-values are the
+reciprocal roots of q = p*a on the same system.  d_min is deg p, the
+count of p's roots that pass the zero filter, and d_max = d_min + n_x -
+rank.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,18 +33,27 @@ from .transform import (
 )
 
 
+def _count_above(s: np.ndarray, tol_rel: float) -> int:
+    """Number of the descending singular values ``s`` above ``tol_rel *
+    s[0]``: the rank rule of every rank decision.  0 when ``s`` is empty
+    or all zero."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol_rel * s[0]))
+
+
 def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
     """Number of singular values above ``tol_rel * sigma_max``.
 
-    Returns 0 for an empty or all-zero matrix.
+    Returns 0 for an empty or all-zero matrix.  Raises ValueError for a
+    matrix with an inf or NaN entry, whose singular values decide nothing.
     """
     M = np.atleast_2d(np.asarray(matrix))
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol_rel * s[0]))
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has a non-finite entry; its rank is undefined")
+    return _count_above(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
 def _toeplitz_slice(a: ExpCoefficients, shift: int, rows: int, cols: int) -> np.ndarray:
@@ -75,6 +87,11 @@ class HankelSystem:
     (n_x = 0) the system is empty: A and T are 0 x 1 and r = 0, so p = 1
     as in any rank-0 system.
 
+    (U, s, Vt) is the thin SVD of A1, A1 = U diag(s) Vt, taken once: s
+    decides A1_rank, certifies existence at full rank (``solvable``) and,
+    with U and Vt, gives the minimum-norm solution of A1 cbar = -a0.  For
+    the empty system all three are empty.
+
     Every array is read-only, since the views share their data.
     """
 
@@ -84,6 +101,9 @@ class HankelSystem:
     T: np.ndarray
     n_y: int
     tol_rank: float
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
 
     @property
     def n_x(self) -> int:
@@ -119,11 +139,13 @@ class HankelSystem:
 
 
 def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> HankelSystem:
-    """Assemble A, decide rank(A1) and build the reduced block for a
-    sequence a_0..a_{n_x+n_y}.
+    """Assemble A, factor A1 once, decide rank(A1) and build the reduced
+    block for a sequence a_0..a_{n_x+n_y}.
 
-    With n_x = 0 this is the empty system: A is 0 x 1, rank(A1) is 0 and
-    T is A, so p = 1 and every decision on it is made without an SVD.
+    The thin SVD of A1 is kept on the system; rank(A1) is read off its
+    singular values by the rule of ``numeric_rank``.  With n_x = 0 this
+    is the empty system: A is 0 x 1, rank(A1) is 0 and T is A, so p = 1
+    and every decision on it is made without an SVD.
     """
     coeffs = as_exp_coefficients(a)
     if coeffs.order != n_x + n_y:
@@ -132,17 +154,39 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
         )
     A = _toeplitz_slice(coeffs, n_y, n_x, n_x + 1)
     A.flags.writeable = False
-    rank = numeric_rank(A[:, 1:], tol_rank)
+    if n_x:
+        U, s, Vt = np.linalg.svd(A[:, 1:], full_matrices=False)
+    else:
+        U, s, Vt = np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))
+    for factor in (U, s, Vt):
+        factor.flags.writeable = False
+    rank = _count_above(s, tol_rank)
     if rank == n_x:
         T = A
     else:
         T = _toeplitz_slice(coeffs, n_y - n_x + rank, rank, rank + 1)
         T.flags.writeable = False
-    return HankelSystem(a=coeffs, A=A, A1_rank=rank, T=T, n_y=n_y, tol_rank=tol_rank)
+    return HankelSystem(
+        a=coeffs, A=A, A1_rank=rank, T=T, n_y=n_y, tol_rank=tol_rank, U=U, s=s, Vt=Vt
+    )
 
 
 def solvable(h: HankelSystem) -> bool:
-    """Whether a0 lies in range(A1), decided by comparing numeric ranks."""
+    """Whether a0 lies in range(A1), decided by comparing numeric ranks.
+
+    A A^T = A1 A1^T + a0 a0^T, so sigma_n(A) >= sigma_n(A1) and sigma_1(A)
+    <= hypot(sigma_1(A1), |a0|).  At full rank, sigma_n(A1) > 2 tol
+    hypot(sigma_1(A1), |a0|) therefore certifies rank(A) = n_x = rank(A1)
+    from the kept SVD of A1 alone; the factor 2 is a proof margin far
+    above the SVD's rounding error.  Otherwise, when A1 is rank-deficient
+    or the bound is inconclusive, the SVD of A decides:
+    ``numeric_rank(A) == rank(A1)``.
+    """
+    n, s = h.n_x, h.s
+    if h.A1_rank == n and (
+        n == 0 or s[-1] > 2.0 * h.tol_rank * math.hypot(s[0], *h.a0.tolist())
+    ):
+        return True
     return numeric_rank(h.A, h.tol_rank) == h.A1_rank
 
 
@@ -192,11 +236,12 @@ def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceS
     part; info carries the raw roots, the filtered-zero count and the
     side's rank for diagnostics.
     """
-    kept = roots[np.abs(roots) > cutoff]
-    info = {"eigenvalues": list(roots), "zeros_filtered": len(roots) - len(kept), "rank": rank}
-    if np.any(np.abs(kept.imag) > tol.imag * (1.0 + np.abs(kept.real))):
+    roots = roots.tolist()
+    kept = [z for z in roots if abs(z) > cutoff]
+    info = {"eigenvalues": roots, "zeros_filtered": len(roots) - len(kept), "rank": rank}
+    if any(abs(z.imag) > tol.imag * (1.0 + abs(z.real)) for z in kept):
         return None, info
-    values = sorted(float(v) for v in kept.real)
+    values = sorted(z.real for z in kept)
     return tuple(values) + (0.0,) * (count - len(values)), info
 
 
@@ -225,7 +270,12 @@ def d_coefficients(c: Sequence[float], a, n_y: int) -> np.ndarray:
         raise ValueError("n_y must be nonnegative")
     coeffs = as_exp_coefficients(a)
     coeffs[n_y]  # IndexError when a_{n_y} is undefined
-    return np.convolve(cvec[: n_y + 1], coeffs.values[: n_y + 1])[: n_y + 1]
+    return _truncated_product(cvec, coeffs.values, n_y)
+
+
+def _truncated_product(c: np.ndarray, avals: Sequence[float], n: int) -> np.ndarray:
+    """Orders 0..n of the product of the series c and a, unchecked."""
+    return np.convolve(c[: n + 1], avals[: n + 1])[: n + 1]
 
 
 def _invert(h: HankelSystem, tol: ToleranceSet):
@@ -256,7 +306,7 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
 
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
-    d = d_coefficients(np.concatenate(([1.0], cprime)), a, n_y_tilde)
+    d = _truncated_product(np.concatenate(([1.0], cprime)), a.values, n_y_tilde)
     y_cutoff = tol.zero_cutoff(_reciprocal(a.values))
     ys, info_y = _branch_values(_monic_roots(d[1:]), h.n_y, y_cutoff, tol, n_y_tilde)
     if xs is None or ys is None:

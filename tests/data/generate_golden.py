@@ -18,8 +18,10 @@ answer (a domain error, or a report without a minimal solution), and
 ``--check`` writes nothing: it prints every outcome whose class moved
 (``label  call: wrong -> right``), every other change that is not
 float-only as ``old -> new`` JSON (for a dict outcome, only the fields
-that differ: ``d_min: 6 -> 7, d_max: 7 -> 8``), and one line with the
-largest float-only drift; it exits 1 if anything differs.
+that differ: ``d_min: 6 -> 7, d_max: 7 -> 8``), one line with the
+largest float-only drift and one with the float-only count and largest
+drift of each call (0 for a call with none); it exits 1 if anything
+differs.
 """
 
 from __future__ import annotations
@@ -308,6 +310,11 @@ def report(old, new):
         for drift, now, label, name in sorted(drifts, key=lambda row: row[0]):
             largest[now] = f"{now} {drift:.3g} ({label}  {name})"
         lines.append(f"{len(drifts)} float-only changes; largest relative drift by class: " + ", ".join(largest.values()))
+        per_call = []
+        for name, _ in CALLS:
+            mine = [drift for drift, _, _, call in drifts if call == name]
+            per_call.append(f"{name} {len(mine)} (max {max(mine):.3g})" if mine else f"{name} 0")
+        lines.append("float-only changes per call: " + ", ".join(per_call))
     lines.append(f"{len(found)} differences in {len(new)} instances x {len(CALLS)} calls")
     return found, lines
 

@@ -1,8 +1,10 @@
 """Structural call counts of each entry point on fixed instances.
 
-Each problem is factored once: one Hankel build and one existence
-decision, shared by every entry point, with the y-side read off the same
-system.  These are counts, not times, so they hold on any machine.
+Each problem is factored once: one Hankel build with one SVD of A1,
+which decides the rank, certifies existence at full rank and gives the
+minimum-norm solution, shared by every entry point, with the y-side read
+off the same system.  These are counts, not times, so they hold on any
+machine.
 """
 
 import json
@@ -18,6 +20,10 @@ M = mk.forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4], 10)
 M3 = mk.forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4], 6)
 # one matched pair (0.8, 0.8): rank(A1) = 3 < n_x, so the reduced block is decided too
 M_PAIR = mk.forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8], 8)
+# A1 is unit lower-triangular, but sigma_3(A1) = 2.7e-4 is below the
+# certificate's 2 tol hypot(sigma_1(A1), |a0|) = 9.5e-3, and the relative
+# cutoff on A decides rank(A) = 2
+M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [], 3)
 # no positive branches: the empty system, decided without an SVD
 M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 
@@ -46,20 +52,27 @@ def counts(monkeypatch):
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
+    # the SVD of A1 decides the rank and certifies existence
+    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
     # the same at n = 3: the count does not grow with n_x
-    (lambda: mk.analyze(M3), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
-    (lambda: mk.markov_certificate(M), {"build_hankel": 1, "svd": 3, "lstsq": 1, "solve": 1}),
-    (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
-    (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
-    (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 2, "lstsq": 1, "solve": 0}),
-    # SVDs of A1, A and A1_tilde
+    (lambda: mk.analyze(M3), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
+    # plus the extended matrix's rank
+    (lambda: mk.markov_certificate(M), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
+    (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
+    (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
+    # the minimum-norm solution comes from the same SVD
+    (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 0}),
+    # SVDs of A1, A and A1_tilde: rank-deficient A1 falls back to the SVD of A
     (lambda: mk.invert_min_degree(M_PAIR), {"build_hankel": 1, "svd": 3, "lstsq": 0, "solve": 1}),
+    # full-rank A1 where the certificate is inconclusive: the SVD of A
+    # decides, rank(A) 2 < rank(A1) 3
+    (lambda: pytest.raises(mk.NoSolution, mk.invert_min_degree, M_FALLBACK),
+     {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 0}),
     (lambda: mk.analyze(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0}),
     (lambda: mk.invert_min_degree(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0}),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
-    "invert_matched_pair", "analyze_empty", "invert_empty",
+    "invert_matched_pair", "invert_fallback", "analyze_empty", "invert_empty",
 ])
 def test_call_counts(counts, call, want):
     call()

@@ -241,6 +241,13 @@ def test_overflowing_moments_are_bad_input(capsys, tmp_path, args):
     assert out["error"]["detail"].startswith("m_3 is not finite")
 
 
+def test_overflowing_extended_row_is_bad_input(capsys, tmp_path):
+    code, out = run_cli(capsys, ["markov-check"], {"moments": [1e154, 1e154], "n_x": 1, "n_y": 1}, tmp_path)
+    assert code == 4
+    assert out["error"]["kind"] == "BadInput"
+    assert out["error"]["detail"].startswith("a_3 is not finite")
+
+
 def test_exit_code_malformed_json(capsys, tmp_path):
     code, out = run_cli(capsys, ["invert"], "{not json", tmp_path)
     assert code == 4

@@ -22,6 +22,7 @@ from momentkit import (
     invert_min_degree,
     next_moment,
 )
+from momentkit.inversion import _solve_cbar
 from instances import (
     matched_pair_extension,
     moment_space_error,
@@ -232,12 +233,30 @@ def test_next_moment_invariant_over_particular_solutions():
         # one recursion serves both entry points, so the minimum-norm
         # value agrees bit for bit
         assert values[0] == extend_moments(m_ext, 1)[-1]
-        assert next_moment(m_ext, cbar=base) == values[0]
+        assert next_moment(m_ext, cbar=np.array(_solve_cbar(h))) == values[0]
         for _ in range(5):
             perturbed = base + null @ rng.uniform(-2, 2, size=null.shape[1])
             values.append(next_moment(m_ext, cbar=perturbed))
         spread = max(values) - min(values)
         assert spread <= 1e-10 * max(1.0, abs(values[0]))
+
+
+def test_min_norm_solution_matches_lstsq():
+    # formed from the SVD the Hankel build keeps, with lstsq's rcond=None
+    # cutoff; an exactly singular A1 = [[1, 1], [1, 1]] and well-conditioned
+    # unique systems
+    systems = [build_hankel(ExpCoefficients((1.0, 1.0, 1.0, 1.0)), 2, 1)]
+    rng = np.random.default_rng(38)
+    while len(systems) < 40:
+        m = random_solvable_instance(rng, n_max=4)[2]
+        h = build_hankel(exp_transform(m), m.n_x, m.n_y)
+        if h.s[0] <= 1e3 * h.s[-1]:
+            systems.append(h)
+    assert np.allclose(_solve_cbar(systems[0]), [-0.5, -0.5], rtol=0.0, atol=1e-15)
+    for h in systems:
+        want, *_ = np.linalg.lstsq(h.A1, -h.a0, rcond=None)
+        got = np.array(_solve_cbar(h))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_next_moment_unsolvable():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,14 @@ def test_certificate_degenerate_instance():
 def test_certificate_propagates_no_solution():
     with pytest.raises(NoSolution):
         markov_certificate(MomentSequence((0.0, 1.0), 1, 1))
+
+
+def test_certificate_rejects_an_overflowing_extended_row():
+    # a_3 = 5e153 * 5e307 overflows; the extended matrix holds no rank decision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"a_3 is not finite \(inf\)"):
+            markov_certificate(MomentSequence((1e154, 1e154), 1, 1))
 
 
 def test_certificate_rejects_empty_positive_side():

@@ -15,6 +15,7 @@ from momentkit import (
     invert_min_degree,
     numeric_rank,
 )
+from momentkit import structure
 from momentkit.structure import solvable
 from instances import matched_pair_extension, moments_of, random_solvable_instance, separated_values
 
@@ -133,6 +134,35 @@ def test_numeric_rank_small_cases():
     assert numeric_rank([[1.0, 0.0], [3.0, 1.0]]) == 2
     assert numeric_rank([[1.0, 1.0], [1.0, 1.0]]) == 1
     assert numeric_rank([[0.0]]) == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_numeric_rank_rejects_non_finite_entries(bad):
+    # the SVD of such a matrix is NaN, and a NaN compares false with every cutoff
+    with pytest.raises(ValueError, match="non-finite"):
+        numeric_rank([[5e307, 1e154], [bad, 5e307]])
+
+
+def test_solvable_certificate_agrees_with_the_svd_of_A(monkeypatch):
+    # at full rank the SVD of A1 alone certifies existence; wherever it does,
+    # the SVD of A must decide the same, and wherever it does not, solvable
+    # is that SVD's decision
+    calls = []
+    monkeypatch.setattr(structure, "numeric_rank", lambda M, tol: calls.append(1) or numeric_rank(M, tol))
+    rng = np.random.default_rng(2026)
+    full_rank = fired = 0
+    for _ in range(2000):
+        n_x, n_y = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        values = [v * scale for v in separated_values(rng, n_x + n_y)]
+        m = moments_of(values[:n_x], values[n_x:])
+        h = build_hankel(exp_transform(m), n_x, n_y)
+        calls.clear()
+        assert solvable(h) == (numeric_rank(h.A, h.tol_rank) == h.A1_rank)
+        if h.A1_rank == n_x:
+            full_rank += 1
+            fired += not calls
+    assert fired >= 0.8 * full_rank
 
 
 def test_analyze_unsolvable_instance():
