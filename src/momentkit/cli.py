@@ -199,6 +199,15 @@ def _cmd_invert(doc, args, tol):
     return out
 
 
+def _power_sum(values, k: int) -> float:
+    """sum_j values_j**k, accumulated left to right: ``sum`` compensates
+    float sums from Python 3.12 on, which would change the last bits."""
+    total = 0.0
+    for v in values:
+        total += v**k
+    return total
+
+
 def _cmd_next(doc, args, tol):
     m = _read_moments(doc)
     value = next_moment(m, tol=tol)
@@ -209,7 +218,7 @@ def _cmd_next(doc, args, tol):
         try:
             sol = invert_min_degree(m, tol=tol)
             k = m.K + 1
-            power_sum = sum(v**k for v in sol.xs) - sum(v**k for v in sol.ys)
+            power_sum = _power_sum(sol.xs, k) - _power_sum(sol.ys, k)
         except MomentProblemError:
             power_sum = None
         out["diagnostics"] = {"power_sum_of_minimal_solution": power_sum}

@@ -5,7 +5,9 @@
 ``companion_coefficients`` and ``d_coefficients`` are bound here too.
 The coefficient recursion propagates higher moments without ever forming
 branch values, which is the numerically preferred route when only the
-next moments are wanted.
+next moments are wanted.  It runs on Python floats with each sum
+accumulated left to right, so the continued moments are the same bits
+on every run and Python version.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import FamilyOverflow, NoSolution
 from .structure import HankelSystem, _count_above, _invert, build_hankel, solvable
 from .structure import companion_coefficients, d_coefficients  # noqa: F401  - public here too
-from .tolerances import ToleranceSet
+from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, ExpCoefficients, MomentSequence, exp_transform
 
 _METHODS = ("geneig", "companion")
@@ -84,7 +86,7 @@ def invert_min_degree(
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
-    tol = tol or ToleranceSet()
+    tol = tol or DEFAULT_TOLERANCES
     sol, info = _invert(_factor(m, tol.rank), tol)
     return (sol, {**info, "method": method}) if full_output else sol
 
@@ -132,13 +134,25 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
     triangular row of the exponential transform, k a_k = m_k + sum_{j<k}
     m_j a_{k-j}.  ``cbar`` is a list of floats, so the arithmetic is on
     Python floats: an overflow gives inf or NaN without a warning.
+
+    Each sum runs left to right in j, one rounding per term, from an
+    integer 0 as ``sum`` starts (an empty sum, n_x = 0, stays 0).  The
+    order is fixed so the results are bit-reproducible across runs and
+    Python versions; ``sum`` itself compensates float sums from
+    Python 3.12 on.
     """
     avals = list(a.values)
     mvals = list(m.values)
     for k in range(m.K + 1, m.K + count + 1):
-        a_k = -sum(cbar[j - 1] * avals[k - j] for j in range(1, len(cbar) + 1))
+        s = 0
+        for j in range(1, len(cbar) + 1):
+            s += cbar[j - 1] * avals[k - j]
+        a_k = -s
         avals.append(a_k)
-        mvals.append(k * a_k - sum(mvals[j - 1] * avals[k - j] for j in range(1, k)))
+        s = 0
+        for j in range(1, k):
+            s += mvals[j - 1] * avals[k - j]
+        mvals.append(k * a_k - s)
     return avals, mvals
 
 
@@ -146,7 +160,8 @@ def _continued_moments(m: MomentSequence, a: ExpCoefficients, cbar: list, count:
     """m_1..m_{K+count} from ``_recurrence``; ValueError names the first
     moment that overflows to a non-finite value."""
     mvals = _recurrence(m, a, cbar, count)[1]
-    for k, v in enumerate(mvals, 1):
+    # m_1..m_K are finite, as every MomentSequence is
+    for k, v in enumerate(mvals[m.K :], m.K + 1):
         if not math.isfinite(v):
             raise ValueError(f"m_{k} is not finite ({v!r}): the continued moments overflow")
     return mvals
@@ -180,7 +195,7 @@ def next_moment(
         When the next moment overflows to a non-finite value.
     """
     if cbar is None:
-        mvals = _min_norm_moments(m, tol or ToleranceSet(), 1)
+        mvals = _min_norm_moments(m, tol or DEFAULT_TOLERANCES, 1)
     else:
         cvec = np.asarray(cbar, dtype=float)
         if cvec.shape != (m.n_x,):
@@ -203,4 +218,4 @@ def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = Non
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return tuple(float(v) for v in _min_norm_moments(m, tol or ToleranceSet(), count))
+    return tuple(float(v) for v in _min_norm_moments(m, tol or DEFAULT_TOLERANCES, count))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NoPositiveBranches, RepeatedRoots
 from .inversion import _factor, _recurrence, _solve_cbar
-from .structure import HankelSystem, _invert, numeric_rank
-from .tolerances import ToleranceSet
+from .structure import HankelSystem, _invert, _toeplitz_slice, numeric_rank
+from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, MomentSequence
 
 _SEPARATION_FACTOR = 1e-8
@@ -98,7 +98,8 @@ def _is_spd(S: np.ndarray, pivot_rel: float = 1e-12) -> bool:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.diag(L) ** 2 > pivot_rel * np.max(np.abs(S), initial=0.0)))
+    cut = pivot_rel * max(map(abs, S.ravel().tolist()), default=0.0)
+    return all(d * d > cut for d in np.diag(L).tolist())
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,8 @@ def _extended_matrix(m: MomentSequence, h: HankelSystem) -> np.ndarray:
     a_next = avals[-1]
     if not math.isfinite(a_next):
         raise ValueError(f"a_{m.K + 1} is not finite ({a_next!r}): the continued coefficients overflow")
-    ext = np.zeros((h.n_x + 1, h.n_x + 1))
-    ext[: h.n_x, :] = h.A
-    ext[h.n_x, 0] = a_next
-    ext[h.n_x, 1:] = h.a0[::-1]
-    return ext
+    # A's Toeplitz form, one row longer, on a_0..a_{K+1}
+    return _toeplitz_slice(avals, h.n_y, h.n_x + 1, h.n_x + 1)
 
 
 def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_output: bool = False):
@@ -154,7 +152,7 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     """
     if m.n_x == 0:
         raise NoPositiveBranches("n_x = 0: no positive-branch system to build")
-    tol = tol or ToleranceSet()
+    tol = tol or DEFAULT_TOLERANCES
     h = _factor(m, tol.rank)
 
     spd = _is_spd(np.fliplr(h.A1))

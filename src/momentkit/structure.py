@@ -12,6 +12,11 @@ of the solution c' of A1_tilde c' = -a0_tilde.  The y-values are the
 reciprocal roots of q = p*a on the same system.  d_min is deg p, the
 count of p's roots that pass the zero filter, and d_max = d_min + n_x -
 rank.
+
+Numpy arrays are the inputs and outputs of the factorizations (svd,
+solve, eigvals) and of the convolution that forms q; the rank rule, the
+zero cutoffs and the root filter work on Python floats in a fixed order,
+so every decision repeats bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonRealSolution, SingularReducedSystem
-from .tolerances import DEFAULT_RANK, ToleranceSet
+from .tolerances import DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet
 from .transform import (
     BranchSolution,
     ExpCoefficients,
@@ -37,9 +42,11 @@ def _count_above(s: np.ndarray, tol_rel: float) -> int:
     """Number of the descending singular values ``s`` above ``tol_rel *
     s[0]``: the rank rule of every rank decision.  0 when ``s`` is empty
     or all zero."""
-    if s.size == 0 or s[0] == 0.0:
+    s = s.tolist()
+    if not s or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol_rel * s[0]))
+    cut = tol_rel * s[0]
+    return sum(v > cut for v in s)
 
 
 def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
@@ -56,19 +63,20 @@ def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
     return _count_above(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
-def _toeplitz_slice(a: ExpCoefficients, shift: int, rows: int, cols: int) -> np.ndarray:
-    """Matrix with entry a[shift + i - j], 1-based row i, 0-based column j.
+def _toeplitz_slice(a: Sequence[float], shift: int, rows: int, cols: int) -> np.ndarray:
+    """Matrix with entry a[shift + i - j], 1-based row i, 0-based column j,
+    of the sequence ``a`` = a_0..a_K.
 
-    Entries with a negative index are 0; an index above the order of
-    ``a`` raises IndexError, as item access on ``a`` does.
+    Entries with a negative index are 0; an index above K raises
+    IndexError, as item access on ``ExpCoefficients`` does.
     """
-    if rows and shift + rows > a.order:
-        raise IndexError(f"coefficient a_{shift + rows} undefined; only a_0..a_{a.order} known")
-    v = a.values
-    M = [
-        [v[k] if k >= 0 else 0.0 for k in range(shift + i, shift + i - cols, -1)]
-        for i in range(1, rows + 1)
-    ]
+    order = len(a) - 1
+    if rows and shift + rows > order:
+        raise IndexError(f"coefficient a_{shift + rows} undefined; only a_0..a_{order} known")
+    # rev[p] is a_{order-p}, and 0 past a_0: row i is rev[order-shift-i:][:cols]
+    rev = (*reversed(a), *(0.0,) * (cols + max(0, -shift)))
+    start = order - shift
+    M = [rev[k : k + cols] for k in range(start - 1, start - rows - 1, -1)]
     return np.array(M, dtype=float).reshape(rows, cols)
 
 
@@ -152,20 +160,20 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
         raise ValueError(
             f"need coefficients a_0..a_{n_x + n_y}, got a_0..a_{coeffs.order}"
         )
-    A = _toeplitz_slice(coeffs, n_y, n_x, n_x + 1)
-    A.flags.writeable = False
+    A = _toeplitz_slice(coeffs.values, n_y, n_x, n_x + 1)
+    A.setflags(write=False)
     if n_x:
         U, s, Vt = np.linalg.svd(A[:, 1:], full_matrices=False)
     else:
         U, s, Vt = np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))
     for factor in (U, s, Vt):
-        factor.flags.writeable = False
+        factor.setflags(write=False)
     rank = _count_above(s, tol_rank)
     if rank == n_x:
         T = A
     else:
-        T = _toeplitz_slice(coeffs, n_y - n_x + rank, rank, rank + 1)
-        T.flags.writeable = False
+        T = _toeplitz_slice(coeffs.values, n_y - n_x + rank, rank, rank + 1)
+        T.setflags(write=False)
     return HankelSystem(
         a=coeffs, A=A, A1_rank=rank, T=T, n_y=n_y, tol_rank=tol_rank, U=U, s=s, Vt=Vt
     )
@@ -182,9 +190,10 @@ def solvable(h: HankelSystem) -> bool:
     or the bound is inconclusive, the SVD of A decides:
     ``numeric_rank(A) == rank(A1)``.
     """
-    n, s = h.n_x, h.s
+    n, s = h.n_x, h.s.tolist()
+    # a0 is a_{n_y+1}..a_{n_y+n_x}, the tail of the sequence
     if h.A1_rank == n and (
-        n == 0 or s[-1] > 2.0 * h.tol_rank * math.hypot(s[0], *h.a0.tolist())
+        n == 0 or s[-1] > 2.0 * h.tol_rank * math.hypot(s[0], *h.a.values[h.n_y + 1 :])
     ):
         return True
     return numeric_rank(h.A, h.tol_rank) == h.A1_rank
@@ -211,7 +220,7 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
         return np.zeros(0)
     if r < h.n_x and numeric_rank(h.A1_tilde, h.tol_rank) < r:
         raise SingularReducedSystem("reduced matrix is numerically singular")
-    return np.linalg.solve(h.A1_tilde, -h.A0_tilde[:, 0])
+    return np.linalg.solve(h.A1_tilde, -h.T[:, 0])
 
 
 def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -220,9 +229,8 @@ def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
     n = len(coeffs)
     if n == 0:
         return np.zeros(0)
-    C = np.zeros((n, n))
+    C = np.eye(n, k=1)
     C[:, 0] = -coeffs
-    C[np.arange(n - 1), np.arange(1, n)] = 1.0
     return np.linalg.eigvals(C)
 
 
@@ -231,18 +239,18 @@ def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceS
 
     Roots at or below ``cutoff`` are structural zeros and are dropped;
     the rest must be real.  Returns (values, info): values has length
-    ``count`` with the nonzero roots first (ascending) and exact zeros as
-    padding, or is None when a retained root has a significant imaginary
-    part; info carries the raw roots, the filtered-zero count and the
-    side's rank for diagnostics.
+    ``count`` in ``BranchSolution``'s canonical order, the nonzero real
+    parts ascending and then zeros, or is None when a retained root has a
+    significant imaginary part; info carries the raw roots, the
+    filtered-zero count and the side's rank for diagnostics.
     """
     roots = roots.tolist()
     kept = [z for z in roots if abs(z) > cutoff]
     info = {"eigenvalues": roots, "zeros_filtered": len(roots) - len(kept), "rank": rank}
     if any(abs(z.imag) > tol.imag * (1.0 + abs(z.real)) for z in kept):
         return None, info
-    values = sorted(z.real for z in kept)
-    return tuple(values) + (0.0,) * (count - len(values)), info
+    values = sorted(z.real for z in kept if z.real != 0.0)
+    return (*values, *(0.0,) * (count - len(values))), info
 
 
 def _reciprocal(a: Sequence[float]) -> list:
@@ -273,7 +281,7 @@ def d_coefficients(c: Sequence[float], a, n_y: int) -> np.ndarray:
     return _truncated_product(cvec, coeffs.values, n_y)
 
 
-def _truncated_product(c: np.ndarray, avals: Sequence[float], n: int) -> np.ndarray:
+def _truncated_product(c: Sequence[float], avals: Sequence[float], n: int) -> np.ndarray:
     """Orders 0..n of the product of the series c and a, unchecked."""
     return np.convolve(c[: n + 1], avals[: n + 1])[: n + 1]
 
@@ -306,14 +314,15 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
 
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
-    d = _truncated_product(np.concatenate(([1.0], cprime)), a.values, n_y_tilde)
+    d = _truncated_product([1.0, *cprime.tolist()], a.values, n_y_tilde)
     y_cutoff = tol.zero_cutoff(_reciprocal(a.values))
     ys, info_y = _branch_values(_monic_roots(d[1:]), h.n_y, y_cutoff, tol, n_y_tilde)
     if xs is None or ys is None:
         exc = NonRealSolution("retained roots have significant imaginary parts")
         exc._degree = rank - info_x["zeros_filtered"]
         raise exc
-    return BranchSolution.from_branches(xs, ys), {"x": info_x, "y": info_y}
+    # both sides are in canonical order already
+    return BranchSolution(xs, ys), {"x": info_x, "y": info_y}
 
 
 @dataclass(frozen=True)
@@ -357,7 +366,7 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     would repeat the same computation on the same moments at the same
     tolerance.
     """
-    tol = tol or ToleranceSet()
+    tol = tol or DEFAULT_TOLERANCES
     h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank)
     exists = solvable(h)
     d_min, minimal = 0, None

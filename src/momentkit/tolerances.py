@@ -57,4 +57,8 @@ class ToleranceSet:
     def zero_cutoff(self, coeffs) -> float:
         if self.zero is not None:
             return self.zero
-        return 1e-8 * (1.0 + max(abs(float(v)) for v in coeffs))
+        return 1e-8 * (1.0 + max(map(abs, coeffs)))
+
+
+# the defaults, shared by every entry point called without ``tol``
+DEFAULT_TOLERANCES = ToleranceSet()

@@ -17,8 +17,8 @@ import numpy as np
 
 
 def _as_float_tuple(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in out):
+    out = tuple(map(float, values))
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be finite real numbers")
     return out
 
@@ -105,7 +105,7 @@ class BranchSolution:
     def __post_init__(self):
         object.__setattr__(self, "xs", _as_float_tuple(self.xs, "xs"))
         object.__setattr__(self, "ys", _as_float_tuple(self.ys, "ys"))
-        nz = sum(1 for v in self.xs if v != 0.0)
+        nz = len(self.xs) - self.xs.count(0.0)
         if self.degree == -1:
             object.__setattr__(self, "degree", nz)
         elif self.degree != nz:

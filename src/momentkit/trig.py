@@ -8,6 +8,7 @@ Vandermonde solve against the first r moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import IllConditionedNodes, RankDeficientSignal
 from .structure import numeric_rank
-from .tolerances import ToleranceSet
+from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,12 @@ class TrigSignal:
     amps: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", tuple(float(f) for f in self.freqs))
-        object.__setattr__(self, "amps", tuple(complex(a) for a in self.amps))
+        object.__setattr__(self, "freqs", tuple(map(float, self.freqs)))
+        object.__setattr__(self, "amps", tuple(map(complex, self.amps)))
         if len(self.freqs) != len(self.amps):
             raise ValueError("freqs and amps must have the same length")
-        if not (np.all(np.isfinite(self.freqs)) and np.all(np.isfinite(self.amps))):
+        parts = (*self.freqs, *(z.real for z in self.amps), *(z.imag for z in self.amps))
+        if not all(map(math.isfinite, parts)):
             raise ValueError("freqs and amps must be finite")
 
 
@@ -81,7 +83,7 @@ def trig_invert(
     IllConditionedNodes
         Two recovered frequencies coincide within the separation tolerance.
     """
-    tol = tol or ToleranceSet()
+    tol = tol or DEFAULT_TOLERANCES
     if r < 1:
         raise ValueError("mode count must be >= 1")
     mv = np.asarray(m, dtype=complex)
@@ -90,20 +92,20 @@ def trig_invert(
     if not np.all(np.isfinite(mv)):
         raise ValueError("moments must be finite")
 
-    H0 = np.array([[mv[i + j] for j in range(r)] for i in range(r)])
-    H1 = np.array([[mv[i + j + 1] for j in range(r)] for i in range(r)])
+    idx = np.add.outer(np.arange(r), np.arange(r))
+    H0, H1 = mv[idx], mv[idx + 1]
     rank = numeric_rank(H0, tol.rank)
     if rank < r:
         raise RankDeficientSignal(f"moment matrix rank {rank} < requested modes {r}")
 
     eigs = np.linalg.eigvals(np.linalg.solve(H0, H1))
-    deviation = np.abs(np.abs(eigs) - 1.0)
     freqs = np.angle(eigs)  # (-pi, pi]
+    f = freqs.tolist()
     for i in range(r):
         for j in range(i + 1, r):
-            if _angular_gap(freqs[i], freqs[j]) < tol.separation:
+            if _angular_gap(f[i], f[j]) < tol.separation:
                 raise IllConditionedNodes(
-                    f"frequencies {freqs[i]} and {freqs[j]} closer than {tol.separation}"
+                    f"frequencies {f[i]} and {f[j]} closer than {tol.separation}"
                 )
 
     nodes = np.exp(1j * freqs)  # moduli forced to one
@@ -111,11 +113,11 @@ def trig_invert(
     amps = np.linalg.solve(V, mv[:r])
 
     order = np.argsort(freqs)
-    sig = TrigSignal(tuple(freqs[order]), tuple(amps[order]))
+    sig = TrigSignal(freqs[order].tolist(), amps[order].tolist())
     if full_output:
         info = {
-            "eigenvalues": [complex(z) for z in eigs[order]],
-            "unit_circle_deviation": [float(d) for d in deviation[order]],
+            "eigenvalues": eigs[order].tolist(),
+            "unit_circle_deviation": np.abs(np.abs(eigs[order]) - 1.0).tolist(),
         }
         return sig, info
     return sig

@@ -30,9 +30,9 @@ M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of numpy.linalg.{svd,lstsq,solve} and of build_hankel through
-    every momentkit module that binds it."""
-    tally = {"build_hankel": 0, "svd": 0, "lstsq": 0, "solve": 0}
+    """Calls of numpy.linalg.{svd,lstsq,solve,eigvals,cholesky} and of
+    build_hankel through every momentkit module that binds it."""
+    tally = {"build_hankel": 0, "svd": 0, "lstsq": 0, "solve": 0, "eigvals": 0, "cholesky": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -41,7 +41,7 @@ def counts(monkeypatch):
 
         return wrapper
 
-    for name in ("svd", "lstsq", "solve"):
+    for name in ("svd", "lstsq", "solve", "eigvals", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     original = structure.build_hankel
     wrapped = counting("build_hankel", original)
@@ -53,23 +53,23 @@ def counts(monkeypatch):
 
 @pytest.mark.parametrize("call, want", [
     # the SVD of A1 decides the rank and certifies existence
-    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
+    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
     # the same at n = 3: the count does not grow with n_x
-    (lambda: mk.analyze(M3), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
+    (lambda: mk.analyze(M3), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
     # plus the extended matrix's rank
-    (lambda: mk.markov_certificate(M), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1}),
-    (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
-    (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1}),
+    (lambda: mk.markov_certificate(M), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 1}),
+    (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
+    (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
     # the minimum-norm solution comes from the same SVD
-    (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 0}),
+    (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 0, "eigvals": 0, "cholesky": 0}),
     # SVDs of A1, A and A1_tilde: rank-deficient A1 falls back to the SVD of A
-    (lambda: mk.invert_min_degree(M_PAIR), {"build_hankel": 1, "svd": 3, "lstsq": 0, "solve": 1}),
+    (lambda: mk.invert_min_degree(M_PAIR), {"build_hankel": 1, "svd": 3, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
     # full-rank A1 where the certificate is inconclusive: the SVD of A
     # decides, rank(A) 2 < rank(A1) 3
     (lambda: pytest.raises(mk.NoSolution, mk.invert_min_degree, M_FALLBACK),
-     {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 0}),
-    (lambda: mk.analyze(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0}),
-    (lambda: mk.invert_min_degree(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0}),
+     {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 0, "eigvals": 0, "cholesky": 0}),
+    (lambda: mk.analyze(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0, "eigvals": 1, "cholesky": 0}),
+    (lambda: mk.invert_min_degree(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0, "eigvals": 1, "cholesky": 0}),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
     "invert_matched_pair", "invert_fallback", "analyze_empty", "invert_empty",

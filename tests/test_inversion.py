@@ -22,7 +22,7 @@ from momentkit import (
     invert_min_degree,
     next_moment,
 )
-from momentkit.inversion import _solve_cbar
+from momentkit.inversion import _recurrence, _solve_cbar
 from instances import (
     matched_pair_extension,
     moment_space_error,
@@ -272,6 +272,52 @@ def test_continued_moments_that_overflow_raise():
         for call in (lambda: next_moment(m), lambda: extend_moments(m, 2), lambda: next_moment(m, cbar=[-1.0])):
             with pytest.raises(ValueError, match="m_3 is not finite"):
                 call()
+
+
+def _sequential_recurrence(m, a, cbar, count):
+    """The continuation with every sum accumulated left to right, one
+    rounding per term."""
+    avals, mvals = list(a), list(m)
+    for k in range(len(m) + 1, len(m) + count + 1):
+        acc = 0.0
+        for j in range(1, len(cbar) + 1):
+            acc += cbar[j - 1] * avals[k - j]
+        avals.append(-acc)
+        acc = 0.0
+        for j in range(1, k):
+            acc += mvals[j - 1] * avals[k - j]
+        mvals.append(k * avals[k] - acc)
+    return avals, mvals
+
+
+def test_continuation_sums_in_a_fixed_order():
+    # 1e16 + 1 rounds back to 1e16, so the cancelling sums below give 0 left
+    # to right; a compensated sum (Python's sum() from 3.12) would give 1
+    m = MomentSequence((1.0, 1.0, 1.0, 1.0), 3, 1)  # a_k = 1 for all k
+    assert exp_transform(m).values == (1.0,) * 5
+    # a_5 = -(1e16 + 1 - 1e16) = -0.0 and m_5 = 5 a_5 - 4
+    assert next_moment(m, cbar=[1e16, 1.0, -1e16]) == -4.0
+    # the moment sum cancels too: m_1 a_3 + m_2 a_2 + m_3 a_1 = 1e16 + 1 - 1e16
+    cases = [
+        ((1e16, 1.0, -1e16), (1.0,) * 4, [1.0, 0.5], 3),
+        ((1.0, 1.0, 1.0, 1.0), (1.0,) * 5, [1e16, 1.0, -1e16], 2),
+    ]
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        K = int(rng.integers(2, 9))
+        n_x = int(rng.integers(1, K + 1))
+        big = 10.0 ** rng.uniform(10, 17)
+        cases.append((
+            tuple(rng.choice([-big, big, 1.0], size=K)),
+            (1.0, *rng.choice([-1.0, 1.0, 0.5], size=K)),
+            list(rng.choice([-big, big, 1.0, 0.25], size=n_x)),
+            int(rng.integers(1, 5)),
+        ))
+    for m_values, a_values, cbar, count in cases:
+        got = _recurrence(MomentSequence(m_values, len(cbar), len(m_values) - len(cbar)),
+                          ExpCoefficients(a_values), cbar, count)
+        want = _sequential_recurrence(m_values, a_values, cbar, count)
+        assert [[v.hex() for v in side] for side in got] == [[v.hex() for v in side] for side in want]
 
 
 def test_extend_moments_worked_cases():

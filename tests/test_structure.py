@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from momentkit import (
 from momentkit import structure
 from momentkit.structure import solvable
 from instances import matched_pair_extension, moments_of, random_solvable_instance, separated_values
+from oracles import taylor_quotient
 
 
 def test_build_hankel_pure_positive_instance():
@@ -128,6 +131,59 @@ def test_largest_index_stays_within_known_coefficients():
         a = exp_transform(tuple(rng.uniform(-2, 2, size=n_x + n_y)))
         h = build_hankel(a, n_x, n_y)
         assert h.n_y_tilde + h.n_x_tilde <= n_x + n_y
+
+
+def test_toeplitz_slice_follows_the_entry_formula():
+    # entry a[shift + i - j] (1-based row i, 0-based column j), 0 below
+    # a_0, IndexError past a_K, on every small shape and shift; the
+    # reduced block T can have a negative shift
+    for K in range(11):
+        a = (1.0,) + tuple(k + 0.5 for k in range(1, K + 1))
+        for shift in range(-6, 11):
+            for rows in range(7):
+                for cols in range(1, 8):
+                    if rows and shift + rows > K:
+                        with pytest.raises(IndexError):
+                            structure._toeplitz_slice(a, shift, rows, cols)
+                        continue
+                    M = structure._toeplitz_slice(a, shift, rows, cols)
+                    want = [
+                        [a[shift + i - j] if shift + i - j >= 0 else 0.0 for j in range(cols)]
+                        for i in range(1, rows + 1)
+                    ]
+                    assert M.shape == (rows, cols) and M.dtype == float
+                    assert M.tolist() == want
+
+
+def test_count_above_is_the_relative_rank_rule():
+    count = structure._count_above
+    assert count(np.zeros(0), 0.5) == 0
+    assert count(np.zeros(3), 0.5) == 0
+    # a value exactly at the cutoff 0.5 * 2 is not above it
+    assert count(np.array([2.0, 1.0, 0.5]), 0.5) == 1
+    assert count(np.array([4.0, 2.0, 1.0, 0.5, 0.25]), 0.1) == 4
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        s = np.sort(10.0 ** rng.uniform(-12, 0, size=int(rng.integers(1, 8))))[::-1]
+        tol = 10.0 ** rng.uniform(-10, -1)
+        assert count(s, tol) == np.count_nonzero(s > tol * s[0])
+
+
+def test_reciprocal_series_matches_its_definitions():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        K = int(rng.integers(1, 11))
+        m = MomentSequence(tuple(rng.uniform(-2, 2, size=K)), K, 0)
+        a = exp_transform(m).values
+        got = structure._reciprocal(a)
+        # the float long division r_k = -sum_{j=1..k} a_j r_{k-j}, term by term
+        assert got == taylor_quotient([1.0], a, K)
+        exact = taylor_quotient([Fraction(1)], [Fraction(v) for v in a], K)
+        scale = max(1.0, max(abs(v) for v in exact))
+        assert max(abs(g - float(e)) for g, e in zip(got, exact)) <= 1e-12 * scale
+        # 1/a is the transform of the negated moments
+        negated = exp_transform(m.negated()).values
+        assert max(abs(g - v) for g, v in zip(got, negated)) <= 1e-12 * scale
 
 
 def test_numeric_rank_small_cases():

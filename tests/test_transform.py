@@ -73,6 +73,22 @@ def test_exp_transform_matches_exact_oracle():
         assert np.allclose(got, [float(v) for v in expected], rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_values_must_be_finite(bad):
+    for make in (
+        lambda: MomentSequence((1.0, bad), 1, 1),
+        lambda: ExpCoefficients((1.0, bad)),
+        lambda: BranchSolution((bad,), ()),
+        lambda: BranchSolution((1.0,), (0.0, bad)),
+        lambda: forward_moments([bad], [], 1),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    # finite moments whose transform overflows: a_2 = (1e200 + 1e400) / 2
+    with pytest.raises(ValueError, match="finite"):
+        exp_transform((1e200, 1e200))
+
+
 def test_poly_from_roots_matches_exact_oracle():
     rng = np.random.default_rng(18)
     for _ in range(15):
@@ -146,3 +162,7 @@ def test_branch_solution_canonical_order_and_degree():
     assert sol.xs == (-2.0, 3.0, 0.0)
     assert sol.ys == (1.0, 0.0)
     assert sol.degree == 2
+    # a negative zero is a zero too
+    assert BranchSolution((-0.0, 1.0), ()).degree == 1
+    with pytest.raises(ValueError, match="degree"):
+        BranchSolution((-0.0, 1.0), (), degree=2)
