@@ -117,12 +117,17 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
 def _solve_cbar(h: HankelSystem) -> list:
     """The minimum-norm solution of ``A1 cbar = -a0``, as a list.
 
-    It is formed from the SVD of A1 that ``build_hankel`` kept, with the
-    cutoff of ``np.linalg.lstsq(A1, -a0, rcond=None)``: singular values
-    at or below eps * n_x * sigma_1 count as zero.
+    At full rank the solution is unique: it is c', the LU solve of
+    ``companion_coefficients``.  A rank-deficient A1 takes its thin SVD
+    with vectors here, with the cutoff of ``np.linalg.lstsq(A1, -a0,
+    rcond=None)``: singular values at or below eps * n_x * sigma_1 count
+    as zero.
     """
-    k = _count_above(h.s, _EPS * h.n_x)
-    return (h.Vt[:k].T @ ((h.U[:, :k].T @ -h.a0) / h.s[:k])).tolist()
+    if h.A1_rank == h.n_x:
+        return companion_coefficients(h).tolist()
+    U, s, Vt = np.linalg.svd(h.A1, full_matrices=False)
+    k = _count_above(s, _EPS * h.n_x)
+    return (Vt[:k].T @ ((U[:, :k].T @ -h.a0) / s[:k])).tolist()
 
 
 def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
@@ -182,10 +187,10 @@ def next_moment(
 
     Any solution cbar of the full (possibly singular) linear system gives
     the same value; by default the minimum-norm solution is used, which is
-    deterministic.  It is formed from the SVD of A1 that the Hankel build
-    keeps, with ``np.linalg.lstsq``'s default cutoff, so no second
-    factorization runs.  A particular solution may be supplied
-    through ``cbar``.
+    deterministic: one LU solve when A1 has full rank, where the solution
+    is unique, and otherwise the SVD of A1 with ``np.linalg.lstsq``'s
+    default cutoff.  A particular solution may be supplied through
+    ``cbar``.
 
     Raises
     ------

@@ -117,13 +117,13 @@ class MarkovCertificate:
     interlacing_applicable: bool
 
 
-def _extended_matrix(m: MomentSequence, h: HankelSystem) -> np.ndarray:
+def _extended_matrix(m: MomentSequence, h: HankelSystem, cbar: list) -> np.ndarray:
     """A with one more Toeplitz row (a_{K+1}, a_K, ..., a_{n_y+1}) appended;
-    a_{K+1} comes from the minimum-norm solution of ``A1 cbar = -a0``.
+    a_{K+1} comes from ``cbar``, a solution of ``A1 cbar = -a0``.
 
     Raises ValueError when a_{K+1} overflows to a non-finite value.
     """
-    avals, _ = _recurrence(m, h.a, _solve_cbar(h), 1)
+    avals, _ = _recurrence(m, h.a, cbar, 1)
     a_next = avals[-1]
     if not math.isfinite(a_next):
         raise ValueError(f"a_{m.K + 1} is not finite ({a_next!r}): the continued coefficients overflow")
@@ -156,10 +156,12 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     h = _factor(m, tol.rank)
 
     spd = _is_spd(np.fliplr(h.A1))
-    ext = _extended_matrix(m, h)
+    cbar = _solve_cbar(h)
+    ext = _extended_matrix(m, h, cbar)
     extended_singular = numeric_rank(ext, tol.rank) < h.n_x + 1
 
-    sol, _ = _invert(h, tol)
+    # at full rank the minimum-norm cbar is c', which is not solved again
+    sol, _ = _invert(h, tol, cbar)
 
     applicable = m.n_x == m.n_y
     interlaced = False

@@ -3,15 +3,16 @@ and the minimal solution read off the decided system.
 
 The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence;
 its first column against the remaining block A1 decides existence and
-the rank of A1 decides uniqueness, both from one SVD of A1 kept on the
-system (the SVD of A only where that cannot certify existence).  The
-x-values are the eigenvalues of the reduced pencil (A0_tilde, A1_tilde)
-= (T[:, :r], T[:, 1:]), whose blocks share the columns T[:, 1:r]:
-A1_tilde^-1 A0_tilde is [-c' | shifted identity], the companion matrix
-of the solution c' of A1_tilde c' = -a0_tilde.  The y-values are the
-reciprocal roots of q = p*a on the same system.  d_min is deg p, the
-count of p's roots that pass the zero filter, and d_max = d_min + n_x -
-rank.
+the rank of A1 decides uniqueness, both from the singular values of A1
+kept on the system (the SVD of A only where they cannot certify
+existence).  The x-values are the eigenvalues of the reduced pencil
+(A0_tilde, A1_tilde) = (T[:, :r], T[:, 1:]), whose blocks share the
+columns T[:, 1:r]: A1_tilde^-1 A0_tilde is [-c' | shifted identity],
+the companion matrix of the LU solution c' of A1_tilde c' = -a0_tilde.
+The y-values are the reciprocal roots of q = p*a on the same system;
+when both polynomials have one degree, one eigenvalue call reads the
+roots of both companion matrices.  d_min is deg p, the count of p's
+roots that pass the zero filter, and d_max = d_min + n_x - rank.
 
 Numpy arrays are the inputs and outputs of the factorizations (svd,
 solve, eigvals) and of the convolution that forms q; the rank rule, the
@@ -95,10 +96,9 @@ class HankelSystem:
     (n_x = 0) the system is empty: A and T are 0 x 1 and r = 0, so p = 1
     as in any rank-0 system.
 
-    (U, s, Vt) is the thin SVD of A1, A1 = U diag(s) Vt, taken once: s
-    decides A1_rank, certifies existence at full rank (``solvable``) and,
-    with U and Vt, gives the minimum-norm solution of A1 cbar = -a0.  For
-    the empty system all three are empty.
+    s holds the singular values of A1, taken once without vectors: they
+    decide A1_rank and certify existence at full rank (``solvable``).
+    For the empty system s is empty.
 
     Every array is read-only, since the views share their data.
     """
@@ -109,9 +109,7 @@ class HankelSystem:
     T: np.ndarray
     n_y: int
     tol_rank: float
-    U: np.ndarray
     s: np.ndarray
-    Vt: np.ndarray
 
     @property
     def n_x(self) -> int:
@@ -150,8 +148,8 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     """Assemble A, factor A1 once, decide rank(A1) and build the reduced
     block for a sequence a_0..a_{n_x+n_y}.
 
-    The thin SVD of A1 is kept on the system; rank(A1) is read off its
-    singular values by the rule of ``numeric_rank``.  With n_x = 0 this
+    The singular values of A1 are kept on the system; rank(A1) is read
+    off them by the rule of ``numeric_rank``.  With n_x = 0 this
     is the empty system: A is 0 x 1, rank(A1) is 0 and T is A, so p = 1
     and every decision on it is made without an SVD.
     """
@@ -162,12 +160,8 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
         )
     A = _toeplitz_slice(coeffs.values, n_y, n_x, n_x + 1)
     A.setflags(write=False)
-    if n_x:
-        U, s, Vt = np.linalg.svd(A[:, 1:], full_matrices=False)
-    else:
-        U, s, Vt = np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))
-    for factor in (U, s, Vt):
-        factor.setflags(write=False)
+    s = np.linalg.svd(A[:, 1:], compute_uv=False) if n_x else np.zeros(0)
+    s.setflags(write=False)
     rank = _count_above(s, tol_rank)
     if rank == n_x:
         T = A
@@ -175,7 +169,7 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
         T = _toeplitz_slice(coeffs.values, n_y - n_x + rank, rank, rank + 1)
         T.setflags(write=False)
     return HankelSystem(
-        a=coeffs, A=A, A1_rank=rank, T=T, n_y=n_y, tol_rank=tol_rank, U=U, s=s, Vt=Vt
+        a=coeffs, A=A, A1_rank=rank, T=T, n_y=n_y, tol_rank=tol_rank, s=s
     )
 
 
@@ -185,9 +179,9 @@ def solvable(h: HankelSystem) -> bool:
     A A^T = A1 A1^T + a0 a0^T, so sigma_n(A) >= sigma_n(A1) and sigma_1(A)
     <= hypot(sigma_1(A1), |a0|).  At full rank, sigma_n(A1) > 2 tol
     hypot(sigma_1(A1), |a0|) therefore certifies rank(A) = n_x = rank(A1)
-    from the kept SVD of A1 alone; the factor 2 is a proof margin far
-    above the SVD's rounding error.  Otherwise, when A1 is rank-deficient
-    or the bound is inconclusive, the SVD of A decides:
+    from the kept singular values of A1 alone; the factor 2 is a proof
+    margin far above the SVD's rounding error.  Otherwise, when A1 is
+    rank-deficient or the bound is inconclusive, the SVD of A decides:
     ``numeric_rank(A) == rank(A1)``.
     """
     n, s = h.n_x, h.s.tolist()
@@ -223,15 +217,24 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
     return np.linalg.solve(h.A1_tilde, -h.T[:, 0])
 
 
-def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of z^n + coeffs[0] z^(n-1) + ... + coeffs[n-1], as the
-    eigenvalues of its companion matrix."""
-    n = len(coeffs)
+def _monic_roots(*polys: Sequence[float]) -> list:
+    """Roots of each z^n + c[0] z^(n-1) + ... + c[n-1], as the eigenvalues
+    of its companion matrix: one array per polynomial.
+
+    Polynomials of one degree share one eigenvalue call on their stacked
+    companion matrices, which yields each matrix's eigenvalues bit for
+    bit as a call of its own; each array is real when its own imaginary
+    parts are all zero, as that call's would be.
+    """
+    n = len(polys[0])
+    if any(len(c) != n for c in polys):
+        return [_monic_roots(c)[0] for c in polys]
     if n == 0:
-        return np.zeros(0)
-    C = np.eye(n, k=1)
-    C[:, 0] = -coeffs
-    return np.linalg.eigvals(C)
+        return [np.zeros(0) for _ in polys]
+    C = np.empty((len(polys), n, n))
+    C[:] = np.eye(n, k=1)
+    C[:, :, 0] = np.negative(polys)
+    return [w if w.imag.any() else w.real for w in np.linalg.eigvals(C)]
 
 
 def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceSet, rank: int):
@@ -286,7 +289,7 @@ def _truncated_product(c: Sequence[float], avals: Sequence[float], n: int) -> np
     return np.convolve(c[: n + 1], avals[: n + 1])[: n + 1]
 
 
-def _invert(h: HankelSystem, tol: ToleranceSet):
+def _invert(h: HankelSystem, tol: ToleranceSet, cbar: list | None = None):
     """``invert_min_degree(m, tol=tol, full_output=True)`` on the solvable
     Hankel system ``h`` of ``m``, built with ``tol.rank``, without the
     ``method`` entry of the diagnostics.
@@ -297,26 +300,28 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     x-polynomial, q = p*a truncated at degree n_y_tilde has the y-values
     as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
     z^(n_y_tilde-1) + ... + d_n_y_tilde.  The empty system of n_x = 0
-    is the rank-0 case: p = 1 and q is a_0..a_{n_y}.
+    is the rank-0 case: p = 1 and q is a_0..a_{n_y}.  ``cbar``, a
+    solution of A1 cbar = -a0 the caller has already solved, is c' when
+    A1 has full rank, and is then not solved again.
 
     Each side's zeros are cut at the scale of its own problem's series:
     a for the xs, and for the ys 1/a, the series of the sign-flipped
     problem.  a_k grows like max|x|^k, so a cutoff taken from a would
-    zero a small y beside a large x.
+    zero a small y beside a large x.  A fixed ``tol.zero`` needs no series.
 
     NonRealSolution is raised once both sides are read; it carries deg
     p, the x-roots above the cutoff counting complex ones, as
     ``_degree``, which ``analyze`` reports as d_min.
     """
     a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
-    cprime = companion_coefficients(h)
-    xs, info_x = _branch_values(_monic_roots(cprime), h.n_x, tol.zero_cutoff(a.values), tol, rank)
-
+    cprime = cbar if cbar is not None and rank == h.n_x else companion_coefficients(h).tolist()
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
-    d = _truncated_product([1.0, *cprime.tolist()], a.values, n_y_tilde)
-    y_cutoff = tol.zero_cutoff(_reciprocal(a.values))
-    ys, info_y = _branch_values(_monic_roots(d[1:]), h.n_y, y_cutoff, tol, n_y_tilde)
+    d = _truncated_product([1.0, *cprime], a.values, n_y_tilde)
+    roots_x, roots_y = _monic_roots(cprime, d[1:])
+    xs, info_x = _branch_values(roots_x, h.n_x, tol.zero_cutoff(a.values), tol, rank)
+    y_cutoff = tol.zero if tol.zero is not None else tol.zero_cutoff(_reciprocal(a.values))
+    ys, info_y = _branch_values(roots_y, h.n_y, y_cutoff, tol, n_y_tilde)
     if xs is None or ys is None:
         exc = NonRealSolution("retained roots have significant imaginary parts")
         exc._degree = rank - info_x["zeros_filtered"]

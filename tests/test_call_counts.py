@@ -1,10 +1,13 @@
 """Structural call counts of each entry point on fixed instances.
 
 Each problem is factored once: one Hankel build with one SVD of A1,
-which decides the rank, certifies existence at full rank and gives the
-minimum-norm solution, shared by every entry point, with the y-side read
-off the same system.  These are counts, not times, so they hold on any
-machine.
+singular values only, which decides the rank and certifies existence at
+full rank, shared by every entry point.  A full-rank A1 is solved once
+by LU, for c' and for the minimum-norm cbar alike; only a rank-deficient
+A1 takes an SVD with vectors (``svd_uv``), and only where the
+continuation asks for it.  The roots of p and q come from one
+eigenvalue call when their degrees agree.  These are counts, not times,
+so they hold on any machine.
 """
 
 import json
@@ -27,12 +30,15 @@ M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [], 3)
 # no positive branches: the empty system, decided without an SVD
 M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 
+COUNTED = ("build_hankel", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
+
 
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of numpy.linalg.{svd,lstsq,solve,eigvals,cholesky} and of
-    build_hankel through every momentkit module that binds it."""
-    tally = {"build_hankel": 0, "svd": 0, "lstsq": 0, "solve": 0, "eigvals": 0, "cholesky": 0}
+    build_hankel through every momentkit module that binds it; ``svd_uv``
+    counts the SVDs among them that return vectors."""
+    tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -41,8 +47,15 @@ def counts(monkeypatch):
 
         return wrapper
 
-    for name in ("svd", "lstsq", "solve", "eigvals", "cholesky"):
+    for name in ("lstsq", "solve", "eigvals", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    svd = counting("svd", np.linalg.svd)
+
+    def svd_counting_vectors(a, full_matrices=True, compute_uv=True, hermitian=False):
+        tally["svd_uv"] += bool(compute_uv)
+        return svd(a, full_matrices, compute_uv, hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_counting_vectors)
     original = structure.build_hankel
     wrapped = counting("build_hankel", original)
     for mod_name, mod in list(sys.modules.items()):
@@ -51,28 +64,36 @@ def counts(monkeypatch):
     return tally
 
 
+def pin(**counts):
+    """One Hankel build and the given calls; every other count is 0."""
+    return {**dict.fromkeys(COUNTED, 0), "build_hankel": 1, **counts}
+
+
 @pytest.mark.parametrize("call, want", [
-    # the SVD of A1 decides the rank and certifies existence
-    (lambda: mk.analyze(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
+    # the singular values of A1 decide the rank and certify existence; one
+    # eigvals call reads the roots of p and q, of one degree here
+    (lambda: mk.analyze(M), pin(svd=1, solve=1, eigvals=1)),
     # the same at n = 3: the count does not grow with n_x
-    (lambda: mk.analyze(M3), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
-    # plus the extended matrix's rank
-    (lambda: mk.markov_certificate(M), {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 1}),
-    (lambda: mk.invert_min_degree(M, "companion"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
-    (lambda: mk.invert_min_degree(M, "geneig"), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
-    # the minimum-norm solution comes from the same SVD
-    (lambda: mk.next_moment(M), {"build_hankel": 1, "svd": 1, "lstsq": 0, "solve": 0, "eigvals": 0, "cholesky": 0}),
+    (lambda: mk.analyze(M3), pin(svd=1, solve=1, eigvals=1)),
+    # plus the extended matrix's rank; its cbar is c', solved once
+    (lambda: mk.markov_certificate(M), pin(svd=2, solve=1, eigvals=1, cholesky=1)),
+    (lambda: mk.invert_min_degree(M, "companion"), pin(svd=1, solve=1, eigvals=1)),
+    (lambda: mk.invert_min_degree(M, "geneig"), pin(svd=1, solve=1, eigvals=1)),
+    # at full rank the minimum-norm solution is the unique LU solution
+    (lambda: mk.next_moment(M), pin(svd=1, solve=1)),
     # SVDs of A1, A and A1_tilde: rank-deficient A1 falls back to the SVD of A
-    (lambda: mk.invert_min_degree(M_PAIR), {"build_hankel": 1, "svd": 3, "lstsq": 0, "solve": 1, "eigvals": 2, "cholesky": 0}),
+    (lambda: mk.invert_min_degree(M_PAIR), pin(svd=3, solve=1, eigvals=1)),
+    # SVDs of A1 and A, then the vectors of A1 for the minimum-norm solution
+    (lambda: mk.next_moment(M_PAIR), pin(svd=3, svd_uv=1)),
     # full-rank A1 where the certificate is inconclusive: the SVD of A
     # decides, rank(A) 2 < rank(A1) 3
-    (lambda: pytest.raises(mk.NoSolution, mk.invert_min_degree, M_FALLBACK),
-     {"build_hankel": 1, "svd": 2, "lstsq": 0, "solve": 0, "eigvals": 0, "cholesky": 0}),
-    (lambda: mk.analyze(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0, "eigvals": 1, "cholesky": 0}),
-    (lambda: mk.invert_min_degree(M_EMPTY), {"build_hankel": 1, "svd": 0, "lstsq": 0, "solve": 0, "eigvals": 1, "cholesky": 0}),
+    (lambda: pytest.raises(mk.NoSolution, mk.invert_min_degree, M_FALLBACK), pin(svd=2)),
+    # p = 1 has no roots, so only q's companion matrix is solved
+    (lambda: mk.analyze(M_EMPTY), pin(eigvals=1)),
+    (lambda: mk.invert_min_degree(M_EMPTY), pin(eigvals=1)),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
-    "invert_matched_pair", "invert_fallback", "analyze_empty", "invert_empty",
+    "invert_matched_pair", "next_moment_matched_pair", "invert_fallback", "analyze_empty", "invert_empty",
 ])
 def test_call_counts(counts, call, want):
     call()

@@ -242,9 +242,9 @@ def test_next_moment_invariant_over_particular_solutions():
 
 
 def test_min_norm_solution_matches_lstsq():
-    # formed from the SVD the Hankel build keeps, with lstsq's rcond=None
-    # cutoff; an exactly singular A1 = [[1, 1], [1, 1]] and well-conditioned
-    # unique systems
+    # the LU solution at full rank, and otherwise the SVD of A1 with
+    # lstsq's rcond=None cutoff; an exactly singular A1 = [[1, 1], [1, 1]]
+    # and well-conditioned unique systems
     systems = [build_hankel(ExpCoefficients((1.0, 1.0, 1.0, 1.0)), 2, 1)]
     rng = np.random.default_rng(38)
     while len(systems) < 40:

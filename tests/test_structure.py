@@ -186,6 +186,53 @@ def test_reciprocal_series_matches_its_definitions():
         assert max(abs(g - v) for g, v in zip(got, negated)) <= 1e-12 * scale
 
 
+def test_y_series_is_formed_only_for_the_default_zero_cutoff(monkeypatch):
+    # a fixed tol.zero is the y-side cutoff itself, so 1/a is never read
+    calls = []
+    reciprocal = structure._reciprocal
+    monkeypatch.setattr(structure, "_reciprocal", lambda a: calls.append(1) or reciprocal(a))
+    m = forward_moments([0.3, 1.5], [0.1, 1.2], 4)
+    for tol, want in ((ToleranceSet(zero=1e-9), 0), (ToleranceSet(), 1)):
+        calls.clear()
+        invert_min_degree(m, tol=tol)
+        assert len(calls) == want
+
+
+def _companion_roots(coeffs):
+    """np.linalg.eigvals of one companion matrix, as a per-side call makes it."""
+    n = len(coeffs)
+    if n == 0:
+        return np.zeros(0)
+    C = np.eye(n, k=1)
+    C[:, 0] = -np.asarray(coeffs)
+    return np.linalg.eigvals(C)
+
+
+def test_monic_roots_match_a_call_per_polynomial():
+    # one stacked call when the degrees agree, one per side when they do
+    # not: each side's roots are the bits and the dtype of its own call,
+    # real when its imaginary parts are all zero
+    rng = np.random.default_rng(25)
+
+    def coefficients(n, kind):
+        if kind == "random":
+            return rng.normal(size=n)
+        return np.atleast_1d(np.poly(rng.uniform(-3, 3, size=n)))[1:]  # real roots
+
+    dtypes = set()
+    for d_x in range(11):
+        for d_y in range(11):
+            for kinds in (("random", "random"), ("roots", "roots"), ("roots", "random"), ("random", "roots")):
+                polys = [coefficients(d, kind) for d, kind in zip((d_x, d_y), kinds)]
+                got = structure._monic_roots(polys[0], polys[1].tolist())
+                for roots, coeffs in zip(got, polys):
+                    want = _companion_roots(coeffs)
+                    assert roots.dtype == want.dtype
+                    assert roots.tobytes() == want.tobytes()
+                    dtypes.add(roots.dtype.kind)
+    assert dtypes == {"f", "c"}
+
+
 def test_numeric_rank_small_cases():
     assert numeric_rank([[1.0, 0.0], [3.0, 1.0]]) == 2
     assert numeric_rank([[1.0, 1.0], [1.0, 1.0]]) == 1
