@@ -2,9 +2,10 @@
 
 One invocation processes one request: a JSON object on standard input
 (or ``--input FILE``) goes in, a JSON object comes out on standard
-output.  Floating-point values are emitted with 17 significant digits so
-round-trips are bit-faithful.  Exit codes: 0 success, 2 no solution,
-3 non-real solution, 4 malformed input, 1 internal error.
+output.  Floating-point values are emitted in Python's shortest repr
+that round-trips, so parsing them back gives the same bits.  Exit codes:
+0 success, 2 no solution, 3 non-real solution, 4 malformed input, 1
+internal error.
 
 Result documents are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
@@ -18,7 +19,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -54,25 +54,11 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# JSON emission: floats with 17 significant digits
+# JSON emission: result dataclasses as objects, floats in shortest
+# round-trip form; a non-finite float raises ValueError
 
 def _emit(obj) -> str:
-    if obj is None or obj is True or obj is False or isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite value in output: {obj!r}")
-        return format(obj, ".17g")
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (json.dumps(str(k)) + ": " + _emit(v) for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if dataclasses.is_dataclass(obj):
-        return _emit(_fields(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(obj, default=_fields, allow_nan=False)
 
 
 def _complex_pair(z: complex) -> list[float]:

@@ -18,13 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FamilyOverflow, NoSolution
-from .structure import HankelSystem, _count_above, _invert, build_hankel, solvable
+from .structure import HankelSystem, _invert, build_hankel, solvable
 from .structure import companion_coefficients, d_coefficients  # noqa: F401  - public here too
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, ExpCoefficients, MomentSequence, exp_transform
 
 _METHODS = ("geneig", "companion")
-_EPS = float(np.finfo(float).eps)
 
 
 def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
@@ -118,16 +117,12 @@ def _solve_cbar(h: HankelSystem) -> list:
     """The minimum-norm solution of ``A1 cbar = -a0``, as a list.
 
     At full rank the solution is unique: it is c', the LU solve of
-    ``companion_coefficients``.  A rank-deficient A1 takes its thin SVD
-    with vectors here, with the cutoff of ``np.linalg.lstsq(A1, -a0,
-    rcond=None)``: singular values at or below eps * n_x * sigma_1 count
-    as zero.
+    ``companion_coefficients``.  A rank-deficient A1 is solved by
+    ``np.linalg.lstsq(A1, -a0, rcond=None)``.
     """
     if h.A1_rank == h.n_x:
         return companion_coefficients(h).tolist()
-    U, s, Vt = np.linalg.svd(h.A1, full_matrices=False)
-    k = _count_above(s, _EPS * h.n_x)
-    return (Vt[:k].T @ ((U[:, :k].T @ -h.a0) / s[:k])).tolist()
+    return np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0].tolist()
 
 
 def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
@@ -188,9 +183,8 @@ def next_moment(
     Any solution cbar of the full (possibly singular) linear system gives
     the same value; by default the minimum-norm solution is used, which is
     deterministic: one LU solve when A1 has full rank, where the solution
-    is unique, and otherwise the SVD of A1 with ``np.linalg.lstsq``'s
-    default cutoff.  A particular solution may be supplied through
-    ``cbar``.
+    is unique, and otherwise ``np.linalg.lstsq`` with its default cutoff.
+    A particular solution may be supplied through ``cbar``.
 
     Raises
     ------

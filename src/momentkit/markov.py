@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoPositiveBranches, RepeatedRoots
 from .inversion import _factor, _recurrence, _solve_cbar
-from .structure import HankelSystem, _invert, _toeplitz_slice, numeric_rank
+from .structure import HankelSystem, _invert, numeric_rank
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, MomentSequence
 
@@ -118,17 +118,16 @@ class MarkovCertificate:
 
 
 def _extended_matrix(m: MomentSequence, h: HankelSystem, cbar: list) -> np.ndarray:
-    """A with one more Toeplitz row (a_{K+1}, a_K, ..., a_{n_y+1}) appended;
-    a_{K+1} comes from ``cbar``, a solution of ``A1 cbar = -a0``.
+    """A with one more row of its Toeplitz form, (a_{K+1}, a_K, ...,
+    a_{n_y+1}), stacked under it; a_{K+1} comes from ``cbar``, a solution
+    of ``A1 cbar = -a0``, and the rest of the row is a0 reversed.
 
     Raises ValueError when a_{K+1} overflows to a non-finite value.
     """
-    avals, _ = _recurrence(m, h.a, cbar, 1)
-    a_next = avals[-1]
+    a_next = _recurrence(m, h.a, cbar, 1)[0][-1]
     if not math.isfinite(a_next):
         raise ValueError(f"a_{m.K + 1} is not finite ({a_next!r}): the continued coefficients overflow")
-    # A's Toeplitz form, one row longer, on a_0..a_{K+1}
-    return _toeplitz_slice(avals, h.n_y, h.n_x + 1, h.n_x + 1)
+    return np.vstack((h.A, [a_next, *h.a0[::-1].tolist()]))
 
 
 def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_output: bool = False):

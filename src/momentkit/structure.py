@@ -1,18 +1,20 @@
 """Hankel matrices of the transformed sequence, numeric rank, solvability,
 and the minimal solution read off the decided system.
 
-The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence;
-its first column against the remaining block A1 decides existence and
-the rank of A1 decides uniqueness, both from the singular values of A1
-kept on the system (the SVD of A only where they cannot certify
-existence).  The x-values are the eigenvalues of the reduced pencil
-(A0_tilde, A1_tilde) = (T[:, :r], T[:, 1:]), whose blocks share the
-columns T[:, 1:r]: A1_tilde^-1 A0_tilde is [-c' | shifted identity],
-the companion matrix of the LU solution c' of A1_tilde c' = -a0_tilde.
-The y-values are the reciprocal roots of q = p*a on the same system;
-when both polynomials have one degree, one eigenvalue call reads the
-roots of both companion matrices.  d_min is deg p, the count of p's
-roots that pass the zero filter, and d_max = d_min + n_x - rank.
+The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence,
+and it is the only matrix a problem assembles; its first column against
+the remaining block A1 decides existence and the rank of A1 decides
+uniqueness, both from the singular values of A1 kept on the system (the
+SVD of A only where they cannot certify existence).  The x-values are
+the eigenvalues of the reduced pencil (A0_tilde, A1_tilde) = (T[:, :r],
+T[:, 1:]), where T = A[:r, n_x-r:] is A's top-right corner at the
+decided rank r.  The two blocks share the columns T[:, 1:r], so
+A1_tilde^-1 A0_tilde is [-c' | shifted identity], the companion matrix
+of the LU solution c' of A1_tilde c' = -a0_tilde.  The y-values are the
+reciprocal roots of q = p*a on the same system; when both polynomials
+have one degree, one eigenvalue call reads the roots of both companion
+matrices.  d_min is deg p, the count of p's roots that pass the zero
+filter, and d_max = d_min + n_x - rank.
 
 Numpy arrays are the inputs and outputs of the factorizations (svd,
 solve, eigvals) and of the convolution that forms q; the rank rule, the
@@ -64,21 +66,16 @@ def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
     return _count_above(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
-def _toeplitz_slice(a: Sequence[float], shift: int, rows: int, cols: int) -> np.ndarray:
-    """Matrix with entry a[shift + i - j], 1-based row i, 0-based column j,
-    of the sequence ``a`` = a_0..a_K.
+def _toeplitz_slice(a: Sequence[float], n_x: int, n_y: int) -> np.ndarray:
+    """A, the n_x x (n_x+1) matrix with entry a[n_y + i - j], 1-based row
+    i, 0-based column j, of the sequence ``a`` = a_0..a_{n_x+n_y}.
 
-    Entries with a negative index are 0; an index above K raises
-    IndexError, as item access on ``ExpCoefficients`` does.
+    Entries with a negative index, below a_0, are 0.
     """
-    order = len(a) - 1
-    if rows and shift + rows > order:
-        raise IndexError(f"coefficient a_{shift + rows} undefined; only a_0..a_{order} known")
-    # rev[p] is a_{order-p}, and 0 past a_0: row i is rev[order-shift-i:][:cols]
-    rev = (*reversed(a), *(0.0,) * (cols + max(0, -shift)))
-    start = order - shift
-    M = [rev[k : k + cols] for k in range(start - 1, start - rows - 1, -1)]
-    return np.array(M, dtype=float).reshape(rows, cols)
+    # rev[p] is a_{n_x+n_y-p}, and 0 past a_0: row i is rev[n_x-i:][:n_x+1]
+    rev = (*reversed(a), *(0.0,) * n_x)
+    M = [rev[k : k + n_x + 1] for k in range(n_x - 1, -1, -1)]
+    return np.array(M, dtype=float).reshape(n_x, n_x + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,34 +83,38 @@ class HankelSystem:
     """One side of a moment problem: its a-sequence and Hankel matrices.
 
     A is n_x x (n_x+1) with entries a_{n_y+i-j} (1-based row i, 0-based
-    column j); a0 is its first column, A0 its first n_x columns and A1
-    its last n_x columns, all views of A.  With r = A1_rank the reduced
-    pencil is the same Hankel form at size r: the r x (r+1) block T with
-    first entry a_{n_y_tilde+1}, and (A0_tilde, A1_tilde) = (T[:, :r],
-    T[:, 1:]).  At full rank (r == n_x) T has A's shifts and sizes, so T
-    is A itself and A1_tilde's rank is A1_rank, already decided on the
-    same matrix at the same tolerance.  With no positive branches
-    (n_x = 0) the system is empty: A and T are 0 x 1 and r = 0, so p = 1
-    as in any rank-0 system.
+    column j), the only matrix the system assembles; a0 is its first
+    column, A0 its first n_x columns and A1 its last n_x columns.  With
+    r = A1_rank the reduced pencil is the same Hankel form at size r:
+    the r x (r+1) block T with entries a_{n_y_tilde+i-j}, which is A's
+    top-right corner A[:r, n_x-r:], and (A0_tilde, A1_tilde) =
+    (T[:, :r], T[:, 1:]).  At full rank T is all of A, so A1_tilde's
+    rank is A1_rank, already decided on the same matrix at the same
+    tolerance.  With no positive branches (n_x = 0) the system is empty:
+    A and T are 0 x 1 and r = 0, so p = 1 as in any rank-0 system.
 
     s holds the singular values of A1, taken once without vectors: they
     decide A1_rank and certify existence at full rank (``solvable``).
-    For the empty system s is empty.
+    For the empty system s is empty.  T, and with it the reduced pencil,
+    is read off A at A1_rank, so ``dataclasses.replace(h, A1_rank=r)``
+    is the system at any candidate rank r <= n_x with nothing rebuilt.
 
     Every array is read-only, since the views share their data.
     """
 
     a: ExpCoefficients
     A: np.ndarray
-    A1_rank: int
-    T: np.ndarray
-    n_y: int
-    tol_rank: float
     s: np.ndarray
+    A1_rank: int
+    tol_rank: float
 
     @property
     def n_x(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def n_y(self) -> int:
+        return self.a.order - self.n_x
 
     @property
     def n_x_tilde(self) -> int:
@@ -136,6 +137,12 @@ class HankelSystem:
         return self.A[:, 1:]
 
     @property
+    def T(self) -> np.ndarray:
+        # entry a_{n_y_tilde+i-j} of T is entry (i, j + n_x - r) of A
+        r = self.A1_rank
+        return self.A[:r, self.n_x - r :]
+
+    @property
     def A0_tilde(self) -> np.ndarray:
         return self.T[:, : self.A1_rank]
 
@@ -145,32 +152,25 @@ class HankelSystem:
 
 
 def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> HankelSystem:
-    """Assemble A, factor A1 once, decide rank(A1) and build the reduced
-    block for a sequence a_0..a_{n_x+n_y}.
+    """Assemble A, factor A1 once and decide rank(A1) for a sequence
+    a_0..a_{n_x+n_y}.
 
     The singular values of A1 are kept on the system; rank(A1) is read
-    off them by the rule of ``numeric_rank``.  With n_x = 0 this
-    is the empty system: A is 0 x 1, rank(A1) is 0 and T is A, so p = 1
-    and every decision on it is made without an SVD.
+    off them by the rule of ``numeric_rank``, and the reduced block T is
+    the corner of A that rank selects.  With n_x = 0 this is the empty
+    system: A is 0 x 1, rank(A1) is 0 and T is all of A, so p = 1 and
+    every decision on it is made without an SVD.
     """
     coeffs = as_exp_coefficients(a)
     if coeffs.order != n_x + n_y:
         raise ValueError(
             f"need coefficients a_0..a_{n_x + n_y}, got a_0..a_{coeffs.order}"
         )
-    A = _toeplitz_slice(coeffs.values, n_y, n_x, n_x + 1)
+    A = _toeplitz_slice(coeffs.values, n_x, n_y)
     A.setflags(write=False)
     s = np.linalg.svd(A[:, 1:], compute_uv=False) if n_x else np.zeros(0)
     s.setflags(write=False)
-    rank = _count_above(s, tol_rank)
-    if rank == n_x:
-        T = A
-    else:
-        T = _toeplitz_slice(coeffs.values, n_y - n_x + rank, rank, rank + 1)
-        T.setflags(write=False)
-    return HankelSystem(
-        a=coeffs, A=A, A1_rank=rank, T=T, n_y=n_y, tol_rank=tol_rank, s=s
-    )
+    return HankelSystem(a=coeffs, A=A, s=s, A1_rank=_count_above(s, tol_rank), tol_rank=tol_rank)
 
 
 def solvable(h: HankelSystem) -> bool:

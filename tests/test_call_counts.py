@@ -1,13 +1,15 @@
 """Structural call counts of each entry point on fixed instances.
 
-Each problem is factored once: one Hankel build with one SVD of A1,
-singular values only, which decides the rank and certifies existence at
-full rank, shared by every entry point.  A full-rank A1 is solved once
-by LU, for c' and for the minimum-norm cbar alike; only a rank-deficient
-A1 takes an SVD with vectors (``svd_uv``), and only where the
-continuation asks for it.  The roots of p and q come from one
-eigenvalue call when their degrees agree.  These are counts, not times,
-so they hold on any machine.
+Each problem is factored once: one Hankel build, which assembles A once
+and takes one SVD of A1, singular values only, which decides the rank
+and certifies existence at full rank, shared by every entry point.  A
+is the only matrix assembled: the reduced block is a corner of it, and
+the Markov extended matrix is A with one row stacked under it.  A
+full-rank A1 is solved once by LU, for c' and for the minimum-norm cbar
+alike; only a rank-deficient A1 takes ``lstsq``, and only where the
+continuation asks for it, so no SVD returns vectors.  The roots of p
+and q come from one eigenvalue call when their degrees agree.  These are
+counts, not times, so they hold on any machine.
 """
 
 import json
@@ -30,14 +32,15 @@ M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [], 3)
 # no positive branches: the empty system, decided without an SVD
 M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 
-COUNTED = ("build_hankel", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
+COUNTED = ("build_hankel", "assemble", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of numpy.linalg.{svd,lstsq,solve,eigvals,cholesky} and of
-    build_hankel through every momentkit module that binds it; ``svd_uv``
-    counts the SVDs among them that return vectors."""
+    """Calls of numpy.linalg.{svd,lstsq,solve,eigvals,cholesky}, and of
+    build_hankel and A's assembler (``assemble``) through every momentkit
+    module that binds them; ``svd_uv`` counts the SVDs that return
+    vectors."""
     tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -56,17 +59,19 @@ def counts(monkeypatch):
         return svd(a, full_matrices, compute_uv, hermitian)
 
     monkeypatch.setattr(np.linalg, "svd", svd_counting_vectors)
-    original = structure.build_hankel
-    wrapped = counting("build_hankel", original)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "momentkit" and getattr(mod, "build_hankel", None) is original:
-            monkeypatch.setattr(mod, "build_hankel", wrapped)
+    for name, key in (("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble")):
+        original = getattr(structure, name)
+        wrapped = counting(key, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "momentkit" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapped)
     return tally
 
 
 def pin(**counts):
-    """One Hankel build and the given calls; every other count is 0."""
-    return {**dict.fromkeys(COUNTED, 0), "build_hankel": 1, **counts}
+    """One Hankel build, which assembles A once, and the given calls;
+    every other count is 0."""
+    return {**dict.fromkeys(COUNTED, 0), "build_hankel": 1, "assemble": 1, **counts}
 
 
 @pytest.mark.parametrize("call, want", [
@@ -75,16 +80,18 @@ def pin(**counts):
     (lambda: mk.analyze(M), pin(svd=1, solve=1, eigvals=1)),
     # the same at n = 3: the count does not grow with n_x
     (lambda: mk.analyze(M3), pin(svd=1, solve=1, eigvals=1)),
-    # plus the extended matrix's rank; its cbar is c', solved once
+    # plus the extended matrix's rank, on A with one row stacked under it;
+    # its cbar is c', solved once
     (lambda: mk.markov_certificate(M), pin(svd=2, solve=1, eigvals=1, cholesky=1)),
     (lambda: mk.invert_min_degree(M, "companion"), pin(svd=1, solve=1, eigvals=1)),
     (lambda: mk.invert_min_degree(M, "geneig"), pin(svd=1, solve=1, eigvals=1)),
     # at full rank the minimum-norm solution is the unique LU solution
     (lambda: mk.next_moment(M), pin(svd=1, solve=1)),
-    # SVDs of A1, A and A1_tilde: rank-deficient A1 falls back to the SVD of A
+    # SVDs of A1, A and A1_tilde: rank-deficient A1 falls back to the SVD
+    # of A, and A1_tilde is a corner of A, not assembled again
     (lambda: mk.invert_min_degree(M_PAIR), pin(svd=3, solve=1, eigvals=1)),
-    # SVDs of A1 and A, then the vectors of A1 for the minimum-norm solution
-    (lambda: mk.next_moment(M_PAIR), pin(svd=3, svd_uv=1)),
+    # SVDs of A1 and A, then lstsq for the minimum-norm solution
+    (lambda: mk.next_moment(M_PAIR), pin(svd=2, lstsq=1)),
     # full-rank A1 where the certificate is inconclusive: the SVD of A
     # decides, rank(A) 2 < rank(A1) 3
     (lambda: pytest.raises(mk.NoSolution, mk.invert_min_degree, M_FALLBACK), pin(svd=2)),
@@ -112,4 +119,4 @@ def test_cli_build_counts(counts, capsys, tmp_path, argv, builds):
     path.write_text(json.dumps({"moments": [2, 6, 20, 66], "n_x": 2, "n_y": 2}))
     assert cli.main(argv + ["--input", str(path)]) == 0
     capsys.readouterr()
-    assert counts["build_hankel"] == builds
+    assert counts["build_hankel"] == counts["assemble"] == builds

@@ -103,7 +103,7 @@ LEDGER_CALLS = (
 
 @pytest.mark.parametrize("case", LEDGER, ids=[case["label"] for case in LEDGER])
 def test_ledger_replays_through_the_cli(capsys, tmp_path, case):
-    # 17 digits round-trip bit for bit, so every float must match exactly
+    # the shortest repr round-trips bit for bit, so every float must match exactly
     doc = {key: case[key] for key in ("moments", "n_x", "n_y")}
     m = mk.MomentSequence(tuple(case["moments"]), case["n_x"], case["n_y"])
     for argv, call in LEDGER_CALLS:
@@ -248,6 +248,55 @@ def test_overflowing_extended_row_is_bad_input(capsys, tmp_path):
     assert out["error"]["detail"].startswith("a_3 is not finite")
 
 
+@pytest.mark.parametrize("argv, doc, detail", [
+    (["invert"], [2, 6], "top-level JSON value must be an object"),
+    (["invert"], {"moments": [1, 2], "n_x": 1}, "missing fields: ['n_y']"),
+    (["invert"], {"moments": "12", "n_x": 1, "n_y": 1}, "moments must be an array of numbers"),
+    (["invert"], {"moments": [True, 1], "n_x": 1, "n_y": 1}, "moments must be a number"),
+    (["invert"], {"moments": [1, 2], "n_x": 2.0, "n_y": 0}, "n_x must be an integer"),
+    (["trig-forward", "--count", "2"], {"freqs": [0.1], "amps": [[1]]}, "amps entries must be [re, im] pairs"),
+    (["trig-forward", "--count", "2"], {"freqs": [0.1], "amps": 1}, "amps must be an array of [re, im] pairs"),
+    (["forward"], {"xs": [1.0], "ys": [], "count": 0}, "count must be >= 1"),
+    (["family", "--r-roots", "a,b"], README_INSTANCE, "bad --r-roots value 'a,b'"),
+    # the moments overflow to inf, which JSON cannot carry
+    (["trig-forward", "--count", "2"], {"freqs": [0.5, 0.5], "amps": [[1e308, 0], [1e308, 0]]}, "Out of range float"),
+], ids=[
+    "array", "missing-n_y", "moments-string", "moment-true", "n_x-float", "amps-entry",
+    "amps-number", "count-0", "r-roots", "non-finite-output",
+])
+def test_malformed_requests_are_bad_input(capsys, tmp_path, argv, doc, detail):
+    with np.errstate(over="ignore"):
+        code, out = run_cli(capsys, argv, doc, tmp_path)
+    assert code == 4
+    assert out["error"]["kind"] == "BadInput"
+    assert detail in out["error"]["detail"]
+
+
+def test_unreadable_input_file_is_bad_input(capsys, tmp_path):
+    code, out = run_cli(capsys, ["invert", "--input", str(tmp_path / "missing.json")])
+    assert code == 4
+    assert out["error"]["kind"] == "BadInput"
+    assert out["error"]["detail"].startswith("cannot read input")
+
+
+def test_unexpected_exception_is_internal_error(capsys, tmp_path, monkeypatch):
+    def broken(doc, args, tol):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "invert", broken)
+    code, out = run_cli(capsys, ["invert"], README_INSTANCE, tmp_path)
+    assert code == 1
+    assert out["error"] == {"kind": "InternalError", "detail": "RuntimeError: boom"}
+
+
+def test_family_without_r_roots_is_the_minimal_solution(capsys, tmp_path):
+    code, family = run_cli(capsys, ["family"], README_INSTANCE, tmp_path)
+    assert code == 0
+    code, minimal = run_cli(capsys, ["invert"], README_INSTANCE, tmp_path)
+    assert code == 0
+    assert family == minimal
+
+
 def test_exit_code_malformed_json(capsys, tmp_path):
     code, out = run_cli(capsys, ["invert"], "{not json", tmp_path)
     assert code == 4
@@ -319,7 +368,12 @@ def test_float_serialization_is_faithful(capsys, tmp_path):
         capsys, ["forward"], {"xs": [value], "ys": []}, tmp_path
     )
     assert code == 0
-    assert out["moments"][0] == value  # 17 significant digits round-trip
+    assert out["moments"][0] == value  # the shortest repr round-trips
+    # an integral float keeps its ".0" and parses back as a float
+    code, out = run_cli(capsys, ["forward"], {"xs": [3.0], "ys": [1.0]}, tmp_path)
+    assert code == 0
+    assert out["moments"] == [2.0, 8.0]
+    assert all(type(v) is float for v in out["moments"])
 
 
 def test_verbose_diagnostics(capsys, tmp_path):
@@ -347,6 +401,15 @@ def test_verbose_diagnostics(capsys, tmp_path):
     assert out["diagnostics"]["zeros_filtered_x"] == 0
 
 
+def test_next_verbose_without_real_branch_values(capsys, tmp_path):
+    # x^2 + 1: the recursion continues the moments, but the comparison
+    # route has no real minimal solution to sum
+    code, out = run_cli(capsys, ["next", "--verbose"], {"moments": [0, -2], "n_x": 2, "n_y": 0}, tmp_path)
+    assert code == 0
+    assert out["next_moment"] == 0.0
+    assert out["diagnostics"] == {"power_sum_of_minimal_solution": None}
+
+
 def test_analyze_honours_every_tolerance(capsys, tmp_path):
     # a double root that is real only at the looser imaginary-part cutoff
     doc = {"moments": [2, 1.99999999], "n_x": 2, "n_y": 0}
@@ -369,7 +432,7 @@ def test_invalid_tolerance_flag_rejected(capsys, tmp_path, flag, value):
         assert out["error"]["kind"] == "BadInput"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "2"])
+@pytest.mark.parametrize("value", ["nan", "inf", "2", "abc"])
 def test_invalid_tolerance_env_rejected(capsys, tmp_path, monkeypatch, value):
     monkeypatch.setenv("MOMENTKIT_TOL_RANK", value)
     code, out = run_cli(capsys, ["invert"], README_INSTANCE, tmp_path)

@@ -259,6 +259,20 @@ def test_min_norm_solution_matches_lstsq():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+M_UNIQUE = forward_moments([1.0, 2.0], [0.5], 3)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: invert_min_degree(M_UNIQUE, method="qr"), "method must be one of"),
+    (lambda: next_moment(M_UNIQUE, cbar=[1.0]), "cbar must have length n_x = 2"),
+    (lambda: extend_moments(M_UNIQUE, 0), "count must be >= 1"),
+    (lambda: d_coefficients([1.0, 0.5], exp_transform(M_UNIQUE), -1), "n_y must be nonnegative"),
+], ids=["method", "cbar-length", "extend-count-0", "d-negative-n_y"])
+def test_invalid_arguments_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_next_moment_unsolvable():
     with pytest.raises(NoSolution):
         next_moment(MomentSequence((0.0, 1.0), 1, 1))

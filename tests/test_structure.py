@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,10 +49,11 @@ def test_build_hankel_arrays_are_read_only():
         h = build_hankel(a, n_x, n_y)
         assert h.a is a
         assert all(np.shares_memory(getattr(h, name), h.A) for name in ("a0", "A0", "A1"))
-        assert np.shares_memory(h.A1_tilde, h.A1) == (h.A1_rank == n_x)
-        # the reduced pair is one block T, which is A itself at full rank
+        # the reduced pair is one block T, a corner of A at every rank and
+        # all of A at full rank
         assert all(np.shares_memory(getattr(h, name), h.T) for name in ("A0_tilde", "A1_tilde"))
-        assert (h.T is h.A) == (h.A1_rank == n_x)
+        assert np.shares_memory(h.T, h.A) and np.shares_memory(h.A1_tilde, h.A1)
+        assert (h.T.shape == h.A.shape) == (h.A1_rank == n_x)
         for name in ("A", "a0", "A1", "A0", "T", "A0_tilde", "A1_tilde"):
             with pytest.raises(ValueError):
                 getattr(h, name)[...] = 0.0
@@ -83,7 +85,7 @@ def test_build_hankel_empty_positive_side_is_the_empty_system():
     # n_x = 0: no rows, p = 1, and solvable without an SVD
     h = build_hankel(ExpCoefficients((1.0, -1.0)), 0, 1)
     assert h.A.shape == (0, 1)
-    assert h.A1_rank == 0 and h.T is h.A
+    assert h.A1_rank == 0 and h.T.shape == (0, 1)
     assert h.n_y_tilde == 1
     assert solvable(h)
 
@@ -134,25 +136,41 @@ def test_largest_index_stays_within_known_coefficients():
 
 
 def test_toeplitz_slice_follows_the_entry_formula():
-    # entry a[shift + i - j] (1-based row i, 0-based column j), 0 below
-    # a_0, IndexError past a_K, on every small shape and shift; the
-    # reduced block T can have a negative shift
-    for K in range(11):
-        a = (1.0,) + tuple(k + 0.5 for k in range(1, K + 1))
-        for shift in range(-6, 11):
-            for rows in range(7):
-                for cols in range(1, 8):
-                    if rows and shift + rows > K:
-                        with pytest.raises(IndexError):
-                            structure._toeplitz_slice(a, shift, rows, cols)
-                        continue
-                    M = structure._toeplitz_slice(a, shift, rows, cols)
-                    want = [
-                        [a[shift + i - j] if shift + i - j >= 0 else 0.0 for j in range(cols)]
-                        for i in range(1, rows + 1)
-                    ]
-                    assert M.shape == (rows, cols) and M.dtype == float
-                    assert M.tolist() == want
+    # A's assembler: entry a[n_y + i - j] (1-based row i, 0-based column
+    # j), 0 below a_0, on every n_x, n_y in 0..8
+    for n_x in range(9):
+        for n_y in range(9):
+            a = (1.0,) + tuple(k + 0.5 for k in range(1, n_x + n_y + 1))
+            M = structure._toeplitz_slice(a, n_x, n_y)
+            want = [
+                [a[n_y + i - j] if n_y + i - j >= 0 else 0.0 for j in range(n_x + 1)]
+                for i in range(1, n_x + 1)
+            ]
+            assert M.shape == (n_x, n_x + 1) and M.dtype == float
+            assert M.tolist() == want
+
+
+def test_reduced_block_at_every_rank_is_a_corner_of_A():
+    # T at rank r has entries a_{n_y_tilde+i-j}, n_y_tilde = n_y - n_x + r,
+    # and 0 below a_0; replace(h, A1_rank=r) gives it with nothing rebuilt
+    rng = np.random.default_rng(23)
+    for n_x in range(7):
+        for n_y in range(7):
+            if n_x + n_y == 0:
+                continue
+            a = exp_transform(tuple(rng.uniform(-2, 2, size=n_x + n_y)))
+            h = build_hankel(a, n_x, n_y)
+            for r in range(n_x + 1):
+                hr = replace(h, A1_rank=r)
+                ny_t = n_y - n_x + r
+                want = [
+                    [a.values[ny_t + i - j] if ny_t + i - j >= 0 else 0.0 for j in range(r + 1)]
+                    for i in range(1, r + 1)
+                ]
+                assert hr.T.shape == (r, r + 1) and hr.T.tolist() == want
+                assert hr.n_y_tilde == ny_t
+                # an r x (r+1) block is empty only at r = 0
+                assert np.shares_memory(hr.T, h.A) == (r > 0)
 
 
 def test_count_above_is_the_relative_rank_rule():
@@ -237,6 +255,7 @@ def test_numeric_rank_small_cases():
     assert numeric_rank([[1.0, 0.0], [3.0, 1.0]]) == 2
     assert numeric_rank([[1.0, 1.0], [1.0, 1.0]]) == 1
     assert numeric_rank([[0.0]]) == 0
+    assert numeric_rank(np.zeros((0, 3))) == 0
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -54,6 +54,16 @@ def test_moment_sequence_validates_split():
         MomentSequence((), 0, 0)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: MomentSequence((1.0,), -1, 2), "branch counts must be nonnegative"),
+    (lambda: ExpCoefficients((2.0,)), "must start with a_0 = 1"),
+    (lambda: forward_moments([1.0], [], 0), "count must be >= 1"),
+], ids=["negative-count", "a0-not-1", "forward-count-0"])
+def test_invalid_arguments_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_exp_transform_zero_moments():
     assert exp_transform(MomentSequence((0.0, 0.0), 1, 1)).values == (1.0, 0.0, 0.0)
 

@@ -115,6 +115,16 @@ def test_moment_count_validated():
         trig_invert([1.0, 1.0, 1.0], 2)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: TrigSignal((0.1,), ()), "same length"),
+    (lambda: trig_forward(TrigSignal((0.1,), (1.0,)), 0), "count must be >= 1"),
+    (lambda: trig_invert([1.0, 1.0], 0), "mode count must be >= 1"),
+], ids=["lengths", "forward-count-0", "modes-0"])
+def test_invalid_arguments_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(1.0, float("inf"))], ids=repr)
 def test_non_finite_input_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
