@@ -19,7 +19,6 @@ from .errors import (
 )
 from .inversion import (
     companion_coefficients,
-    d_coefficients,
     extend_moments,
     family_member,
     invert_min_degree,
@@ -47,7 +46,6 @@ from .transform import (
     MomentSequence,
     exp_transform,
     forward_moments,
-    poly_from_roots,
 )
 from .trig import TrigSignal, trig_forward, trig_invert
 
@@ -75,7 +73,6 @@ __all__ = [
     "analyze",
     "build_hankel",
     "companion_coefficients",
-    "d_coefficients",
     "density_eval",
     "exp_transform",
     "extend_moments",
@@ -86,7 +83,6 @@ __all__ = [
     "markov_certificate",
     "next_moment",
     "numeric_rank",
-    "poly_from_roots",
     "trig_forward",
     "trig_invert",
     "weights",

@@ -3,9 +3,15 @@
 One invocation processes one request: a JSON object on standard input
 (or ``--input FILE``) goes in, a JSON object comes out on standard
 output.  Floating-point values are emitted in Python's shortest repr
-that round-trips, so parsing them back gives the same bits.  Exit codes:
-0 success, 2 no solution, 3 non-real solution, 4 malformed input, 1
-internal error.
+that round-trips, so parsing them back gives the same bits.
+
+Exit codes: 0 success; 2 no solution, and every other failure of the
+data not listed here; 3 non-real solution; 4 malformed input, which
+includes ``forward`` or ``trig-forward`` moments that overflow, more
+``family`` matched pairs than the data admits, and ``markov-check``
+with no positive branches; 1 internal error.  A failure is reported as
+{"error": {"kind", "detail"}}, where kind is ``BadInput`` for malformed
+input and otherwise the library error's class name.
 
 Result documents are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
@@ -22,22 +28,12 @@ import json
 import os
 import sys
 
-from .errors import (
-    FamilyOverflow,
-    IllConditionedNodes,
-    MomentProblemError,
-    NonRealSolution,
-    NoPositiveBranches,
-    NoSolution,
-    RankDeficientSignal,
-    RepeatedRoots,
-    SingularReducedSystem,
-)
+from .errors import FamilyOverflow, MomentProblemError, NonRealSolution, NoPositiveBranches
 from .inversion import extend_moments, family_member, invert_min_degree, next_moment
 from .markov import markov_certificate
 from .structure import analyze
 from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, ToleranceSet
-from .transform import MomentSequence, exp_transform, forward_moments
+from .transform import MomentSequence, _power_sum, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
 SCHEMA = "momentkit/1"
@@ -47,10 +43,6 @@ EXIT_INTERNAL = 1
 EXIT_NO_SOLUTION = 2
 EXIT_NON_REAL = 3
 EXIT_BAD_INPUT = 4
-
-
-class InputError(ValueError):
-    """Malformed or schema-violating request."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,64 +62,62 @@ def _complex_pair(z: complex) -> list[float]:
 
 def _check_fields(doc, required: set[str], optional: set[str]):
     if not isinstance(doc, dict):
-        raise InputError("top-level JSON value must be an object")
+        raise ValueError("top-level JSON value must be an object")
     allowed = required | optional | {"schema"}
     unknown = sorted(set(doc) - allowed)
     if unknown:
-        raise InputError(f"unknown fields: {unknown}")
+        raise ValueError(f"unknown fields: {unknown}")
     missing = sorted(required - set(doc))
     if missing:
-        raise InputError(f"missing fields: {missing}")
+        raise ValueError(f"missing fields: {missing}")
     if "schema" in doc and doc["schema"] != SCHEMA:
-        raise InputError(f"unsupported schema {doc['schema']!r}; expected {SCHEMA!r}")
+        raise ValueError(f"unsupported schema {doc['schema']!r}; expected {SCHEMA!r}")
 
 
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"{where} must be a number")
+        raise ValueError(f"{where} must be a number")
     return float(v)
 
 
 def _int(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise InputError(f"{where} must be an integer")
+        raise ValueError(f"{where} must be an integer")
     return v
 
 
 def _number_list(v, where: str) -> list[float]:
     if not isinstance(v, list):
-        raise InputError(f"{where} must be an array of numbers")
+        raise ValueError(f"{where} must be an array of numbers")
     return [_number(x, where) for x in v]
 
 
 def _complex_list(v, where: str) -> list[complex]:
     if not isinstance(v, list):
-        raise InputError(f"{where} must be an array of [re, im] pairs")
+        raise ValueError(f"{where} must be an array of [re, im] pairs")
     out = []
     for x in v:
         if not (isinstance(x, list) and len(x) == 2):
-            raise InputError(f"{where} entries must be [re, im] pairs")
+            raise ValueError(f"{where} entries must be [re, im] pairs")
         out.append(complex(_number(x[0], where), _number(x[1], where)))
     return out
 
 
 def _read_moments(doc) -> MomentSequence:
     _check_fields(doc, {"moments", "n_x", "n_y"}, set())
-    try:
-        return MomentSequence(
-            tuple(_number_list(doc["moments"], "moments")),
-            _int(doc["n_x"], "n_x"),
-            _int(doc["n_y"], "n_y"),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return MomentSequence(
+        tuple(_number_list(doc["moments"], "moments")),
+        _int(doc["n_x"], "n_x"),
+        _int(doc["n_y"], "n_y"),
+    )
 
 
-def _read_branches(doc) -> tuple[list[float], list[float], int | None]:
+def _read_branches(doc) -> tuple[list[float], list[float], int]:
+    """xs, ys and the moment count, which defaults to len(xs) + len(ys)."""
     _check_fields(doc, {"xs", "ys"}, {"degree", "count"})
     xs = _number_list(doc["xs"], "xs")
     ys = _number_list(doc["ys"], "ys")
-    count = _int(doc["count"], "count") if "count" in doc else None
+    count = _int(doc["count"], "count") if "count" in doc else len(xs) + len(ys)
     if "degree" in doc:
         _int(doc["degree"], "degree")  # accepted for round-trips, not used
     return xs, ys, count
@@ -154,12 +144,7 @@ def _moment_doc(m: MomentSequence) -> dict:
 # subcommand handlers (each returns the output document)
 
 def _cmd_forward(doc, args, tol):
-    xs, ys, count = _read_branches(doc)
-    if count is None:
-        count = len(xs) + len(ys)
-    if count < 1:
-        raise InputError("count must be >= 1")
-    return _moment_doc(forward_moments(xs, ys, count))
+    return _moment_doc(forward_moments(*_read_branches(doc)))
 
 
 def _cmd_transform(doc, args, tol):
@@ -183,15 +168,6 @@ def _cmd_invert(doc, args, tol):
             "zeros_filtered_y": info["y"]["zeros_filtered"],
         }
     return out
-
-
-def _power_sum(values, k: int) -> float:
-    """sum_j values_j**k, accumulated left to right: ``sum`` compensates
-    float sums from Python 3.12 on, which would change the last bits."""
-    total = 0.0
-    for v in values:
-        total += v**k
-    return total
 
 
 def _cmd_next(doc, args, tol):
@@ -223,7 +199,7 @@ def _parse_roots(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"bad --r-roots value {text!r}") from exc
+        raise ValueError(f"bad --r-roots value {text!r}") from exc
 
 
 def _cmd_family(doc, args, tol):
@@ -268,26 +244,9 @@ def _cmd_trig_invert(doc, args, tol):
     return out
 
 
-_HANDLERS = {
-    "forward": _cmd_forward,
-    "transform": _cmd_transform,
-    "analyze": _cmd_analyze,
-    "invert": _cmd_invert,
-    "next": _cmd_next,
-    "extend": _cmd_extend,
-    "family": _cmd_family,
-    "markov-check": _cmd_markov_check,
-    "trig-forward": _cmd_trig_forward,
-    "trig-invert": _cmd_trig_invert,
-}
-
+# the library errors whose exit code is not EXIT_NO_SOLUTION
 _EXIT_BY_ERROR = {
-    NoSolution: EXIT_NO_SOLUTION,
     NonRealSolution: EXIT_NON_REAL,
-    SingularReducedSystem: EXIT_NO_SOLUTION,
-    RepeatedRoots: EXIT_NO_SOLUTION,
-    RankDeficientSignal: EXIT_NO_SOLUTION,
-    IllConditionedNodes: EXIT_NO_SOLUTION,
     FamilyOverflow: EXIT_BAD_INPUT,
     NoPositiveBranches: EXIT_BAD_INPUT,
 }
@@ -302,6 +261,9 @@ def _build_parser() -> argparse.ArgumentParser:
     or ``set_defaults`` once it is built.  Building it takes most of an
     in-process request's time, so it is not rebuilt per request, and not
     built at import either.
+
+    Each subcommand is declared here once: its parser binds its handler
+    as ``args.run``.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
@@ -312,20 +274,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="momentkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("forward", parents=[common], help="branch values -> moments")
-    sub.add_parser("transform", parents=[common], help="moments -> exponential-transform coefficients")
-    sub.add_parser("analyze", parents=[common], help="moments -> solvability report")
-    p = sub.add_parser("invert", parents=[common], help="moments -> minimal-degree branch solution")
+
+    def command(name, run, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    command("forward", _cmd_forward, "branch values -> moments")
+    command("transform", _cmd_transform, "moments -> exponential-transform coefficients")
+    command("analyze", _cmd_analyze, "moments -> solvability report")
+    p = command("invert", _cmd_invert, "moments -> minimal-degree branch solution")
     p.add_argument("--method", choices=("geneig", "companion"), default="companion")
-    sub.add_parser("next", parents=[common], help="moments -> next moment")
-    p = sub.add_parser("extend", parents=[common], help="moments -> extended moment sequence")
+    command("next", _cmd_next, "moments -> next moment")
+    p = command("extend", _cmd_extend, "moments -> extended moment sequence")
     p.add_argument("--count", type=int, required=True, help="number of additional moments")
-    p = sub.add_parser("family", parents=[common], help="moments -> family member with matched pairs appended")
+    p = command("family", _cmd_family, "moments -> family member with matched pairs appended")
     p.add_argument("--r-roots", default="", help="comma-separated matched-pair values")
-    sub.add_parser("markov-check", parents=[common], help="moments -> Markov certificates")
-    p = sub.add_parser("trig-forward", parents=[common], help="trig signal -> complex moments")
+    command("markov-check", _cmd_markov_check, "moments -> Markov certificates")
+    p = command("trig-forward", _cmd_trig_forward, "trig signal -> complex moments")
     p.add_argument("--count", type=int, required=True, help="number of moments")
-    p = sub.add_parser("trig-invert", parents=[common], help="complex moments -> trig signal")
+    p = command("trig-invert", _cmd_trig_invert, "complex moments -> trig signal")
     p.add_argument("--modes", type=int, required=True, help="number of modes r (input has 2r moments)")
     return parser
 
@@ -338,7 +306,7 @@ def _tolerances(args) -> ToleranceSet:
             try:
                 rank = float(env)
             except ValueError as exc:
-                raise InputError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
+                raise ValueError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
     given = {"rank": rank, "zero": args.tol_zero, "imag": args.tol_imag}
     return ToleranceSet(**{name: v for name, v in given.items() if v is not None})
 
@@ -366,17 +334,14 @@ def main(argv=None) -> int:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        result = _HANDLERS[args.command](doc, args, tol)
-        print(_emit(result))
+            raise ValueError(f"invalid JSON: {exc}") from exc
+        print(_emit(args.run(doc, args, tol)))
         return EXIT_OK
-    except InputError as exc:
-        return _fail("BadInput", str(exc), EXIT_BAD_INPUT)
     except OSError as exc:
         return _fail("BadInput", f"cannot read input: {exc}", EXIT_BAD_INPUT)
     except MomentProblemError as exc:
-        code = _EXIT_BY_ERROR.get(type(exc), EXIT_NO_SOLUTION)
-        return _fail(type(exc).__name__, str(exc), code)
+        return _fail(type(exc).__name__, str(exc), _EXIT_BY_ERROR.get(type(exc), EXIT_NO_SOLUTION))
+    # every malformed request, whether the CLI or the library finds it
     except ValueError as exc:
         return _fail("BadInput", str(exc), EXIT_BAD_INPUT)
     except Exception as exc:  # noqa: BLE001  - the CLI must not traceback

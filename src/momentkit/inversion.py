@@ -2,7 +2,7 @@
 
 ``invert_min_degree`` returns the minimal-degree solution that
 ``structure`` reads off the decided Hankel system, as ``analyze`` does;
-``companion_coefficients`` and ``d_coefficients`` are bound here too.
+``companion_coefficients`` is bound here too.
 The coefficient recursion propagates higher moments without ever forming
 branch values, which is the numerically preferred route when only the
 next moments are wanted.  It runs on Python floats with each sum
@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FamilyOverflow, NoSolution
-from .structure import HankelSystem, _invert, build_hankel, solvable
-from .structure import companion_coefficients, d_coefficients  # noqa: F401  - public here too
+from .structure import HankelSystem, _invert, build_hankel, companion_coefficients, solvable
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, ExpCoefficients, MomentSequence, exp_transform
 

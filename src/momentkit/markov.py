@@ -22,6 +22,7 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, MomentSequence
 
 _SEPARATION_FACTOR = 1e-8
+_PIVOT_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,18 +88,18 @@ def factorization_residual(h: HankelSystem, wd: WeightData) -> float:
     return float(max(r1, r0))
 
 
-def _is_spd(S: np.ndarray, pivot_rel: float = 1e-12) -> bool:
+def _is_spd(S: np.ndarray) -> bool:
     """Positive definiteness of the symmetric S via its Cholesky factor.
 
     Fails when the factorization breaks down or any pivot diag(L)**2 is
-    <= pivot_rel * max|S|.  S is a reversed Hankel block, so it is
+    <= _PIVOT_REL * max|S|.  S is a reversed Hankel block, so it is
     symmetric bit for bit and only its lower triangle is read.
     """
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return False
-    cut = pivot_rel * max(map(abs, S.ravel().tolist()), default=0.0)
+    cut = _PIVOT_REL * max(map(abs, S.ravel().tolist()), default=0.0)
     return all(d * d > cut for d in np.diag(L).tolist())
 
 

@@ -268,27 +268,6 @@ def _reciprocal(a: Sequence[float]) -> list:
     return r
 
 
-def d_coefficients(c: Sequence[float], a, n_y: int) -> np.ndarray:
-    """q-coefficients d_0..d_{n_y} from p-coefficients and the a-sequence.
-
-    d_k is the order-k coefficient of the product of p with the
-    transformed series: d_k = sum_j c_j a_{k-j}.
-    """
-    cvec = np.asarray(c, dtype=float)
-    if cvec.ndim != 1 or cvec.size == 0 or cvec[0] != 1.0:
-        raise ValueError("c must be a coefficient vector with c_0 = 1")
-    if n_y < 0:
-        raise ValueError("n_y must be nonnegative")
-    coeffs = as_exp_coefficients(a)
-    coeffs[n_y]  # IndexError when a_{n_y} is undefined
-    return _truncated_product(cvec, coeffs.values, n_y)
-
-
-def _truncated_product(c: Sequence[float], avals: Sequence[float], n: int) -> np.ndarray:
-    """Orders 0..n of the product of the series c and a, unchecked."""
-    return np.convolve(c[: n + 1], avals[: n + 1])[: n + 1]
-
-
 def _invert(h: HankelSystem, tol: ToleranceSet, cbar: list | None = None):
     """``invert_min_degree(m, tol=tol, full_output=True)`` on the solvable
     Hankel system ``h`` of ``m``, built with ``tol.rank``, without the
@@ -317,7 +296,8 @@ def _invert(h: HankelSystem, tol: ToleranceSet, cbar: list | None = None):
     cprime = cbar if cbar is not None and rank == h.n_x else companion_coefficients(h).tolist()
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
-    d = _truncated_product([1.0, *cprime], a.values, n_y_tilde)
+    n = n_y_tilde + 1
+    d = np.convolve([1.0, *cprime][:n], a.values[:n])[:n]  # orders 0..n_y_tilde of p*a
     roots_x, roots_y = _monic_roots(cprime, d[1:])
     xs, info_x = _branch_values(roots_x, h.n_x, tol.zero_cutoff(a.values), tol, rank)
     y_cutoff = tol.zero if tol.zero is not None else tol.zero_cutoff(_reciprocal(a.values))

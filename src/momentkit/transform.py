@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 
 def _as_float_tuple(values, name: str) -> tuple[float, ...]:
     out = tuple(map(float, values))
@@ -137,11 +135,26 @@ def as_exp_coefficients(a) -> ExpCoefficients:
     return ExpCoefficients(tuple(a))
 
 
+def _power_sum(values: Sequence[float], k: int) -> float:
+    """sum_j values_j**k, accumulated left to right (``sum`` compensates
+    float sums from Python 3.12 on, which would change the last bits).  A
+    power that overflows counts as the signed infinity IEEE arithmetic
+    gives, where Python's ``**`` raises OverflowError."""
+    total = 0.0
+    for v in values:
+        try:
+            total += v**k
+        except OverflowError:
+            total += math.copysign(math.inf, v) ** k
+    return total
+
+
 def forward_moments(xs: Sequence[float], ys: Sequence[float], count: int) -> MomentSequence:
     """Signed power sums m_k = sum x_j^k - sum y_j^k for k = 1..count.
 
     Summation order is fixed (ascending |value|) so results are
-    bit-reproducible across runs.
+    bit-reproducible across runs.  ValueError names the first moment
+    that overflows to a non-finite value.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -149,13 +162,10 @@ def forward_moments(xs: Sequence[float], ys: Sequence[float], count: int) -> Mom
     ys_t = sorted(_as_float_tuple(ys, "ys"), key=lambda v: (abs(v), v))
     values = []
     for k in range(1, count + 1):
-        sx = 0.0
-        for v in xs_t:
-            sx += v**k
-        sy = 0.0
-        for v in ys_t:
-            sy += v**k
-        values.append(sx - sy)
+        value = _power_sum(xs_t, k) - _power_sum(ys_t, k)
+        if not math.isfinite(value):
+            raise ValueError(f"m_{k} is not finite ({value!r}): the power sums overflow")
+        values.append(value)
     return MomentSequence(tuple(values), len(xs_t), len(ys_t))
 
 
@@ -175,16 +185,3 @@ def exp_transform(m) -> ExpCoefficients:
             s += values[j - 1] * a[k - j]
         a[k] = s / k
     return ExpCoefficients(tuple(a))
-
-
-def poly_from_roots(branch_values: Sequence[float]) -> tuple[float, ...]:
-    """Coefficients (ascending powers) of prod_j (1 - v_j z).
-
-    Zero branch values contribute a factor of one, so the result has
-    length len(branch_values) + 1 with trailing zeros where the degree drops.
-    """
-    coeffs = np.array([1.0])
-    for v in _as_float_tuple(branch_values, "branch values"):
-        coeffs = np.convolve(coeffs, np.array([1.0, -v]))
-    return tuple(float(c) for c in coeffs)
-

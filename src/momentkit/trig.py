@@ -40,13 +40,22 @@ class TrigSignal:
 
 
 def trig_forward(sig: TrigSignal, count: int) -> np.ndarray:
-    """Moments m_k = sum_j mu_j exp(i k lambda_j) for k = 0..count-1."""
+    """Moments m_k = sum_j mu_j exp(i k lambda_j) for k = 0..count-1.
+
+    ValueError names the first moment that overflows to a non-finite value.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     k = np.arange(count)[:, None]
     lam = np.asarray(sig.freqs)[None, :]
     amps = np.asarray(sig.amps)
-    return (np.exp(1j * k * lam) * amps).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (np.exp(1j * k * lam) * amps).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        first = int(bad[0])
+        raise ValueError(f"m_{first} is not finite ({complex(m[first])!r}): the exponential sums overflow")
+    return m
 
 
 def _angular_gap(a: float, b: float) -> float:

@@ -220,6 +220,16 @@ def test_exit_code_non_real(capsys, tmp_path):
     assert out["error"]["kind"] == "NonRealSolution"
 
 
+@pytest.mark.parametrize("argv, doc, code, error", [
+    (["family", "--r-roots", "1,2,3"], README_INSTANCE, 4,
+     {"kind": "FamilyOverflow", "detail": "3 matched pairs requested; family admits at most 0"}),
+    (["trig-invert", "--modes", "2"], {"moments": [[1, 0]] * 4}, 2,
+     {"kind": "RankDeficientSignal", "detail": "moment matrix rank 1 < requested modes 2"}),
+], ids=["family-overflow", "rank-deficient-signal"])
+def test_exit_code_of_library_errors(capsys, tmp_path, argv, doc, code, error):
+    assert run_cli(capsys, argv, doc, tmp_path) == (code, {"error": error})
+
+
 def test_exit_code_no_positive_branches(capsys, tmp_path):
     doc = {"moments": [-3, -5], "n_x": 0, "n_y": 2}
     code, out = run_cli(capsys, ["markov-check"], doc, tmp_path)
@@ -258,15 +268,18 @@ def test_overflowing_extended_row_is_bad_input(capsys, tmp_path):
     (["trig-forward", "--count", "2"], {"freqs": [0.1], "amps": 1}, "amps must be an array of [re, im] pairs"),
     (["forward"], {"xs": [1.0], "ys": [], "count": 0}, "count must be >= 1"),
     (["family", "--r-roots", "a,b"], README_INSTANCE, "bad --r-roots value 'a,b'"),
-    # the moments overflow to inf, which JSON cannot carry
-    (["trig-forward", "--count", "2"], {"freqs": [0.5, 0.5], "amps": [[1e308, 0], [1e308, 0]]}, "Out of range float"),
+    # finite input whose moments overflow
+    (["trig-forward", "--count", "2"], {"freqs": [0.5, 0.5], "amps": [[1e308, 0], [1e308, 0]]},
+     "m_0 is not finite ((inf+0j)): the exponential sums overflow"),
+    (["forward"], {"xs": [1e200], "ys": [], "count": 2}, "m_2 is not finite (inf): the power sums overflow"),
+    (["forward"], {"xs": [1e154, 1e154], "ys": [], "count": 2}, "m_2 is not finite (inf): the power sums overflow"),
 ], ids=[
     "array", "missing-n_y", "moments-string", "moment-true", "n_x-float", "amps-entry",
-    "amps-number", "count-0", "r-roots", "non-finite-output",
+    "amps-number", "count-0", "r-roots", "non-finite-output", "forward-power-overflow",
+    "forward-sum-overflow",
 ])
 def test_malformed_requests_are_bad_input(capsys, tmp_path, argv, doc, detail):
-    with np.errstate(over="ignore"):
-        code, out = run_cli(capsys, argv, doc, tmp_path)
+    code, out = run_cli(capsys, argv, doc, tmp_path)
     assert code == 4
     assert out["error"]["kind"] == "BadInput"
     assert detail in out["error"]["detail"]
@@ -280,10 +293,10 @@ def test_unreadable_input_file_is_bad_input(capsys, tmp_path):
 
 
 def test_unexpected_exception_is_internal_error(capsys, tmp_path, monkeypatch):
-    def broken(doc, args, tol):
+    def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "invert", broken)
+    monkeypatch.setattr(cli, "invert_min_degree", broken)
     code, out = run_cli(capsys, ["invert"], README_INSTANCE, tmp_path)
     assert code == 1
     assert out["error"] == {"kind": "InternalError", "detail": "RuntimeError: boom"}

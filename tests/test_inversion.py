@@ -1,5 +1,4 @@
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from momentkit import (
     NoSolution,
     build_hankel,
     companion_coefficients,
-    d_coefficients,
     exp_transform,
     extend_moments,
     family_member,
@@ -29,7 +27,7 @@ from instances import (
     multiset_distance,
     random_solvable_instance,
 )
-from oracles import convolve_lists, power_sum
+from oracles import power_sum
 
 
 def test_companion_coefficients_worked_cases():
@@ -88,44 +86,6 @@ def test_small_value_beside_a_large_one_is_kept(method):
         sol = invert_min_degree(MomentSequence((x - y, x**2 - y**2), 1, 1), method)
         assert abs(sol.xs[0] - x) <= 1e-10 * max(1.0, x)
         assert abs(sol.ys[0] - y) <= 1e-10 * max(1.0, y)
-
-
-def test_d_coefficients_worked_cases():
-    assert np.allclose(d_coefficients((1.0, -3.0, 2.0), (1.0, 3.0, 7.0), 0), [1.0])
-    assert np.allclose(d_coefficients((1.0, -1.0), (1.0, 2.0, 2.0), 1), [1.0, 1.0])
-    assert np.allclose(d_coefficients((1.0,), (1.0, 0.0, 0.0), 1), [1.0, 0.0])
-    with pytest.raises(ValueError):
-        d_coefficients((2.0, 1.0), (1.0, 0.0), 1)
-    with pytest.raises(IndexError):
-        d_coefficients((1.0,), (1.0, 0.0), 2)
-
-
-def test_d_coefficients_match_exact_convolution():
-    rng = np.random.default_rng(30)
-    for _ in range(50):
-        c = [1.0] + list(rng.normal(size=int(rng.integers(0, 6))))
-        a = [1.0] + list(rng.normal(size=int(rng.integers(0, 8))))
-        n_y = int(rng.integers(0, len(a)))
-        exact = convolve_lists([Fraction(v) for v in c], [Fraction(v) for v in a[: n_y + 1]])[: n_y + 1]
-        size = convolve_lists([abs(v) for v in c], [abs(v) for v in a[: n_y + 1]])[: n_y + 1]
-        d = d_coefficients(c, a, n_y)
-        assert d.shape == (n_y + 1,)
-        # each d_k is a sum of at most 6 rounded products
-        assert all(abs(dk - float(ek)) <= 8 * np.finfo(float).eps * sk for dk, ek, sk in zip(d, exact, size))
-
-
-def test_d_coefficients_encode_negative_branches():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        xs, ys, m = random_solvable_instance(rng, n_max=4)
-        a = exp_transform(m)
-        c = companion_coefficients(build_hankel(a, m.n_x, m.n_y))
-        # full coefficient vector (1, c') of the minimal solution
-        d = d_coefficients([1.0] + list(c), a, m.n_y)
-        roots = np.roots(d[::-1])
-        assert np.max(np.abs(roots.imag)) < 1e-8 if np.iscomplexobj(roots) else True
-        recovered = sorted((1.0 / r).real for r in roots)
-        assert multiset_distance(recovered, sorted(ys)) < 1e-7
 
 
 def test_family_member_examples():
@@ -266,8 +226,7 @@ M_UNIQUE = forward_moments([1.0, 2.0], [0.5], 3)
     (lambda: invert_min_degree(M_UNIQUE, method="qr"), "method must be one of"),
     (lambda: next_moment(M_UNIQUE, cbar=[1.0]), "cbar must have length n_x = 2"),
     (lambda: extend_moments(M_UNIQUE, 0), "count must be >= 1"),
-    (lambda: d_coefficients([1.0, 0.5], exp_transform(M_UNIQUE), -1), "n_y must be nonnegative"),
-], ids=["method", "cbar-length", "extend-count-0", "d-negative-n_y"])
+], ids=["method", "cbar-length", "extend-count-0"])
 def test_invalid_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

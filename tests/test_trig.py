@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,17 @@ def test_moment_count_validated():
 def test_invalid_arguments_rejected(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_forward_moments_that_overflow_raise():
+    # m_0 = 1e308 + 1e308 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"m_0 is not finite \(\(inf\+0j\)\): the exponential sums overflow"):
+            trig_forward(TrigSignal((0.5, 0.5), (1e308, 1e308)), 2)
+        # the first moment is finite here: 1e308 * (1 - 1) = 0
+        with pytest.raises(ValueError, match=r"m_1 is not finite"):
+            trig_forward(TrigSignal((0.0, np.pi), (1e308, -1e308)), 3)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(1.0, float("inf"))], ids=repr)
