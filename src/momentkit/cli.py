@@ -7,11 +7,12 @@ that round-trips, so parsing them back gives the same bits.
 
 Exit codes: 0 success; 2 no solution, and every other failure of the
 data not listed here; 3 non-real solution; 4 malformed input, which
-includes ``forward`` or ``trig-forward`` moments that overflow, more
-``family`` matched pairs than the data admits, and ``markov-check``
-with no positive branches; 1 internal error.  A failure is reported as
-{"error": {"kind", "detail"}}, where kind is ``BadInput`` for malformed
-input and otherwise the library error's class name.
+includes moments that overflow (from ``forward``, ``trig-forward`` or
+the exponential transform), more ``family`` matched pairs than the data
+admits, and ``markov-check`` with no positive branches; 1 internal
+error.  A failure is reported as {"error": {"kind", "detail"}}, where
+kind is ``BadInput`` for malformed input and otherwise the library
+error's class name.
 
 Result documents are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
@@ -112,15 +113,13 @@ def _read_moments(doc) -> MomentSequence:
     )
 
 
-def _read_branches(doc) -> tuple[list[float], list[float], int]:
-    """xs, ys and the moment count, which defaults to len(xs) + len(ys)."""
-    _check_fields(doc, {"xs", "ys"}, {"degree", "count"})
+def _read_branches(doc) -> tuple[list[float], list[float]]:
+    _check_fields(doc, {"xs", "ys"}, {"degree"})
     xs = _number_list(doc["xs"], "xs")
     ys = _number_list(doc["ys"], "ys")
-    count = _int(doc["count"], "count") if "count" in doc else len(xs) + len(ys)
     if "degree" in doc:
         _int(doc["degree"], "degree")  # accepted for round-trips, not used
-    return xs, ys, count
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +267,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
     common.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
-    common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots (default scale-aware)")
+    common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots (default scale-free)")
     common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
     common.add_argument("--verbose", action="store_true", help="attach diagnostics to the output object")
 
-    parser = argparse.ArgumentParser(prog="momentkit", description=__doc__)
+    parser = argparse.ArgumentParser(prog="momentkit", description=(
+        "Solve finite moment problems: one JSON request in (stdin or --input FILE), one JSON result "
+        "out (stdout). Exit codes: 0 success, 1 internal error, 2 no solution, 3 non-real solution, "
+        "4 malformed input."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help):

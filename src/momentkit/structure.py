@@ -2,10 +2,10 @@
 and the minimal solution read off the decided system.
 
 The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence,
-and it is the only matrix a problem assembles; its first column against
-the remaining block A1 decides existence and the rank of A1 decides
-uniqueness, both from the singular values of A1 kept on the system (the
-SVD of A only where they cannot certify existence).  The x-values are
+and it is the only matrix a problem assembles.  The rank of A1 decides
+uniqueness, and at full rank existence too, since a0 then lies in
+range(A1) by the theorem; only a rank-deficient A1 takes the SVD of A,
+whose rank against rank(A1) decides existence.  The x-values are
 the eigenvalues of the reduced pencil (A0_tilde, A1_tilde) = (T[:, :r],
 T[:, 1:]), where T = A[:r, n_x-r:] is A's top-right corner at the
 decided rank r.  The two blocks share the columns T[:, 1:r], so
@@ -24,7 +24,6 @@ so every decision repeats bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,11 +92,12 @@ class HankelSystem:
     tolerance.  With no positive branches (n_x = 0) the system is empty:
     A and T are 0 x 1 and r = 0, so p = 1 as in any rank-0 system.
 
-    s holds the singular values of A1, taken once without vectors: they
-    decide A1_rank and certify existence at full rank (``solvable``).
-    For the empty system s is empty.  T, and with it the reduced pencil,
-    is read off A at A1_rank, so ``dataclasses.replace(h, A1_rank=r)``
-    is the system at any candidate rank r <= n_x with nothing rebuilt.
+    s holds the singular values of A1, taken once without vectors; A1_rank
+    is read off them, and they stay on the system so its conditioning
+    sigma_n / sigma_1 can be read without another SVD.  For the empty
+    system s is empty.  T, and with it the reduced pencil, is read off
+    A at A1_rank, so ``dataclasses.replace(h, A1_rank=r)`` is the system
+    at any candidate rank r <= n_x with nothing rebuilt.
 
     Every array is read-only, since the views share their data.
     """
@@ -174,23 +174,14 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
 
 
 def solvable(h: HankelSystem) -> bool:
-    """Whether a0 lies in range(A1), decided by comparing numeric ranks.
+    """Whether a0 lies in range(A1), the existence criterion.
 
-    A A^T = A1 A1^T + a0 a0^T, so sigma_n(A) >= sigma_n(A1) and sigma_1(A)
-    <= hypot(sigma_1(A1), |a0|).  At full rank, sigma_n(A1) > 2 tol
-    hypot(sigma_1(A1), |a0|) therefore certifies rank(A) = n_x = rank(A1)
-    from the kept singular values of A1 alone; the factor 2 is a proof
-    margin far above the SVD's rounding error.  Otherwise, when A1 is
-    rank-deficient or the bound is inconclusive, the SVD of A decides:
-    ``numeric_rank(A) == rank(A1)``.
+    At full rank, rank(A1) = n_x, A1 spans R^n_x and a0 lies in its range:
+    a solution exists by the theorem, for the empty system (n_x = 0) too,
+    and no SVD is taken.  Where A1 is rank-deficient the SVD of A
+    decides: ``numeric_rank(A) == rank(A1)``.
     """
-    n, s = h.n_x, h.s.tolist()
-    # a0 is a_{n_y+1}..a_{n_y+n_x}, the tail of the sequence
-    if h.A1_rank == n and (
-        n == 0 or s[-1] > 2.0 * h.tol_rank * math.hypot(s[0], *h.a.values[h.n_y + 1 :])
-    ):
-        return True
-    return numeric_rank(h.A, h.tol_rank) == h.A1_rank
+    return h.A1_rank == h.n_x or numeric_rank(h.A, h.tol_rank) == h.A1_rank
 
 
 def companion_coefficients(h: HankelSystem) -> np.ndarray:
@@ -336,11 +327,12 @@ class SolvabilityReport:
 def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityReport:
     """Decide existence, degree bounds and uniqueness for a moment sequence.
 
-    Always returns a report; unsolvable data yields ``exists=False``
-    rather than an error.  When a solution exists and its branch values
-    are recovered, the minimal-degree solution is attached; it is None
-    when they are not real or when the reduced system is singular (see
-    ``SolvabilityReport`` for d_min in each case).  ``tol`` (default
+    Always returns a report: unsolvable data yields ``exists=False``, and
+    the one error raised is the ``ValueError`` of an exponential
+    transform that overflows.  When a solution exists and its branch
+    values are recovered, the minimal-degree solution is attached; it is
+    None when they are not real or when the reduced system is singular
+    (see ``SolvabilityReport`` for d_min in each case).  ``tol`` (default
     ``ToleranceSet()``) sets every threshold of the analysis and of the
     minimal solution; the report records ``tol.rank``.
 

@@ -6,8 +6,11 @@ import math
 from dataclasses import dataclass
 
 # defaults of the rank and imaginary-part thresholds, for every entry
-# point that takes them
-DEFAULT_RANK = 1e-9
+# point that takes them.  The rank cutoff sits just above the noise floor
+# of the Hankel entries, K·eps times the exp transform's conditioning;
+# Hankel matrices of separated data are exponentially ill-conditioned
+# (Beckermann 2000), so a larger cutoff calls more of them rank-deficient.
+DEFAULT_RANK = 1e-12
 DEFAULT_IMAG = 1e-8
 
 
@@ -22,9 +25,10 @@ class ToleranceSet:
     zero
         Absolute cutoff below which an eigenvalue is treated as a
         structural zero of the reduced system.  ``None`` selects the
-        scale-aware default ``1e-8 * (1 + max|a_k|)`` per instance and
-        side, with a the series of the side's own problem (1/a for the
-        y-side).
+        scale-free default ``1e-8 * max_{k>=1} |s_k|**(1/k)``, taken once
+        per side on the series s of that side's own problem (a for the
+        x-side, 1/a for the y-side): scaling every branch value by c
+        scales s_k by c**k, and so the cutoff by |c|.
     imag
         A root with ``|Im z| > imag * (1 + |Re z|)`` makes the solution
         non-real.
@@ -57,7 +61,7 @@ class ToleranceSet:
     def zero_cutoff(self, coeffs) -> float:
         if self.zero is not None:
             return self.zero
-        return 1e-8 * (1.0 + max(map(abs, coeffs)))
+        return 1e-8 * max(abs(v) ** (1.0 / k) for k, v in enumerate(coeffs[1:], 1))
 
 
 # the defaults, shared by every entry point called without ``tol``

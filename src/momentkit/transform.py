@@ -149,19 +149,17 @@ def _power_sum(values: Sequence[float], k: int) -> float:
     return total
 
 
-def forward_moments(xs: Sequence[float], ys: Sequence[float], count: int) -> MomentSequence:
-    """Signed power sums m_k = sum x_j^k - sum y_j^k for k = 1..count.
+def forward_moments(xs: Sequence[float], ys: Sequence[float]) -> MomentSequence:
+    """Signed power sums m_k = sum x_j^k - sum y_j^k for k = 1..len(xs) + len(ys).
 
     Summation order is fixed (ascending |value|) so results are
     bit-reproducible across runs.  ValueError names the first moment
     that overflows to a non-finite value.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     xs_t = sorted(_as_float_tuple(xs, "xs"), key=lambda v: (abs(v), v))
     ys_t = sorted(_as_float_tuple(ys, "ys"), key=lambda v: (abs(v), v))
     values = []
-    for k in range(1, count + 1):
+    for k in range(1, len(xs_t) + len(ys_t) + 1):
         value = _power_sum(xs_t, k) - _power_sum(ys_t, k)
         if not math.isfinite(value):
             raise ValueError(f"m_{k} is not finite ({value!r}): the power sums overflow")
@@ -174,7 +172,8 @@ def exp_transform(m) -> ExpCoefficients:
 
     Solves the unit lower-triangular system k*a_k = m_k + sum_{j<k} m_j a_{k-j}
     by forward substitution; a_0 = 1.  The a_k are independent of K, so a
-    longer moment sequence only appends coefficients.
+    longer moment sequence only appends coefficients.  ValueError names
+    the first coefficient that overflows to a non-finite value.
     """
     values = _moment_values(m)
     K = len(values)
@@ -184,4 +183,6 @@ def exp_transform(m) -> ExpCoefficients:
         for j in range(1, k):
             s += values[j - 1] * a[k - j]
         a[k] = s / k
+        if not math.isfinite(a[k]):
+            raise ValueError(f"a_{k} is not finite ({a[k]!r}): the exponential transform overflows")
     return ExpCoefficients(tuple(a))

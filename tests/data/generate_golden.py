@@ -95,7 +95,7 @@ def instances():
     import instances as gen
 
     def branches(xs, ys):
-        return gen.moments_of(xs, ys), {"xs": list(xs), "ys": list(ys)}
+        return mk.forward_moments(xs, ys), {"xs": list(xs), "ys": list(ys)}
 
     out = [(f"worked/{i}", mk.MomentSequence(*w[:3]), w[3]) for i, w in enumerate(WORKED)]
     rng = np.random.default_rng(1)

@@ -46,7 +46,7 @@ def random_solvable_instance(rng, n_max=5, lo=-3.0, hi=3.0, gap=0.2, min_abs=0.1
     n_y = int(rng.integers(1, n_max + 1))
     values = separated_values(rng, n_x + n_y, lo, hi, gap, min_abs)
     xs, ys = values[:n_x], values[n_x:]
-    return xs, ys, forward_moments(xs, ys, n_x + n_y)
+    return xs, ys, forward_moments(xs, ys)
 
 
 def matched_pair_extension(rng, n_max=4, lo=-2.0, hi=2.0, gap=0.2, min_abs=0.1):
@@ -59,8 +59,8 @@ def matched_pair_extension(rng, n_max=4, lo=-2.0, hi=2.0, gap=0.2, min_abs=0.1):
     n_y = int(rng.integers(1, n_max + 1))
     values = separated_values(rng, n_x + n_y + 1, lo, hi, gap, min_abs)
     xs, ys, t = values[:n_x], values[n_x : n_x + n_y], values[-1]
-    m = forward_moments(xs, ys, n_x + n_y)
-    m_ext = forward_moments(xs + [t], ys + [t], n_x + n_y + 2)
+    m = forward_moments(xs, ys)
+    m_ext = forward_moments(xs + [t], ys + [t])
     return xs, ys, m, t, m_ext
 
 
@@ -88,13 +88,9 @@ def nonneg_interlaced_branches(rng, n_max=5, gap=0.2, slack=0.12, n=None):
     return interlaced_branches(rng, n_max, lo=0.05, hi=2.6, gap=gap, slack=slack, n=n)
 
 
-def moments_of(xs, ys):
-    return forward_moments(xs, ys, len(xs) + len(ys))
-
-
 def moment_space_error(m: MomentSequence, sol) -> float:
     """Scale-aware relative error between m and the moments of sol."""
-    back = forward_moments(sol.xs, sol.ys, m.K)
+    back = forward_moments(sol.xs, sol.ys)
     diff = max(abs(a - b) for a, b in zip(m.values, back.values))
     scale = max(1.0, max(abs(v) for v in m.values))
     return diff / scale

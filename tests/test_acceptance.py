@@ -33,7 +33,6 @@ from instances import (
     anti_interlaced_branches,
     interlaced_branches,
     matched_pair_extension,
-    moments_of,
     multiset_distance,
     nonneg_interlaced_branches,
     random_solvable_instance,
@@ -109,7 +108,7 @@ def test_criterion_2_oracle_round_trip(suite_instances):
     errors = []
     for xs, ys, m in suite_instances:
         sol = invert_min_degree(m)
-        back = forward_moments(sol.xs, sol.ys, m.K)
+        back = forward_moments(sol.xs, sol.ys)
         scale = max(1.0, max(abs(v) for v in m.values))
         errors.append(max(abs(a - b) for a, b in zip(back.values, m.values)) / scale)
     elapsed = time.perf_counter() - start
@@ -157,7 +156,7 @@ def test_criterion_4_degeneracy_suite(degenerate_instances):
             multiset_distance(nonzero_y, ys),
         )
         member = family_member(minimal, [t])
-        back = forward_moments(member.xs, member.ys, m_ext.K)
+        back = forward_moments(member.xs, member.ys)
         scale = max(1.0, max(abs(v) for v in m_ext.values))
         worst_mom = max(
             worst_mom,
@@ -219,7 +218,7 @@ def test_criterion_6_markov_suite():
     worst_residual = 0.0
     for _ in range(200):
         xs, ys = interlaced_branches(rng)
-        m = moments_of(xs, ys)
+        m = forward_moments(xs, ys)
         cert = markov_certificate(m)
         if not (cert.spd and cert.weights_positive and cert.interlaced and cert.extended_singular):
             ok = False
@@ -233,7 +232,7 @@ def test_criterion_6_markov_suite():
 
     for _ in range(50):
         xs, ys = anti_interlaced_branches(rng)
-        if markov_certificate(moments_of(xs, ys)).spd:
+        if markov_certificate(forward_moments(xs, ys)).spd:
             ok = False
 
     h = build_hankel(exp_transform(MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)), 2, 2)

@@ -1,8 +1,8 @@
 """Structural call counts of each entry point on fixed instances.
 
 Each problem is factored once: one Hankel build, which assembles A once
-and takes one SVD of A1, singular values only, which decides the rank
-and certifies existence at full rank, shared by every entry point.  A
+and takes one SVD of A1, singular values only, which decides the rank,
+and with it existence at full rank, shared by every entry point.  A
 is the only matrix assembled: the reduced block is a corner of it, and
 the Markov extended matrix is A with one row stacked under it.  A
 full-rank A1 is solved once by LU, for c' and for the minimum-norm cbar
@@ -21,14 +21,13 @@ import pytest
 import momentkit as mk
 from momentkit import cli, structure
 
-M = mk.forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4], 10)
-M3 = mk.forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4], 6)
+M = mk.forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4])
+M3 = mk.forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4])
 # one matched pair (0.8, 0.8): rank(A1) = 3 < n_x, so the reduced block is decided too
-M_PAIR = mk.forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8], 8)
-# A1 is unit lower-triangular, but sigma_3(A1) = 2.7e-4 is below the
-# certificate's 2 tol hypot(sigma_1(A1), |a0|) = 9.5e-3, and the relative
-# cutoff on A decides rank(A) = 2
-M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [], 3)
+M_PAIR = mk.forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8])
+# A1 is unit lower-triangular, so of full rank and solvable by the
+# theorem, where the relative cutoff on A reads rank(A) = 2 < rank(A1)
+M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [])
 # no positive branches: the empty system, decided without an SVD
 M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 
@@ -75,8 +74,8 @@ def pin(**counts):
 
 
 @pytest.mark.parametrize("call, want", [
-    # the singular values of A1 decide the rank and certify existence; one
-    # eigvals call reads the roots of p and q, of one degree here
+    # the singular values of A1 decide the rank, and at full rank existence;
+    # one eigvals call reads the roots of p and q, of one degree here
     (lambda: mk.analyze(M), pin(svd=1, solve=1, eigvals=1)),
     # the same at n = 3: the count does not grow with n_x
     (lambda: mk.analyze(M3), pin(svd=1, solve=1, eigvals=1)),
@@ -92,9 +91,9 @@ def pin(**counts):
     (lambda: mk.invert_min_degree(M_PAIR), pin(svd=3, solve=1, eigvals=1)),
     # SVDs of A1 and A, then lstsq for the minimum-norm solution
     (lambda: mk.next_moment(M_PAIR), pin(svd=2, lstsq=1)),
-    # full-rank A1 where the certificate is inconclusive: the SVD of A
-    # decides, rank(A) 2 < rank(A1) 3
-    (lambda: pytest.raises(mk.NoSolution, mk.invert_min_degree, M_FALLBACK), pin(svd=2)),
+    # full-rank A1 is solvable without the SVD of A; n_y = 0, so q has no
+    # roots and only p's companion matrix is solved
+    (lambda: mk.invert_min_degree(M_FALLBACK), pin(svd=1, solve=1, eigvals=1)),
     # p = 1 has no roots, so only q's companion matrix is solved
     (lambda: mk.analyze(M_EMPTY), pin(eigvals=1)),
     (lambda: mk.invert_min_degree(M_EMPTY), pin(eigvals=1)),

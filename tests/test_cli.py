@@ -266,17 +266,19 @@ def test_overflowing_extended_row_is_bad_input(capsys, tmp_path):
     (["invert"], {"moments": [1, 2], "n_x": 2.0, "n_y": 0}, "n_x must be an integer"),
     (["trig-forward", "--count", "2"], {"freqs": [0.1], "amps": [[1]]}, "amps entries must be [re, im] pairs"),
     (["trig-forward", "--count", "2"], {"freqs": [0.1], "amps": 1}, "amps must be an array of [re, im] pairs"),
-    (["forward"], {"xs": [1.0], "ys": [], "count": 0}, "count must be >= 1"),
+    (["forward"], {"xs": [1.0], "ys": [], "count": 1}, "unknown fields: ['count']"),
     (["family", "--r-roots", "a,b"], README_INSTANCE, "bad --r-roots value 'a,b'"),
     # finite input whose moments overflow
     (["trig-forward", "--count", "2"], {"freqs": [0.5, 0.5], "amps": [[1e308, 0], [1e308, 0]]},
      "m_0 is not finite ((inf+0j)): the exponential sums overflow"),
-    (["forward"], {"xs": [1e200], "ys": [], "count": 2}, "m_2 is not finite (inf): the power sums overflow"),
-    (["forward"], {"xs": [1e154, 1e154], "ys": [], "count": 2}, "m_2 is not finite (inf): the power sums overflow"),
+    (["forward"], {"xs": [1e200, 0.0], "ys": []}, "m_2 is not finite (inf): the power sums overflow"),
+    (["forward"], {"xs": [1e154, 1e154], "ys": []}, "m_2 is not finite (inf): the power sums overflow"),
+    (["analyze"], {"moments": [1e200, 1e300], "n_x": 2, "n_y": 0},
+     "a_2 is not finite (inf): the exponential transform overflows"),
 ], ids=[
     "array", "missing-n_y", "moments-string", "moment-true", "n_x-float", "amps-entry",
-    "amps-number", "count-0", "r-roots", "non-finite-output", "forward-power-overflow",
-    "forward-sum-overflow",
+    "amps-number", "forward-count-field", "r-roots", "non-finite-output", "forward-power-overflow",
+    "forward-sum-overflow", "analyze-transform-overflow",
 ])
 def test_malformed_requests_are_bad_input(capsys, tmp_path, argv, doc, detail):
     code, out = run_cli(capsys, argv, doc, tmp_path)
@@ -503,6 +505,14 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     for argv in (["invert", "--verbose"], ["analyze"], ["next"], ["extend", "--count", "3"], ["extend"]) * 2:
         module.main([*argv, "--input", str(path)])
     assert built == []
+
+
+def test_help_is_plain_text_for_users(capsys):
+    # the description is written for the terminal, not the module docstring
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: momentkit")
+    assert "``" not in out
 
 
 def test_cold_entry_point():

@@ -97,7 +97,7 @@ def test_family_member_examples():
     member = family_member(minimal, [7.0])
     assert multiset_distance(member.xs, (1.0, 7.0)) < 1e-10
     assert multiset_distance(member.ys, (7.0,)) < 1e-10
-    back = forward_moments(member.xs, member.ys, 3)
+    back = forward_moments(member.xs, member.ys)
     assert np.allclose(back.values, (1.0, 1.0, 1.0), atol=1e-10)
 
     assert family_member(minimal, []) == minimal
@@ -111,9 +111,9 @@ def test_family_member_overflow():
 
 def test_family_invariance_exact_integers():
     minimal = BranchSolution.from_branches([1.0, 0.0], [0.0])
-    base = forward_moments(minimal.xs, minimal.ys, 3)
+    base = forward_moments(minimal.xs, minimal.ys)
     member = family_member(minimal, [3.0])
-    assert forward_moments(member.xs, member.ys, 3).values == base.values
+    assert forward_moments(member.xs, member.ys).values == base.values
 
 
 def test_family_invariance_float():
@@ -122,7 +122,7 @@ def test_family_invariance_float():
         xs, ys, m, t, m_ext = matched_pair_extension(rng)
         minimal = invert_min_degree(m_ext)
         member = family_member(minimal, [t])
-        back = forward_moments(member.xs, member.ys, m_ext.K)
+        back = forward_moments(member.xs, member.ys)
         scale = max(1.0, max(abs(v) for v in m_ext.values))
         assert max(abs(a - b) for a, b in zip(back.values, m_ext.values)) <= 1e-10 * scale
 
@@ -154,7 +154,7 @@ def test_zero_count_matches_reduced_size_minus_degree():
         ([1, 2], [2], 1),         # cancellation: reduced size 1, degree 1
     ]
     for xs, ys, degree in cases:
-        m = forward_moments(xs, ys, len(xs) + len(ys))
+        m = forward_moments(xs, ys)
         sol, info = invert_min_degree(m, full_output=True)
         a = exp_transform(m)
         h = build_hankel(a, m.n_x, m.n_y)
@@ -219,7 +219,7 @@ def test_min_norm_solution_matches_lstsq():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-M_UNIQUE = forward_moments([1.0, 2.0], [0.5], 3)
+M_UNIQUE = forward_moments([1.0, 2.0], [0.5])
 
 
 @pytest.mark.parametrize("call, match", [

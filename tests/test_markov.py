@@ -14,6 +14,7 @@ from momentkit import (
     density_eval,
     exp_transform,
     factorization_residual,
+    forward_moments,
     markov_certificate,
     weights,
 )
@@ -21,7 +22,6 @@ from momentkit import markov
 from instances import (
     anti_interlaced_branches,
     interlaced_branches,
-    moments_of,
     nonneg_interlaced_branches,
 )
 from oracles import power_sum
@@ -59,7 +59,7 @@ def test_weights_match_polynomial_definition():
 
 
 def _system_for(xs, ys):
-    m = moments_of(xs, ys)
+    m = forward_moments(xs, ys)
     a = exp_transform(m)
     return m, a, build_hankel(a, m.n_x, m.n_y)
 
@@ -153,7 +153,7 @@ def test_certificate_rejects_empty_positive_side():
 
 
 def test_certificate_unequal_split_flags_not_applicable():
-    cert = markov_certificate(moments_of([1.0, 2.0], [3.0]))
+    cert = markov_certificate(forward_moments([1.0, 2.0], [3.0]))
     assert not cert.interlacing_applicable
     assert not cert.interlaced
 
@@ -162,12 +162,12 @@ def test_spd_iff_interlaced_random():
     rng = np.random.default_rng(54)
     for _ in range(50):
         xs, ys = interlaced_branches(rng)
-        cert = markov_certificate(moments_of(xs, ys))
+        cert = markov_certificate(forward_moments(xs, ys))
         assert cert.spd and cert.weights_positive and cert.interlaced
         assert cert.extended_singular
     for _ in range(25):
         xs, ys = anti_interlaced_branches(rng)
-        cert = markov_certificate(moments_of(xs, ys))
+        cert = markov_certificate(forward_moments(xs, ys))
         assert not cert.spd
 
 
@@ -186,7 +186,7 @@ def test_spd_implies_interlaced_on_mixed_instances():
         order = rng.permutation(2 * n)
         xs = [vals[i] for i in order[:n]]
         ys = [vals[i] for i in order[n:]]
-        cert = markov_certificate(moments_of(xs, ys))
+        cert = markov_certificate(forward_moments(xs, ys))
         if cert.spd:
             spd_seen += 1
             assert cert.interlaced and cert.weights_positive
@@ -203,7 +203,7 @@ def test_repeated_x_value_is_not_spd():
         t = float(rng.uniform(0.3, 1.5))
         xs = [t, t]
         ys = [t - 0.25, t + 0.25]
-        cert = markov_certificate(moments_of(xs, ys), tol=loose)
+        cert = markov_certificate(forward_moments(xs, ys), tol=loose)
         assert not cert.spd
         assert not cert.weights_positive
 
@@ -220,7 +220,7 @@ def test_extended_matrix_singular_on_solvable_instances():
     rng = np.random.default_rng(56)
     for _ in range(20):
         xs, ys = interlaced_branches(rng)
-        assert markov_certificate(moments_of(xs, ys)).extended_singular
+        assert markov_certificate(forward_moments(xs, ys)).extended_singular
     # degenerate: matched pair on both sides
     cert = markov_certificate(MomentSequence((1.0, 1.0, 1.0, 1.0), 2, 2))
     assert cert.extended_singular

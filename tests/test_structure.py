@@ -6,6 +6,7 @@ import pytest
 
 from momentkit import (
     ExpCoefficients,
+    MomentProblemError,
     MomentSequence,
     SingularReducedSystem,
     ToleranceSet,
@@ -20,7 +21,12 @@ from momentkit import (
 )
 from momentkit import structure
 from momentkit.structure import solvable
-from instances import matched_pair_extension, moments_of, random_solvable_instance, separated_values
+from instances import (
+    matched_pair_extension,
+    multiset_distance,
+    random_solvable_instance,
+    separated_values,
+)
 from oracles import taylor_quotient
 
 
@@ -62,8 +68,8 @@ def test_build_hankel_arrays_are_read_only():
 def test_reduced_pencil_shares_its_inner_columns():
     # A0_tilde and A1_tilde are T[:, :r] and T[:, 1:], so A1_tilde^-1 A0_tilde
     # is the companion matrix [-c' | shifted identity]
-    full = forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4], 10)
-    pair = forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8], 8)
+    full = forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4])
+    pair = forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8])
     for m, rank in ((full, 5), (pair, 3)):
         h = build_hankel(exp_transform(m), m.n_x, m.n_y)
         assert h.A1_rank == rank
@@ -209,7 +215,7 @@ def test_y_series_is_formed_only_for_the_default_zero_cutoff(monkeypatch):
     calls = []
     reciprocal = structure._reciprocal
     monkeypatch.setattr(structure, "_reciprocal", lambda a: calls.append(1) or reciprocal(a))
-    m = forward_moments([0.3, 1.5], [0.1, 1.2], 4)
+    m = forward_moments([0.3, 1.5], [0.1, 1.2])
     for tol, want in ((ToleranceSet(zero=1e-9), 0), (ToleranceSet(), 1)):
         calls.clear()
         invert_min_degree(m, tol=tol)
@@ -265,26 +271,31 @@ def test_numeric_rank_rejects_non_finite_entries(bad):
         numeric_rank([[5e307, 1e154], [bad, 5e307]])
 
 
-def test_solvable_certificate_agrees_with_the_svd_of_A(monkeypatch):
-    # at full rank the SVD of A1 alone certifies existence; wherever it does,
-    # the SVD of A must decide the same, and wherever it does not, solvable
-    # is that SVD's decision
+def test_solvable_by_the_theorem_at_full_rank(monkeypatch):
+    # at full rank A1 spans the space, so a0 lies in its range: solvable is
+    # True and the SVD of A is never taken; where A1 is rank-deficient the
+    # SVD of A decides
     calls = []
     monkeypatch.setattr(structure, "numeric_rank", lambda M, tol: calls.append(1) or numeric_rank(M, tol))
     rng = np.random.default_rng(2026)
-    full_rank = fired = 0
-    for _ in range(2000):
+    problems = [MomentSequence((0.0, 1.0), 1, 1)]  # rank-deficient and unsolvable
+    for _ in range(1000):
         n_x, n_y = int(rng.integers(1, 6)), int(rng.integers(0, 5))
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         values = [v * scale for v in separated_values(rng, n_x + n_y)]
-        m = moments_of(values[:n_x], values[n_x:])
-        h = build_hankel(exp_transform(m), n_x, n_y)
+        problems.append(forward_moments(values[:n_x], values[n_x:]))
+        problems.append(matched_pair_extension(rng)[4])  # rank-deficient and solvable
+    decided = {True: 0, False: 0}
+    for m in problems:
+        h = build_hankel(exp_transform(m), m.n_x, m.n_y)
         calls.clear()
-        assert solvable(h) == (numeric_rank(h.A, h.tol_rank) == h.A1_rank)
-        if h.A1_rank == n_x:
-            full_rank += 1
-            fired += not calls
-    assert fired >= 0.8 * full_rank
+        got = solvable(h)
+        if h.A1_rank == m.n_x:
+            assert got and not calls
+        else:
+            assert calls == [1] and got == (numeric_rank(h.A, h.tol_rank) == h.A1_rank)
+            decided[got] += 1
+    assert decided[True] >= 900 and decided[False] >= 1
 
 
 def test_analyze_unsolvable_instance():
@@ -324,13 +335,56 @@ def test_analyze_empty_positive_side():
 
 def test_analyze_singular_reduced_system_takes_the_default_bounds():
     # a_k grows like 3000^k, so the reduced block of rank 2 is numerically singular
-    m = forward_moments([1000.0, 2000.0, 3000.0], [], 3)
+    m = forward_moments([1000.0, 2000.0, 3000.0], [])
     with pytest.raises(SingularReducedSystem):
         invert_min_degree(m)
     report = analyze(m)
     assert report.exists and report.rank_A1 == 2
     assert (report.d_min, report.d_max) == (0, 1)
     assert report.minimal_solution is None
+
+
+def _right(sol, xs, ys):
+    """Whether both sides of ``sol`` match (xs, ys) within 1e-8 of the largest |value|."""
+    bound = 1e-8 * max(map(abs, (*xs, *ys)))
+    return multiset_distance(sol.xs, xs) <= bound and multiset_distance(sol.ys, ys) <= bound
+
+
+def test_full_rank_data_exists_whatever_the_rank_of_A():
+    # A1 is unit lower-triangular, but the relative cutoff on A read rank(A)
+    # 2 < rank(A1) 3 and answered NoSolution
+    xs = (100.0, 128.0, -40.0)
+    report = analyze(forward_moments(xs, []))
+    assert report.exists and report.unique
+    assert _right(report.minimal_solution, xs, ())
+
+
+def test_small_data_is_not_zeroed():
+    # the cutoff 1e-8 * (1 + max|a_k|) was above every root here, so the
+    # minimal solution came back as all zeros
+    xs, ys = (3e-5, -2e-5), (1e-5,)
+    m = forward_moments(xs, ys)
+    assert _right(invert_min_degree(m), xs, ys)
+    report = analyze(m)
+    assert report.exists and report.unique and _right(report.minimal_solution, xs, ys)
+
+
+def test_large_data_is_right_or_a_classified_error():
+    # a_k grows like 3000^k; an all-zero solution came back without an error
+    xs, ys = (1000.0, 2000.0, 3000.0), (0.0,)
+    m = forward_moments(xs, ys)
+    try:
+        sol = invert_min_degree(m)
+    except MomentProblemError:
+        sol = None
+    assert sol is None or _right(sol, xs, ys)
+    sol = analyze(m).minimal_solution
+    assert sol is None or _right(sol, xs, ys)
+
+
+def test_analyze_raises_only_when_the_transform_overflows():
+    with pytest.raises(ValueError, match=r"^a_2 is not finite \(inf\): the exponential transform overflows$"):
+        analyze(MomentSequence((1e200, 1e300), 2, 0))
 
 
 def test_d_min_never_exceeds_the_rank():
@@ -340,7 +394,8 @@ def test_d_min_never_exceeds_the_rank():
         -2.1507382911929936e-08, 8.158966990488474e-11, -2.3560847294262367e-12,
     ), 3, 3)
     report = analyze(m)
-    assert (report.rank_A1, report.d_min, report.d_max) == (2, 2, 3)
+    assert (report.rank_A1, report.d_min, report.d_max) == (3, 3, 3)
+    assert report.d_min <= report.rank_A1
     assert report.minimal_solution.degree == report.d_min
 
 
@@ -349,7 +404,7 @@ def test_d_min_does_not_depend_on_the_scale():
     rng = np.random.default_rng(7)
     for _ in range(40):
         values = [v * 2.0**-10 for v in separated_values(rng, 4)]
-        report = analyze(moments_of(values[:2], values[2:]))
+        report = analyze(forward_moments(values[:2], values[2:]))
         assert (report.rank_A1, report.d_min, report.d_max, report.unique) == (2, 2, 2, True)
         assert report.minimal_solution.degree == 2
 
@@ -407,6 +462,6 @@ def test_analysis_matches_forward_data():
         assert report.exists
         assert report.unique
         assert report.d_min == len(xs)
-        back = forward_moments(report.minimal_solution.xs, report.minimal_solution.ys, m.K)
+        back = forward_moments(report.minimal_solution.xs, report.minimal_solution.ys)
         scale = max(1.0, max(abs(v) for v in m.values))
         assert max(abs(a - b) for a, b in zip(back.values, m.values)) <= 1e-8 * scale
