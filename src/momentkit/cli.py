@@ -6,13 +6,15 @@ output.  Floating-point values are emitted in Python's shortest repr
 that round-trips, so parsing them back gives the same bits.
 
 Exit codes: 0 success; 2 no solution, and every other failure of the
-data not listed here; 3 non-real solution; 4 malformed input, which
-includes moments that overflow (from ``forward``, ``trig-forward`` or
-the exponential transform), more ``family`` matched pairs than the data
-admits, and ``markov-check`` with no positive branches; 1 internal
-error.  A failure is reported as {"error": {"kind", "detail"}}, where
-kind is ``BadInput`` for malformed input and otherwise the library
-error's class name.
+data not listed here; 3 non-real solution, which ``markov-check``
+answers only with ``--verbose`` (the minimal solution is attached) or
+where A1 is rank-deficient, since at full rank its flags need no
+solution; 4 malformed input, which includes moments that overflow (from
+``forward``, ``trig-forward`` or the exponential transform), more
+``family`` matched pairs than the data admits, and ``markov-check``
+with no positive branches; 1 internal error.  A failure is reported as
+{"error": {"kind", "detail"}}, where kind is ``BadInput`` for malformed
+input and otherwise the library error's class name.
 
 Result documents are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
@@ -208,12 +210,12 @@ def _cmd_family(doc, args, tol):
 
 
 def _cmd_markov_check(doc, args, tol):
-    cert, info = markov_certificate(_read_moments(doc), tol=tol, full_output=True)
-    out = _doc(cert)
-    if args.verbose:
-        sol = info["minimal_solution"]
-        out["diagnostics"] = {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}
-    return out
+    result = markov_certificate(_read_moments(doc), tol=tol, full_output=args.verbose)
+    if not args.verbose:
+        return _doc(result)
+    cert, info = result
+    sol = info["minimal_solution"]
+    return {**_doc(cert), "diagnostics": {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}}
 
 
 def _cmd_trig_forward(doc, args, tol):

@@ -4,7 +4,10 @@ For distinct x-values the Hankel blocks factor through a Vandermonde
 matrix and a diagonal of residue-type weights; positivity of those
 weights together with distinctness is equivalent to the reversed Hankel
 block being symmetric positive definite, which in turn characterizes the
-classical interlaced solution when the branch counts are equal.
+classical interlaced solution when the branch counts are equal.  So at
+full rank the Markov certificate is read off one Cholesky factorization
+of the data's own block, and the branch values are computed only where
+A1 is rank-deficient or the solution is asked for.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoPositiveBranches, RepeatedRoots
-from .inversion import _factor, _recurrence, _solve_cbar
-from .structure import HankelSystem, _invert, numeric_rank
+from .inversion import _factor
+from .structure import HankelSystem, _invert
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, MomentSequence
 
@@ -109,6 +112,9 @@ class MarkovCertificate:
 
     interlaced is only meaningful when interlacing_applicable (equal
     branch counts); for a single pair it reduces to y_1 < x_1.
+    extended_singular is True on every certificate: the data is solvable,
+    so A extended by the next row of its Toeplitz form annihilates
+    (1, cbar) for any solution cbar of A1 cbar = -a0.
     """
 
     spd: bool
@@ -118,70 +124,58 @@ class MarkovCertificate:
     interlacing_applicable: bool
 
 
-def _extended_matrix(m: MomentSequence, h: HankelSystem, cbar: list) -> np.ndarray:
-    """A with one more row of its Toeplitz form, (a_{K+1}, a_K, ...,
-    a_{n_y+1}), stacked under it; a_{K+1} comes from ``cbar``, a solution
-    of ``A1 cbar = -a0``, and the rest of the row is a0 reversed.
-
-    Raises ValueError when a_{K+1} overflows to a non-finite value.
-    """
-    a_next = _recurrence(m, h.a, cbar, 1)[0][-1]
-    if not math.isfinite(a_next):
-        raise ValueError(f"a_{m.K + 1} is not finite ({a_next!r}): the continued coefficients overflow")
-    return np.vstack((h.A, [a_next, *h.a0[::-1].tolist()]))
-
-
 def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_output: bool = False):
     """Certificates: SPD of the reversed block, interlacing, extended-matrix
-    singularity and weight positivity for the minimal solution of ``m``.
+    singularity and weight positivity of ``m``.
+
+    For distinct x-values the reversed block factors as fliplr(A1) =
+    V diag(w) V^T, with V the Vandermonde matrix of the x-values and w
+    their weights, for any split.  So where A1 has full rank, SPD is the
+    statement that the x-values are real and distinct with every weight
+    positive, and at n_x = n_y that they interlace with the y-values: the
+    three flags are read off the one Cholesky factorization, and nothing
+    is inverted.  Where A1 is rank-deficient, interlacing and weight
+    positivity are computed from the minimal solution.
 
     With ``full_output`` also returns ``{"minimal_solution": sol}``, the
-    ``BranchSolution`` the interlacing and weight certificates were
-    computed from, as ``(MarkovCertificate, dict)``.
+    minimal ``BranchSolution`` of ``m``, as ``(MarkovCertificate, dict)``.
 
     Raises
     ------
-    NoSolution, NonRealSolution
-        Propagated from the inversion of ``m``.
+    NoSolution
+        Propagated from the existence decision on ``m``.
+    NonRealSolution, SingularReducedSystem
+        Propagated from the inversion of ``m``, which runs only where A1
+        is rank-deficient or ``full_output`` asks for the solution.
     NoPositiveBranches
         When n_x = 0; the Hankel system is empty and there is no block
         to certify.  This is the one entry point that raises it.
-    ValueError
-        When a_{K+1}, the new entry of the extended matrix, overflows to
-        a non-finite value.
     """
     if m.n_x == 0:
         raise NoPositiveBranches("n_x = 0: no positive-branch system to build")
     tol = tol or DEFAULT_TOLERANCES
     h = _factor(m, tol.rank)
-
     spd = _is_spd(np.fliplr(h.A1))
-    cbar = _solve_cbar(h)
-    ext = _extended_matrix(m, h, cbar)
-    extended_singular = numeric_rank(ext, tol.rank) < h.n_x + 1
-
-    # at full rank the minimum-norm cbar is c', which is not solved again
-    sol, _ = _invert(h, tol, cbar)
-
     applicable = m.n_x == m.n_y
-    interlaced = False
-    if applicable:
-        xs = sorted(sol.xs)
-        ys = sorted(sol.ys)
-        interlaced = all(ys[i] < xs[i] for i in range(m.n_x)) and all(
+    full_rank = h.A1_rank == h.n_x
+    sol = None if full_rank and not full_output else _invert(h, tol)[0]
+
+    if full_rank:
+        interlaced, weights_positive = spd and applicable, spd
+    else:
+        xs, ys = sorted(sol.xs), sorted(sol.ys)
+        interlaced = applicable and all(ys[i] < xs[i] for i in range(m.n_x)) and all(
             xs[i] < ys[i + 1] for i in range(m.n_x - 1)
         )
-
-    try:
-        wd = weights(sol.xs, sol.ys)
-        weights_positive = all(w > 0.0 for w in wd.weights)
-    except RepeatedRoots:
-        weights_positive = False
+        try:
+            weights_positive = all(w > 0.0 for w in weights(sol.xs, sol.ys).weights)
+        except RepeatedRoots:
+            weights_positive = False
 
     cert = MarkovCertificate(
         spd=spd,
         interlaced=interlaced,
-        extended_singular=extended_singular,
+        extended_singular=True,
         weights_positive=weights_positive,
         interlacing_applicable=applicable,
     )

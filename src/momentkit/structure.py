@@ -259,7 +259,7 @@ def _reciprocal(a: Sequence[float]) -> list:
     return r
 
 
-def _invert(h: HankelSystem, tol: ToleranceSet, cbar: list | None = None):
+def _invert(h: HankelSystem, tol: ToleranceSet):
     """``invert_min_degree(m, tol=tol, full_output=True)`` on the solvable
     Hankel system ``h`` of ``m``, built with ``tol.rank``, without the
     ``method`` entry of the diagnostics.
@@ -270,9 +270,7 @@ def _invert(h: HankelSystem, tol: ToleranceSet, cbar: list | None = None):
     x-polynomial, q = p*a truncated at degree n_y_tilde has the y-values
     as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
     z^(n_y_tilde-1) + ... + d_n_y_tilde.  The empty system of n_x = 0
-    is the rank-0 case: p = 1 and q is a_0..a_{n_y}.  ``cbar``, a
-    solution of A1 cbar = -a0 the caller has already solved, is c' when
-    A1 has full rank, and is then not solved again.
+    is the rank-0 case: p = 1 and q is a_0..a_{n_y}.
 
     Each side's zeros are cut at the scale of its own problem's series:
     a for the xs, and for the ys 1/a, the series of the sign-flipped
@@ -284,7 +282,7 @@ def _invert(h: HankelSystem, tol: ToleranceSet, cbar: list | None = None):
     ``_degree``, which ``analyze`` reports as d_min.
     """
     a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
-    cprime = cbar if cbar is not None and rank == h.n_x else companion_coefficients(h).tolist()
+    cprime = companion_coefficients(h).tolist()
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
     n = n_y_tilde + 1

@@ -3,13 +3,14 @@
 Each problem is factored once: one Hankel build, which assembles A once
 and takes one SVD of A1, singular values only, which decides the rank,
 and with it existence at full rank, shared by every entry point.  A
-is the only matrix assembled: the reduced block is a corner of it, and
-the Markov extended matrix is A with one row stacked under it.  A
-full-rank A1 is solved once by LU, for c' and for the minimum-norm cbar
-alike; only a rank-deficient A1 takes ``lstsq``, and only where the
-continuation asks for it, so no SVD returns vectors.  The roots of p
-and q come from one eigenvalue call when their degrees agree.  These are
-counts, not times, so they hold on any machine.
+is the only matrix assembled: the reduced block is a corner of it.  At
+full rank the Markov certificate is read off one Cholesky of the
+reversed A1 and solves nothing.  A full-rank A1 is solved once by LU,
+for c' and for the minimum-norm cbar alike; only a rank-deficient A1
+takes ``lstsq``, and only where the continuation asks for it, so no SVD
+returns vectors.  The roots of p and q come from one eigenvalue call
+when their degrees agree.  These are counts, not times, so they hold on
+any machine.
 """
 
 import json
@@ -79,9 +80,8 @@ def pin(**counts):
     (lambda: mk.analyze(M), pin(svd=1, solve=1, eigvals=1)),
     # the same at n = 3: the count does not grow with n_x
     (lambda: mk.analyze(M3), pin(svd=1, solve=1, eigvals=1)),
-    # plus the extended matrix's rank, on A with one row stacked under it;
-    # its cbar is c', solved once
-    (lambda: mk.markov_certificate(M), pin(svd=2, solve=1, eigvals=1, cholesky=1)),
+    # at full rank every flag is read off the Cholesky of the reversed A1
+    (lambda: mk.markov_certificate(M), pin(svd=1, cholesky=1)),
     (lambda: mk.invert_min_degree(M, "companion"), pin(svd=1, solve=1, eigvals=1)),
     (lambda: mk.invert_min_degree(M, "geneig"), pin(svd=1, solve=1, eigvals=1)),
     # at full rank the minimum-norm solution is the unique LU solution
@@ -91,6 +91,9 @@ def pin(**counts):
     (lambda: mk.invert_min_degree(M_PAIR), pin(svd=3, solve=1, eigvals=1)),
     # SVDs of A1 and A, then lstsq for the minimum-norm solution
     (lambda: mk.next_moment(M_PAIR), pin(svd=2, lstsq=1)),
+    # a rank-deficient A1 reads its flags off the minimal solution, which
+    # takes the same calls as invert_min_degree
+    (lambda: mk.markov_certificate(M_PAIR), pin(svd=3, solve=1, eigvals=1, cholesky=1)),
     # full-rank A1 is solvable without the SVD of A; n_y = 0, so q has no
     # roots and only p's companion matrix is solved
     (lambda: mk.invert_min_degree(M_FALLBACK), pin(svd=1, solve=1, eigvals=1)),
@@ -99,7 +102,8 @@ def pin(**counts):
     (lambda: mk.invert_min_degree(M_EMPTY), pin(eigvals=1)),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
-    "invert_matched_pair", "next_moment_matched_pair", "invert_fallback", "analyze_empty", "invert_empty",
+    "invert_matched_pair", "next_moment_matched_pair", "markov_certificate_matched_pair",
+    "invert_fallback", "analyze_empty", "invert_empty",
 ])
 def test_call_counts(counts, call, want):
     call()

@@ -251,11 +251,23 @@ def test_overflowing_moments_are_bad_input(capsys, tmp_path, args):
     assert out["error"]["detail"].startswith("m_3 is not finite")
 
 
-def test_overflowing_extended_row_is_bad_input(capsys, tmp_path):
+def test_markov_check_of_huge_data_reads_no_next_coefficient(capsys, tmp_path):
+    # x ~ 5e153 > y ~ -5e153; a_3, which would overflow, is not needed
     code, out = run_cli(capsys, ["markov-check"], {"moments": [1e154, 1e154], "n_x": 1, "n_y": 1}, tmp_path)
-    assert code == 4
-    assert out["error"]["kind"] == "BadInput"
-    assert out["error"]["detail"].startswith("a_3 is not finite")
+    assert code == 0
+    assert out["spd"] and out["interlaced"] and out["extended_singular"] and out["weights_positive"]
+
+
+def test_markov_check_inverts_only_when_verbose(capsys, tmp_path):
+    # x = +-i: the flags are decided at full rank without the solution,
+    # which --verbose asks for and which is not real
+    doc = {"moments": [0, -2], "n_x": 2, "n_y": 0}
+    code, out = run_cli(capsys, ["markov-check"], doc, tmp_path)
+    assert code == 0
+    assert [out[k] for k in ("spd", "interlaced", "extended_singular", "weights_positive")] == [False, False, True, False]
+    code, out = run_cli(capsys, ["markov-check", "--verbose"], doc, tmp_path)
+    assert code == 3
+    assert out["error"]["kind"] == "NonRealSolution"
 
 
 @pytest.mark.parametrize("argv, doc, detail", [

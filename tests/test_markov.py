@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from momentkit import (
     MomentSequence,
     NoPositiveBranches,
     NoSolution,
+    NonRealSolution,
     RepeatedRoots,
     ToleranceSet,
     build_hankel,
@@ -138,12 +140,22 @@ def test_certificate_propagates_no_solution():
         markov_certificate(MomentSequence((0.0, 1.0), 1, 1))
 
 
-def test_certificate_rejects_an_overflowing_extended_row():
-    # a_3 = 5e153 * 5e307 overflows; the extended matrix holds no rank decision
+def test_certificate_of_huge_data_reads_no_next_coefficient():
+    # a_3 = 5e153 * 5e307 would overflow, but no flag reads it: x ~ 5e153
+    # lies above y ~ -5e153, so the one weight w = x - y is positive
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"a_3 is not finite \(inf\)"):
-            markov_certificate(MomentSequence((1e154, 1e154), 1, 1))
+        cert = markov_certificate(MomentSequence((1e154, 1e154), 1, 1))
+    assert astuple(cert) == (True, True, True, True, True)
+
+
+def test_certificate_of_non_real_data_needs_no_solution():
+    # x = +-i: fliplr(A1) = [[0, 1], [1, 0]] has full rank and is not SPD,
+    # so every flag is decided without the inversion that raises
+    m = MomentSequence((0.0, -2.0), 2, 0)
+    assert astuple(markov_certificate(m)) == (False, False, True, False, False)
+    with pytest.raises(NonRealSolution):
+        markov_certificate(m, full_output=True)
 
 
 def test_certificate_rejects_empty_positive_side():
@@ -194,9 +206,9 @@ def test_spd_implies_interlaced_on_mixed_instances():
 
 
 def test_repeated_x_value_is_not_spd():
-    # a double root splits into a conjugate pair at the sqrt(eps) scale,
-    # so the inversion leg needs a looser imaginary cutoff; the spd
-    # verdict itself comes from the factorization and is unaffected
+    # A1 has full rank, so every flag comes from the factorization of
+    # the reversed block, which is not SPD at a double root; no flag
+    # depends on the inversion or on its imaginary cutoff
     rng = np.random.default_rng(55)
     loose = ToleranceSet(imag=1e-5)
     for _ in range(10):
