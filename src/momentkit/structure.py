@@ -19,11 +19,16 @@ filter, and d_max = d_min + n_x - rank.
 Numpy arrays are the inputs and outputs of the factorizations (svd,
 solve, eigvals) and of the convolution that forms q; the rank rule, the
 zero cutoffs and the root filter work on Python floats in a fixed order,
-so every decision repeats bit for bit.
+so every decision repeats bit for bit.  Two read-only tables are cached
+on sizes alone: where each entry of A sits in the reversed a-sequence,
+and the stacked shift matrices that a copy makes companion matrices.
+eigvals returns a real stack exactly when every root is real, so only a
+complex stack is split per side.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,16 +70,25 @@ def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
     return _count_above(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
+@functools.cache
+def _entry_index(n_x: int) -> np.ndarray:
+    """Read-only table of A's entries in the a-sequence reversed and padded
+    with n_x zeros, ``rev``: 0-based entry (i, j) of A is rev[n_x-1-i+j]."""
+    index = np.arange(n_x - 1, -1, -1)[:, None] + np.arange(n_x + 1)
+    index.setflags(write=False)
+    return index
+
+
 def _toeplitz_slice(a: Sequence[float], n_x: int, n_y: int) -> np.ndarray:
     """A, the n_x x (n_x+1) matrix with entry a[n_y + i - j], 1-based row
     i, 0-based column j, of the sequence ``a`` = a_0..a_{n_x+n_y}.
 
     Entries with a negative index, below a_0, are 0.
     """
-    # rev[p] is a_{n_x+n_y-p}, and 0 past a_0: row i is rev[n_x-i:][:n_x+1]
-    rev = (*reversed(a), *(0.0,) * n_x)
-    M = [rev[k : k + n_x + 1] for k in range(n_x - 1, -1, -1)]
-    return np.array(M, dtype=float).reshape(n_x, n_x + 1)
+    # rev[p] is a_{n_x+n_y-p}, and 0 past a_0; indexing makes a new array
+    rev = np.zeros(len(a) + n_x)
+    rev[: len(a)] = a[::-1]
+    return rev[_entry_index(n_x)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +131,6 @@ class HankelSystem:
         return self.a.order - self.n_x
 
     @property
-    def n_x_tilde(self) -> int:
-        return self.A1_rank
-
-    @property
     def n_y_tilde(self) -> int:
         return self.n_y - self.n_x + self.A1_rank
 
@@ -141,10 +151,6 @@ class HankelSystem:
         # entry a_{n_y_tilde+i-j} of T is entry (i, j + n_x - r) of A
         r = self.A1_rank
         return self.A[:r, self.n_x - r :]
-
-    @property
-    def A0_tilde(self) -> np.ndarray:
-        return self.T[:, : self.A1_rank]
 
     @property
     def A1_tilde(self) -> np.ndarray:
@@ -200,12 +206,18 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
         rank A1_tilde is A1, whose rank ``build_hankel`` decided at the
         same tolerance, so only a reduced system is decided again.
     """
-    r = h.n_x_tilde
+    r, T = h.A1_rank, h.T
     if r == 0:
         return np.zeros(0)
-    if r < h.n_x and numeric_rank(h.A1_tilde, h.tol_rank) < r:
+    if r < h.n_x and numeric_rank(T[:, 1:], h.tol_rank) < r:
         raise SingularReducedSystem("reduced matrix is numerically singular")
-    return np.linalg.solve(h.A1_tilde, -h.T[:, 0])
+    return np.linalg.solve(T[:, 1:], -T[:, 0])
+
+
+@functools.cache
+def _shift_stack(count: int, n: int) -> np.ndarray:
+    """Read-only stack of ``count`` n x n matrices with ones on the superdiagonal."""
+    return np.broadcast_to(np.eye(n, k=1), (count, n, n))
 
 
 def _monic_roots(*polys: Sequence[float]) -> list:
@@ -214,18 +226,19 @@ def _monic_roots(*polys: Sequence[float]) -> list:
 
     Polynomials of one degree share one eigenvalue call on their stacked
     companion matrices, which yields each matrix's eigenvalues bit for
-    bit as a call of its own; each array is real when its own imaginary
-    parts are all zero, as that call's would be.
+    bit as a call of its own.  That call returns a real array exactly
+    when every root in the stack is real; a complex stack gives each
+    array that is real on its own as real, as its own call would.
     """
     n = len(polys[0])
     if any(len(c) != n for c in polys):
         return [_monic_roots(c)[0] for c in polys]
     if n == 0:
         return [np.zeros(0) for _ in polys]
-    C = np.empty((len(polys), n, n))
-    C[:] = np.eye(n, k=1)
-    C[:, :, 0] = np.negative(polys)
-    return [w if w.imag.any() else w.real for w in np.linalg.eigvals(C)]
+    C = _shift_stack(len(polys), n).copy()
+    C[:, :, 0] = [[-v for v in c] for c in polys]
+    roots = np.linalg.eigvals(C)
+    return list(roots) if roots.dtype.kind == "f" else [w if w.imag.any() else w.real for w in roots]
 
 
 def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceSet, rank: int):
@@ -238,12 +251,13 @@ def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceS
     significant imaginary part; info carries the raw roots, the
     filtered-zero count and the side's rank for diagnostics.
     """
-    roots = roots.tolist()
+    real, roots = roots.dtype.kind == "f", roots.tolist()
     kept = [z for z in roots if abs(z) > cutoff]
     info = {"eigenvalues": roots, "zeros_filtered": len(roots) - len(kept), "rank": rank}
-    if any(abs(z.imag) > tol.imag * (1.0 + abs(z.real)) for z in kept):
+    if not real and any(abs(z.imag) > tol.imag * (1.0 + abs(z.real)) for z in kept):
         return None, info
-    values = sorted(z.real for z in kept if z.real != 0.0)
+    # a real root above the cutoff is nonzero
+    values = sorted(kept) if real else sorted(z.real for z in kept if z.real != 0.0)
     return (*values, *(0.0,) * (count - len(values))), info
 
 
@@ -286,8 +300,8 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # companion_coefficients has raised SingularReducedSystem
     n = n_y_tilde + 1
-    d = np.convolve([1.0, *cprime][:n], a.values[:n])[:n]  # orders 0..n_y_tilde of p*a
-    roots_x, roots_y = _monic_roots(cprime, d[1:])
+    d = np.convolve([1.0, *cprime][:n], a.values[:n])[1:n].tolist()  # orders 1..n_y_tilde of p*a
+    roots_x, roots_y = _monic_roots(cprime, d)
     xs, info_x = _branch_values(roots_x, h.n_x, tol.zero_cutoff(a.values), tol, rank)
     y_cutoff = tol.zero if tol.zero is not None else tol.zero_cutoff(_reciprocal(a.values))
     ys, info_y = _branch_values(roots_y, h.n_y, y_cutoff, tol, n_y_tilde)

@@ -110,12 +110,13 @@ def trig_invert(
     eigs = np.linalg.eigvals(np.linalg.solve(H0, H1))
     freqs = np.angle(eigs)  # (-pi, pi]
     f = freqs.tolist()
-    for i in range(r):
-        for j in range(i + 1, r):
-            if _angular_gap(f[i], f[j]) < tol.separation:
-                raise IllConditionedNodes(
-                    f"frequencies {f[i]} and {f[j]} closer than {tol.separation}"
-                )
+    g = sorted(f)
+    # the closest pair on the circle is adjacent in angular order: sorted
+    # neighbours, or the last and the first across +-pi
+    for pair in zip(g, g[1:] + g[:1]) if r > 1 else ():
+        if _angular_gap(*pair) < tol.separation:
+            a, b = sorted(pair, key=f.index)  # in the order the pencil gave them
+            raise IllConditionedNodes(f"frequencies {a} and {b} closer than {tol.separation}")
 
     nodes = np.exp(1j * freqs)  # moduli forced to one
     V = nodes[None, :] ** np.arange(r)[:, None]

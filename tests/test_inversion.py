@@ -159,7 +159,7 @@ def test_zero_count_matches_reduced_size_minus_degree():
         a = exp_transform(m)
         h = build_hankel(a, m.n_x, m.n_y)
         assert sol.degree == degree
-        assert info["x"]["zeros_filtered"] == h.n_x_tilde - degree
+        assert info["x"]["zeros_filtered"] == h.A1_rank - degree
         assert info["y"]["rank"] == h.n_y_tilde
 
 

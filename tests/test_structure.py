@@ -34,8 +34,8 @@ def test_build_hankel_pure_positive_instance():
     h = build_hankel(ExpCoefficients((1.0, 3.0, 7.0)), 2, 0)
     assert np.array_equal(h.A1, [[1.0, 0.0], [3.0, 1.0]])
     assert h.A1_rank == 2
-    assert (h.n_x_tilde, h.n_y_tilde) == (2, 0)
-    assert np.array_equal(h.A0_tilde, [[3.0, 1.0], [7.0, 3.0]])
+    assert (h.A1_rank, h.n_y_tilde) == (2, 0)
+    assert np.array_equal(h.T[:, : h.A1_rank], [[3.0, 1.0], [7.0, 3.0]])
     assert np.array_equal(h.A1_tilde, [[1.0, 0.0], [3.0, 1.0]])
 
 
@@ -43,8 +43,8 @@ def test_build_hankel_cancellation_instance():
     h = build_hankel(ExpCoefficients((1.0, 1.0, 1.0, 1.0)), 2, 1)
     assert np.array_equal(h.A1, [[1.0, 1.0], [1.0, 1.0]])
     assert h.A1_rank == 1
-    assert (h.n_x_tilde, h.n_y_tilde) == (1, 0)
-    assert np.array_equal(h.A0_tilde, [[1.0]])
+    assert (h.A1_rank, h.n_y_tilde) == (1, 0)
+    assert np.array_equal(h.T[:, : h.A1_rank], [[1.0]])
     assert np.array_equal(h.A1_tilde, [[1.0]])
 
 
@@ -57,12 +57,31 @@ def test_build_hankel_arrays_are_read_only():
         assert all(np.shares_memory(getattr(h, name), h.A) for name in ("a0", "A0", "A1"))
         # the reduced pair is one block T, a corner of A at every rank and
         # all of A at full rank
-        assert all(np.shares_memory(getattr(h, name), h.T) for name in ("A0_tilde", "A1_tilde"))
+        assert np.shares_memory(h.T[:, : h.A1_rank], h.T) and np.shares_memory(h.A1_tilde, h.T)
         assert np.shares_memory(h.T, h.A) and np.shares_memory(h.A1_tilde, h.A1)
         assert (h.T.shape == h.A.shape) == (h.A1_rank == n_x)
-        for name in ("A", "a0", "A1", "A0", "T", "A0_tilde", "A1_tilde"):
+        for view in (h.A, h.a0, h.A1, h.A0, h.T, h.T[:, : h.A1_rank], h.A1_tilde):
             with pytest.raises(ValueError):
-                getattr(h, name)[...] = 0.0
+                view[...] = 0.0
+
+
+def test_size_tables_are_read_only_and_hold_no_data():
+    # the index table of A and the stacked shift matrices are cached on
+    # sizes alone: writing them raises, and every build makes a new A
+    for table in (structure._entry_index(3), structure._shift_stack(2, 3)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+    a = exp_transform(forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4]))
+    b = exp_transform(forward_moments([0.4, 1.1, 2.2], [0.2, 0.9, 1.9]))
+    first, again, other = build_hankel(a, 3, 3), build_hankel(a, 3, 3), build_hankel(b, 3, 3)
+    assert np.array_equal(first.A, again.A) and not np.array_equal(first.A, other.A)
+    for h, g in ((first, again), (first, other), (again, other)):
+        assert not np.shares_memory(h.A, g.A)
+    assert not any(np.shares_memory(h.A, structure._entry_index(3)) for h in (first, again, other))
+    # solving on the stacked companion matrices leaves the shift stack as it was
+    invert_min_degree(forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4]))
+    assert np.array_equal(structure._shift_stack(2, 3), [np.eye(3, k=1)] * 2)
 
 
 def test_reduced_pencil_shares_its_inner_columns():
@@ -73,11 +92,12 @@ def test_reduced_pencil_shares_its_inner_columns():
     for m, rank in ((full, 5), (pair, 3)):
         h = build_hankel(exp_transform(m), m.n_x, m.n_y)
         assert h.A1_rank == rank
-        assert np.array_equal(h.A0_tilde[:, 1:], h.A1_tilde[:, :-1])
+        A0_tilde = h.T[:, : h.A1_rank]
+        assert np.array_equal(A0_tilde[:, 1:], h.A1_tilde[:, :-1])
         C = np.eye(rank, k=1)
         C[:, 0] = -companion_coefficients(h)
-        assert np.array_equal((h.A1_tilde @ C)[:, 1:], h.A0_tilde[:, 1:])
-        assert np.allclose(h.A1_tilde @ C, h.A0_tilde, rtol=0.0, atol=1e-12 * np.abs(h.T).max())
+        assert np.array_equal((h.A1_tilde @ C)[:, 1:], A0_tilde[:, 1:])
+        assert np.allclose(h.A1_tilde @ C, A0_tilde, rtol=0.0, atol=1e-12 * np.abs(h.T).max())
 
 
 def test_build_hankel_zero_moments():
@@ -122,10 +142,10 @@ def test_index_map_audit_against_literal_transcription():
             assert h.a0[i - 1] == at(n_y + i)
             for j in range(1, n_x + 1):
                 assert h.A1[i - 1, j - 1] == at(n_y + i - j)
-        nx_t, ny_t = h.n_x_tilde, h.n_y_tilde
+        nx_t, ny_t = h.A1_rank, h.n_y_tilde
         for i in range(1, nx_t + 1):
             for j in range(1, nx_t + 1):
-                assert h.A0_tilde[i - 1, j - 1] == at(ny_t + 1 + i - j)
+                assert h.T[:, :nx_t][i - 1, j - 1] == at(ny_t + 1 + i - j)
                 assert h.A1_tilde[i - 1, j - 1] == at(ny_t + i - j)
 
 
@@ -138,7 +158,7 @@ def test_largest_index_stays_within_known_coefficients():
         n_y = int(rng.integers(0, 6))
         a = exp_transform(tuple(rng.uniform(-2, 2, size=n_x + n_y)))
         h = build_hankel(a, n_x, n_y)
-        assert h.n_y_tilde + h.n_x_tilde <= n_x + n_y
+        assert h.n_y_tilde + h.A1_rank <= n_x + n_y
 
 
 def test_toeplitz_slice_follows_the_entry_formula():

@@ -105,11 +105,31 @@ def test_rank_deficient_signal_rejected():
         trig_invert(m, 2)
 
 
-def test_close_nodes_rejected():
-    sig = TrigSignal((0.4, 0.4 + 1e-3), (1.0, 1.0))
-    m = trig_forward(sig, 4)
+def test_close_nodes_rejected(monkeypatch):
+    tol = ToleranceSet(separation=1e-2)
+    for freqs in (
+        (0.4, 0.4 + 1e-3),
+        # 2e-3 apart on the circle, across +-pi, and 2 pi - 2e-3 apart as numbers
+        (np.pi - 1e-3, 0.0, -np.pi + 1e-3),
+        # the close pair is not adjacent in input order
+        (0.4, -2.0, 2.0, 0.4 + 1e-3),
+    ):
+        m = trig_forward(TrigSignal(freqs, (1.0,) * len(freqs)), 2 * len(freqs))
+        with pytest.raises(IllConditionedNodes):
+            trig_invert(m, len(freqs), tol=tol)
+        # the same signal passes where the separation asked for is below its gap
+        assert len(trig_invert(m, len(freqs), tol=ToleranceSet(separation=1e-4)).freqs) == len(freqs)
+    # the pencil's eigenvalues come in no set order: returned with the close
+    # pair apart, -2.0 between 0.4 and 0.401, they are still rejected
+    eigvals = np.linalg.eigvals
+
+    def apart(M):
+        w = eigvals(M)
+        return w[np.argsort(np.angle(w))[[1, 0, 2, 3]]]
+
+    monkeypatch.setattr(np.linalg, "eigvals", apart)
     with pytest.raises(IllConditionedNodes):
-        trig_invert(m, 2, tol=ToleranceSet(separation=1e-2))
+        trig_invert(m, 4, tol=tol)
 
 
 def test_moment_count_validated():
