@@ -10,11 +10,12 @@ data not listed here; 3 non-real solution, which ``markov-check``
 answers only with ``--verbose`` (the minimal solution is attached) or
 where A1 is rank-deficient, since at full rank its flags need no
 solution; 4 malformed input, which includes moments that overflow (from
-``forward``, ``trig-forward`` or the exponential transform), more
-``family`` matched pairs than the data admits, and ``markov-check``
-with no positive branches; 1 internal error.  A failure is reported as
-{"error": {"kind", "detail"}}, where kind is ``BadInput`` for malformed
-input and otherwise the library error's class name.
+``forward``, ``trig-forward`` or the exponential transform), a minimal
+solution beyond the float range, more ``family`` matched pairs than the
+data admits, and ``markov-check`` with no positive branches; 1 internal
+error.  A failure is reported as {"error": {"kind", "detail"}}, where
+kind is ``BadInput`` for malformed input and otherwise the library
+error's class name.
 
 Result documents are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,

@@ -81,6 +81,8 @@ def invert_min_degree(
         not all real.
     SingularReducedSystem
         Numerical rank failure in the reduced system.
+    ValueError
+        When the exponential transform or the minimal solution overflows.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")

@@ -5,9 +5,9 @@ matrix and a diagonal of residue-type weights; positivity of those
 weights together with distinctness is equivalent to the reversed Hankel
 block being symmetric positive definite, which in turn characterizes the
 classical interlaced solution when the branch counts are equal.  So at
-full rank the Markov certificate is read off one Cholesky factorization
-of the data's own block, and the branch values are computed only where
-A1 is rank-deficient or the solution is asked for.
+full rank the Markov certificate is read off the eigenvalues of the
+data's own block that decided its rank, and the branch values are
+computed only where A1 is rank-deficient or the solution is asked for.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, MomentSequence
 
 _SEPARATION_FACTOR = 1e-8
-_PIVOT_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,25 +90,11 @@ def factorization_residual(h: HankelSystem, wd: WeightData) -> float:
     return float(max(r1, r0))
 
 
-def _is_spd(S: np.ndarray) -> bool:
-    """Positive definiteness of the symmetric S via its Cholesky factor.
-
-    Fails when the factorization breaks down or any pivot diag(L)**2 is
-    <= _PIVOT_REL * max|S|.  S is a reversed Hankel block, so it is
-    symmetric bit for bit and only its lower triangle is read.
-    """
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    cut = _PIVOT_REL * max(map(abs, S.ravel().tolist()), default=0.0)
-    return all(d * d > cut for d in np.diag(L).tolist())
-
-
 @dataclass(frozen=True)
 class MarkovCertificate:
     """Individual certificates tying a moment sequence to the Markov picture.
 
+    spd implies full rank, so it agrees with ``analyze``'s unique.
     interlaced is only meaningful when interlacing_applicable (equal
     branch counts); for a single pair it reduces to y_1 < x_1.
     extended_singular is True on every certificate: the data is solvable,
@@ -133,9 +118,9 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     their weights, for any split.  So where A1 has full rank, SPD is the
     statement that the x-values are real and distinct with every weight
     positive, and at n_x = n_y that they interlace with the y-values: the
-    three flags are read off the one Cholesky factorization, and nothing
-    is inverted.  Where A1 is rank-deficient, interlacing and weight
-    positivity are computed from the minimal solution.
+    three flags are read off the eigenvalues that decided rank(A1), and
+    nothing is inverted.  A rank-deficient A1 is not SPD; its other two
+    flags are computed from the minimal solution.
 
     With ``full_output`` also returns ``{"minimal_solution": sol}``, the
     minimal ``BranchSolution`` of ``m``, as ``(MarkovCertificate, dict)``.
@@ -144,7 +129,7 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     ------
     NoSolution
         Propagated from the existence decision on ``m``.
-    NonRealSolution, SingularReducedSystem
+    NonRealSolution, SingularReducedSystem, ValueError
         Propagated from the inversion of ``m``, which runs only where A1
         is rank-deficient or ``full_output`` asks for the solution.
     NoPositiveBranches
@@ -155,9 +140,9 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
         raise NoPositiveBranches("n_x = 0: no positive-branch system to build")
     tol = tol or DEFAULT_TOLERANCES
     h = _factor(m, tol.rank)
-    spd = _is_spd(np.fliplr(h.A1))
     applicable = m.n_x == m.n_y
     full_rank = h.A1_rank == h.n_x
+    spd = full_rank and h.eigs[0].item() > 0.0
     sol = None if full_rank and not full_output else _invert(h, tol)[0]
 
     if full_rank:

@@ -2,7 +2,9 @@
 and the minimal solution read off the decided system.
 
 The n_x x (n_x+1) matrix A holds anti-shifted slices of the a-sequence,
-and it is the only matrix a problem assembles.  The rank of A1 decides
+and it is the only matrix a problem assembles.  One ``eigvalsh`` of the
+symmetric fliplr(A1) decides rank(A1) by the eigenvalues' moduli, A1's
+singular values, and definiteness by their signs.  The rank decides
 uniqueness, and at full rank existence too, since a0 then lies in
 range(A1) by the theorem; only a rank-deficient A1 takes the SVD of A,
 whose rank against rank(A1) decides existence.  The x-values are
@@ -16,19 +18,20 @@ have one degree, one eigenvalue call reads the roots of both companion
 matrices.  d_min is deg p, the count of p's roots that pass the zero
 filter, and d_max = d_min + n_x - rank.
 
-Numpy arrays are the inputs and outputs of the factorizations (svd,
-solve, eigvals) and of the convolution that forms q; the rank rule, the
-zero cutoffs and the root filter work on Python floats in a fixed order,
-so every decision repeats bit for bit.  Two read-only tables are cached
-on sizes alone: where each entry of A sits in the reversed a-sequence,
-and the stacked shift matrices that a copy makes companion matrices.
-eigvals returns a real stack exactly when every root is real, so only a
-complex stack is split per side.
+Numpy arrays are the inputs and outputs of the factorizations
+(eigvalsh, svd, solve, eigvals) and of the convolution that forms q; the
+rank rule, the zero cutoffs and the root filter work on Python floats in
+a fixed order, so every decision repeats bit for bit.  Two read-only
+tables are cached on sizes alone: where each entry of A sits in the
+reversed a-sequence, and the stacked shift matrices that a copy makes
+companion matrices.  eigvals returns a real stack exactly when every
+root is real, so only a complex stack is split per side.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,14 +48,15 @@ from .transform import (
 )
 
 
-def _count_above(s: np.ndarray, tol_rel: float) -> int:
-    """Number of the descending singular values ``s`` above ``tol_rel *
-    s[0]``: the rank rule of every rank decision.  0 when ``s`` is empty
-    or all zero."""
-    s = s.tolist()
-    if not s or s[0] == 0.0:
+def _count_above(values: np.ndarray, tol_rel: float) -> int:
+    """Number of ``values``, in any order and sign, whose modulus exceeds
+    ``tol_rel`` times the largest: the rank rule of every rank decision.
+    0 when ``values`` is empty or all zero."""
+    s = list(map(abs, values.tolist()))
+    top = max(s, default=0.0)
+    if top == 0.0:
         return 0
-    cut = tol_rel * s[0]
+    cut = tol_rel * top
     return sum(v > cut for v in s)
 
 
@@ -106,11 +110,12 @@ class HankelSystem:
     tolerance.  With no positive branches (n_x = 0) the system is empty:
     A and T are 0 x 1 and r = 0, so p = 1 as in any rank-0 system.
 
-    s holds the singular values of A1, taken once without vectors; A1_rank
-    is read off them, and they stay on the system so its conditioning
-    sigma_n / sigma_1 can be read without another SVD.  For the empty
-    system s is empty.  T, and with it the reduced pencil, is read off
-    A at A1_rank, so ``dataclasses.replace(h, A1_rank=r)`` is the system
+    eigs holds the ascending eigenvalues of the symmetric fliplr(A1),
+    without vectors, empty for the empty system.  Their moduli are A1's
+    singular values: A1_rank is read off them, and sigma_n / sigma_1 is
+    min|eigs| / max|eigs|.  fliplr(A1) is SPD exactly when A1_rank = n_x
+    and eigs[0] > 0.  T, and with it the reduced pencil, is read off A
+    at A1_rank, so ``dataclasses.replace(h, A1_rank=r)`` is the system
     at any candidate rank r <= n_x with nothing rebuilt.
 
     Every array is read-only, since the views share their data.
@@ -118,7 +123,7 @@ class HankelSystem:
 
     a: ExpCoefficients
     A: np.ndarray
-    s: np.ndarray
+    eigs: np.ndarray
     A1_rank: int
     tol_rank: float
 
@@ -161,11 +166,12 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     """Assemble A, factor A1 once and decide rank(A1) for a sequence
     a_0..a_{n_x+n_y}.
 
-    The singular values of A1 are kept on the system; rank(A1) is read
-    off them by the rule of ``numeric_rank``, and the reduced block T is
-    the corner of A that rank selects.  With n_x = 0 this is the empty
-    system: A is 0 x 1, rank(A1) is 0 and T is all of A, so p = 1 and
-    every decision on it is made without an SVD.
+    The eigenvalues of the symmetric fliplr(A1) are kept on the system;
+    rank(A1) is read off their moduli by the rule of ``numeric_rank``,
+    and the reduced block T is the corner of A that rank selects.  With
+    n_x = 0 this is the empty system: A is 0 x 1, rank(A1) is 0 and T is
+    all of A, so p = 1 and every decision on it is made without a
+    factorization.
     """
     coeffs = as_exp_coefficients(a)
     if coeffs.order != n_x + n_y:
@@ -174,9 +180,10 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
         )
     A = _toeplitz_slice(coeffs.values, n_x, n_y)
     A.setflags(write=False)
-    s = np.linalg.svd(A[:, 1:], compute_uv=False) if n_x else np.zeros(0)
-    s.setflags(write=False)
-    return HankelSystem(a=coeffs, A=A, s=s, A1_rank=_count_above(s, tol_rank), tol_rank=tol_rank)
+    # A[:, :0:-1] is fliplr(A1), a Hankel matrix: symmetric bit for bit
+    eigs = np.linalg.eigvalsh(A[:, :0:-1]) if n_x else np.zeros(0)
+    eigs.setflags(write=False)
+    return HankelSystem(a=coeffs, A=A, eigs=eigs, A1_rank=_count_above(eigs, tol_rank), tol_rank=tol_rank)
 
 
 def solvable(h: HankelSystem) -> bool:
@@ -293,7 +300,8 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
 
     NonRealSolution is raised once both sides are read; it carries deg
     p, the x-roots above the cutoff counting complex ones, as
-    ``_degree``, which ``analyze`` reports as d_min.
+    ``_degree``, which ``analyze`` reports as d_min.  ValueError says
+    that c' or q overflows: the solution lies beyond the float range.
     """
     a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
     cprime = companion_coefficients(h).tolist()
@@ -301,6 +309,8 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     # companion_coefficients has raised SingularReducedSystem
     n = n_y_tilde + 1
     d = np.convolve([1.0, *cprime][:n], a.values[:n])[1:n].tolist()  # orders 1..n_y_tilde of p*a
+    if not all(map(math.isfinite, cprime + d)):
+        raise ValueError("the companion coefficients of p or q are not finite: the minimal solution overflows")
     roots_x, roots_y = _monic_roots(cprime, d)
     xs, info_x = _branch_values(roots_x, h.n_x, tol.zero_cutoff(a.values), tol, rank)
     y_cutoff = tol.zero if tol.zero is not None else tol.zero_cutoff(_reciprocal(a.values))
@@ -321,9 +331,9 @@ class SolvabilityReport:
     roots above the x-side zero cutoff, complex roots included, so it
     depends on ``tol.zero`` as well as ``tol.rank``.  It equals the
     attached minimal solution's degree, and 0 <= d_min <= rank_A1.
-    d_max = d_min + n_x - rank_A1.  When no solution exists, or the
-    reduced system is singular so p is undetermined, d_min is 0 and
-    d_max is n_x - rank_A1, which keeps the bound arithmetic valid.
+    d_max = d_min + n_x - rank_A1.  When no solution exists, or p is
+    undetermined (a singular reduced system) or overflows, d_min is 0
+    and d_max is n_x - rank_A1, which keeps the bound arithmetic valid.
     tol_rank records the rank tolerance the analysis was run with.
     """
 
@@ -343,10 +353,11 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     the one error raised is the ``ValueError`` of an exponential
     transform that overflows.  When a solution exists and its branch
     values are recovered, the minimal-degree solution is attached; it is
-    None when they are not real or when the reduced system is singular
-    (see ``SolvabilityReport`` for d_min in each case).  ``tol`` (default
-    ``ToleranceSet()``) sets every threshold of the analysis and of the
-    minimal solution; the report records ``tol.rank``.
+    None when they are not real, when the reduced system is singular or
+    when they overflow (see ``SolvabilityReport`` for d_min in each
+    case).  ``tol`` (default ``ToleranceSet()``) sets every threshold of
+    the analysis and of the minimal solution; the report records
+    ``tol.rank``.
 
     The Hankel system is built and its existence decided once here,
     also for n_x = 0, where it is the empty system and p = 1; the minimal
@@ -365,7 +376,7 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
             d_min = minimal.degree
         except NonRealSolution as exc:
             d_min = exc._degree
-        except SingularReducedSystem:
+        except (SingularReducedSystem, ValueError):
             pass
     return SolvabilityReport(
         exists=exists,

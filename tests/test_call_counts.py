@@ -1,20 +1,24 @@
 """Structural call counts of each entry point on fixed instances.
 
 Each problem is factored once: one Hankel build, which assembles A once
-and takes one SVD of A1, singular values only, which decides the rank,
-and with it existence at full rank, shared by every entry point.  A
-is the only matrix assembled: the reduced block is a corner of it.  At
-full rank the Markov certificate is read off one Cholesky of the
-reversed A1 and solves nothing.  A full-rank A1 is solved once by LU,
+and takes one ``eigvalsh`` of the symmetric reversed A1, eigenvalues
+only, whose moduli decide the rank, and with it existence at full rank,
+shared by every entry point.  A is the only matrix assembled: the
+reduced block is a corner of it.  At full rank the Markov certificate is
+read off the signs of the same eigenvalues and factors nothing more, so
+``cholesky`` is pinned at 0.  A full-rank A1 is solved once by LU,
 for c' and for the minimum-norm cbar alike; only a rank-deficient A1
 takes ``lstsq``, and only where the continuation asks for it, so no SVD
 returns vectors.  The roots of p and q come from one eigenvalue call
 when their degrees agree.  These are counts, not times, so they hold on
-any machine.
+any machine.  Every ``np.linalg`` function that momentkit calls is
+counted, which a scan of the source checks.
 """
 
+import ast
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +36,13 @@ M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [])
 # no positive branches: the empty system, decided without an SVD
 M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 
-COUNTED = ("build_hankel", "assemble", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
+COUNTED = ("build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
+LINALG = ("eigvalsh", "lstsq", "solve", "eigvals", "cholesky")
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of numpy.linalg.{svd,lstsq,solve,eigvals,cholesky}, and of
+    """Calls of numpy.linalg.{eigvalsh,svd,lstsq,solve,eigvals,cholesky}, and of
     build_hankel and A's assembler (``assemble``) through every momentkit
     module that binds them; ``svd_uv`` counts the SVDs that return
     vectors."""
@@ -50,7 +55,7 @@ def counts(monkeypatch):
 
         return wrapper
 
-    for name in ("lstsq", "solve", "eigvals", "cholesky"):
+    for name in LINALG:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     svd = counting("svd", np.linalg.svd)
 
@@ -75,28 +80,28 @@ def pin(**counts):
 
 
 @pytest.mark.parametrize("call, want", [
-    # the singular values of A1 decide the rank, and at full rank existence;
-    # one eigvals call reads the roots of p and q, of one degree here
-    (lambda: mk.analyze(M), pin(svd=1, solve=1, eigvals=1)),
+    # the eigenvalues of the reversed A1 decide the rank, and at full rank
+    # existence; one eigvals call reads the roots of p and q, of one degree here
+    (lambda: mk.analyze(M), pin(eigvalsh=1, solve=1, eigvals=1)),
     # the same at n = 3: the count does not grow with n_x
-    (lambda: mk.analyze(M3), pin(svd=1, solve=1, eigvals=1)),
-    # at full rank every flag is read off the Cholesky of the reversed A1
-    (lambda: mk.markov_certificate(M), pin(svd=1, cholesky=1)),
-    (lambda: mk.invert_min_degree(M, "companion"), pin(svd=1, solve=1, eigvals=1)),
-    (lambda: mk.invert_min_degree(M, "geneig"), pin(svd=1, solve=1, eigvals=1)),
+    (lambda: mk.analyze(M3), pin(eigvalsh=1, solve=1, eigvals=1)),
+    # at full rank every flag is read off the signs of the same eigenvalues
+    (lambda: mk.markov_certificate(M), pin(eigvalsh=1)),
+    (lambda: mk.invert_min_degree(M, "companion"), pin(eigvalsh=1, solve=1, eigvals=1)),
+    (lambda: mk.invert_min_degree(M, "geneig"), pin(eigvalsh=1, solve=1, eigvals=1)),
     # at full rank the minimum-norm solution is the unique LU solution
-    (lambda: mk.next_moment(M), pin(svd=1, solve=1)),
-    # SVDs of A1, A and A1_tilde: rank-deficient A1 falls back to the SVD
-    # of A, and A1_tilde is a corner of A, not assembled again
-    (lambda: mk.invert_min_degree(M_PAIR), pin(svd=3, solve=1, eigvals=1)),
-    # SVDs of A1 and A, then lstsq for the minimum-norm solution
-    (lambda: mk.next_moment(M_PAIR), pin(svd=2, lstsq=1)),
-    # a rank-deficient A1 reads its flags off the minimal solution, which
-    # takes the same calls as invert_min_degree
-    (lambda: mk.markov_certificate(M_PAIR), pin(svd=3, solve=1, eigvals=1, cholesky=1)),
+    (lambda: mk.next_moment(M), pin(eigvalsh=1, solve=1)),
+    # rank-deficient A1 falls back to the SVDs of A and A1_tilde, and
+    # A1_tilde is a corner of A, not assembled again
+    (lambda: mk.invert_min_degree(M_PAIR), pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
+    # the SVD of A, then lstsq for the minimum-norm solution
+    (lambda: mk.next_moment(M_PAIR), pin(eigvalsh=1, svd=1, lstsq=1)),
+    # a rank-deficient A1 is not SPD and reads its other flags off the
+    # minimal solution, which takes the same calls as invert_min_degree
+    (lambda: mk.markov_certificate(M_PAIR), pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
     # full-rank A1 is solvable without the SVD of A; n_y = 0, so q has no
     # roots and only p's companion matrix is solved
-    (lambda: mk.invert_min_degree(M_FALLBACK), pin(svd=1, solve=1, eigvals=1)),
+    (lambda: mk.invert_min_degree(M_FALLBACK), pin(eigvalsh=1, solve=1, eigvals=1)),
     # p = 1 has no roots, so only q's companion matrix is solved
     (lambda: mk.analyze(M_EMPTY), pin(eigvals=1)),
     (lambda: mk.invert_min_degree(M_EMPTY), pin(eigvals=1)),
@@ -108,6 +113,20 @@ def pin(**counts):
 def test_call_counts(counts, call, want):
     call()
     assert counts == want
+
+
+def test_every_linalg_call_is_counted():
+    # a numpy.linalg function outside COUNTED would bypass the pins above
+    called = set()
+    for path in Path(mk.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg"):
+                    called.add(node.func.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                called.update(alias.name for alias in node.names)
+    assert "eigvalsh" in called
+    assert called <= set(COUNTED)
 
 
 @pytest.mark.parametrize("argv, builds", [

@@ -287,16 +287,24 @@ def test_markov_check_inverts_only_when_verbose(capsys, tmp_path):
     (["forward"], {"xs": [1e154, 1e154], "ys": []}, "m_2 is not finite (inf): the power sums overflow"),
     (["analyze"], {"moments": [1e200, 1e300], "n_x": 2, "n_y": 0},
      "a_2 is not finite (inf): the exponential transform overflows"),
+    # finite moments whose minimal solution, x ~ 1e310, overflows
+    (["invert"], {"moments": [1e-300, 2e10], "n_x": 1, "n_y": 1}, "the minimal solution overflows"),
 ], ids=[
     "array", "missing-n_y", "moments-string", "moment-true", "n_x-float", "amps-entry",
     "amps-number", "forward-count-field", "r-roots", "non-finite-output", "forward-power-overflow",
-    "forward-sum-overflow", "analyze-transform-overflow",
+    "forward-sum-overflow", "analyze-transform-overflow", "invert-solution-overflow",
 ])
 def test_malformed_requests_are_bad_input(capsys, tmp_path, argv, doc, detail):
     code, out = run_cli(capsys, argv, doc, tmp_path)
     assert code == 4
     assert out["error"]["kind"] == "BadInput"
     assert detail in out["error"]["detail"]
+
+
+def test_analyze_reports_a_minimal_solution_that_overflows(capsys, tmp_path):
+    code, out = run_cli(capsys, ["analyze"], {"moments": [1e-300, 2e10], "n_x": 1, "n_y": 1}, tmp_path)
+    assert code == 0
+    assert (out["exists"], out["rank_A1"], out["d_min"], out["minimal_solution"]) == (True, 1, 0, None)
 
 
 def test_unreadable_input_file_is_bad_input(capsys, tmp_path):

@@ -12,6 +12,7 @@ from momentkit import (
     NonRealSolution,
     RepeatedRoots,
     ToleranceSet,
+    analyze,
     build_hankel,
     density_eval,
     exp_transform,
@@ -20,7 +21,6 @@ from momentkit import (
     markov_certificate,
     weights,
 )
-from momentkit import markov
 from instances import (
     anti_interlaced_branches,
     interlaced_branches,
@@ -220,12 +220,44 @@ def test_repeated_x_value_is_not_spd():
         assert not cert.weights_positive
 
 
-def test_spd_pivot_floor():
-    # positive definite, but a pivot at or below 1e-12 * max|S| counts as singular
-    assert markov._is_spd(np.diag([1.0, 1e-11]))
-    assert not markov._is_spd(np.diag([1.0, 1e-13]))
-    assert not markov._is_spd(np.zeros((2, 2)))
-    assert not markov._is_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+def _moments_of_block(S):
+    """Moments at n_x = n_y = 2 whose reversed block fliplr(A1) is the
+    symmetric 2 x 2 ``S``, [[a_1, a_2], [a_2, a_3]], with a_4 = 0: the
+    exponential transform k a_k = m_k + sum_{j<k} m_j a_{k-j}, inverted."""
+    a = [1.0, S[0][0], S[0][1], S[1][1], 0.0]
+    m = []
+    for k in range(1, 5):
+        m.append(k * a[k] - sum(m[j - 1] * a[k - j] for j in range(1, k)))
+    return MomentSequence(tuple(m), 2, 2)
+
+
+@pytest.mark.parametrize("S, spd", [
+    # positive definite with an eigenvalue above the 1e-12 rank cutoff
+    ([[1.0, 0.0], [0.0, 1e-11]], True),
+    # positive definite, but rank 1 at the cutoff: not SPD
+    ([[1.0, 0.0], [0.0, 1e-13]], False),
+    ([[0.0, 0.0], [0.0, 0.0]], False),
+    # indefinite: eigenvalues 3 and -1
+    ([[1.0, 2.0], [2.0, 1.0]], False),
+], ids=["positive-definite", "rank-deficient", "zero", "indefinite"])
+def test_spd_is_full_rank_with_positive_eigenvalues(S, spd):
+    m = _moments_of_block(S)
+    h = build_hankel(exp_transform(m), 2, 2)
+    assert np.allclose(np.fliplr(h.A1), S, rtol=0.0, atol=1e-15)
+    assert markov_certificate(m).spd is spd
+
+
+def test_spd_never_contradicts_the_rank():
+    # an interlaced n = 8 draw whose reversed block passes a Cholesky,
+    # while the rank rule reads rank 7 of 8: the certificate is not SPD
+    xs = [-2.686537711482847, -2.322417623006305, -1.8930673436306016, -1.523936873616809,
+          -1.2552319755806753, -0.9779051105314553, -0.6745226263276201, -0.3464326038360652]
+    ys = [-2.8582890311640488, -2.5563448851132007, -2.1207201306888948, -1.6705466065144863,
+          -1.412773197874226, -1.0860826062417985, -0.8255432059352246, -0.4962593145956644]
+    m = forward_moments(xs, ys)
+    report = analyze(m)
+    assert (report.rank_A1, report.unique) == (7, False)
+    assert astuple(markov_certificate(m))[:4] == (False, False, True, False)
 
 
 def test_extended_matrix_singular_on_solvable_instances():

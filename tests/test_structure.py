@@ -407,6 +407,17 @@ def test_analyze_raises_only_when_the_transform_overflows():
         analyze(MomentSequence((1e200, 1e300), 2, 0))
 
 
+def test_analyze_reports_a_minimal_solution_that_overflows():
+    # finite moments whose minimal solution has x ~ 1e310: c' overflows to
+    # inf, which the root extraction must not be handed
+    m = MomentSequence((1e-300, 2e10), 1, 1)
+    report = analyze(m)
+    assert (report.exists, report.rank_A1, report.d_min, report.d_max, report.unique) == (True, 1, 0, 0, True)
+    assert report.minimal_solution is None
+    with pytest.raises(ValueError, match="the minimal solution overflows"):
+        invert_min_degree(m)
+
+
 def test_d_min_never_exceeds_the_rank():
     # a column-prefix rank search read d_min 3 > rank_A1 2 here, so d_max 4 > n_x
     m = MomentSequence((
