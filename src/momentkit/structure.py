@@ -26,6 +26,10 @@ tables are cached on sizes alone: where each entry of A sits in the
 reversed a-sequence, and the stacked shift matrices that a copy makes
 companion matrices.  eigvals returns a real stack exactly when every
 root is real, so only a complex stack is split per side.
+
+Values are checked once, where they enter: a by ``transform``, and c',
+q and the roots by ``_invert``.  So the rank decisions take the SVD
+without ``numeric_rank``'s checks, and the solution is built unchecked.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .transform import (
     BranchSolution,
     ExpCoefficients,
     MomentSequence,
+    _as_float_tuple,
+    _unchecked,
     as_exp_coefficients,
     exp_transform,
 )
@@ -54,10 +60,7 @@ def _count_above(values: np.ndarray, tol_rel: float) -> int:
     0 when ``values`` is empty or all zero."""
     s = list(map(abs, values.tolist()))
     top = max(s, default=0.0)
-    if top == 0.0:
-        return 0
-    cut = tol_rel * top
-    return sum(v > cut for v in s)
+    return sum(map((tol_rel * top).__lt__, s)) if top else 0
 
 
 def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
@@ -90,9 +93,7 @@ def _toeplitz_slice(a: Sequence[float], n_x: int, n_y: int) -> np.ndarray:
     Entries with a negative index, below a_0, are 0.
     """
     # rev[p] is a_{n_x+n_y-p}, and 0 past a_0; indexing makes a new array
-    rev = np.zeros(len(a) + n_x)
-    rev[: len(a)] = a[::-1]
-    return rev[_entry_index(n_x)]
+    return np.array((*a[::-1], *(0.0,) * n_x))[_entry_index(n_x)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +195,7 @@ def solvable(h: HankelSystem) -> bool:
     and no SVD is taken.  Where A1 is rank-deficient the SVD of A
     decides: ``numeric_rank(A) == rank(A1)``.
     """
-    return h.A1_rank == h.n_x or numeric_rank(h.A, h.tol_rank) == h.A1_rank
+    return h.A1_rank == h.n_x or _count_above(np.linalg.svd(h.A, compute_uv=False), h.tol_rank) == h.A1_rank
 
 
 def companion_coefficients(h: HankelSystem) -> np.ndarray:
@@ -216,7 +217,7 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
     r, T = h.A1_rank, h.T
     if r == 0:
         return np.zeros(0)
-    if r < h.n_x and numeric_rank(T[:, 1:], h.tol_rank) < r:
+    if r < h.n_x and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
         raise SingularReducedSystem("reduced matrix is numerically singular")
     return np.linalg.solve(T[:, 1:], -T[:, 0])
 
@@ -238,7 +239,7 @@ def _monic_roots(*polys: Sequence[float]) -> list:
     array that is real on its own as real, as its own call would.
     """
     n = len(polys[0])
-    if any(len(c) != n for c in polys):
+    if len(set(map(len, polys))) > 1:
         return [_monic_roots(c)[0] for c in polys]
     if n == 0:
         return [np.zeros(0) for _ in polys]
@@ -280,6 +281,28 @@ def _reciprocal(a: Sequence[float]) -> list:
     return r
 
 
+def _y_cutoff(a: Sequence[float], roots: np.ndarray, x_cutoff: float, tol: ToleranceSet) -> float:
+    """The y-side zero cutoff for the y-roots ``roots``: ``tol.zero``, or
+    by default ``tol.zero_cutoff`` of 1/a where it can filter a root.
+
+    Let alpha = max_{1<=j<=K} |a_j|^(1/j), so |a_j| <= alpha^j.  The
+    series b = 1/a has b_0 = 1 and b_k = -sum_{j=1..k} a_j b_{k-j}, so
+    |b_1| <= alpha and, by induction, |b_k| <= alpha^k + sum_{j=1..k-1}
+    alpha^j 2^(k-j-1) alpha^(k-j) = 2^(k-1) alpha^k.  Then |b_k|^(1/k) <
+    2 alpha: the cutoff of 1/a is below twice ``x_cutoff``, the cutoff
+    of a (both are 0 when alpha is).  Where every y-root's modulus
+    exceeds 4 x_cutoff, no y-root can be filtered, and 4 x_cutoff keeps
+    the same roots as the cutoff of 1/a, which is then not formed; the
+    factor 4 leaves room for the rounding of both series.
+    """
+    if tol.zero is not None:
+        return tol.zero
+    bound = 4.0 * x_cutoff
+    if all(map(bound.__lt__, map(abs, roots.tolist()))):
+        return bound
+    return tol.zero_cutoff(_reciprocal(a))
+
+
 def _invert(h: HankelSystem, tol: ToleranceSet):
     """``invert_min_degree(m, tol=tol, full_output=True)`` on the solvable
     Hankel system ``h`` of ``m``, built with ``tol.rank``, without the
@@ -295,13 +318,15 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
 
     Each side's zeros are cut at the scale of its own problem's series:
     a for the xs, and for the ys 1/a, the series of the sign-flipped
-    problem.  a_k grows like max|x|^k, so a cutoff taken from a would
-    zero a small y beside a large x.  A fixed ``tol.zero`` needs no series.
+    problem, formed only where it can decide (``_y_cutoff``).  a_k grows
+    like max|x|^k, so a cutoff taken from a would zero a small y beside a
+    large x.  A fixed ``tol.zero`` needs no series.
 
     NonRealSolution is raised once both sides are read; it carries deg
     p, the x-roots above the cutoff counting complex ones, as
     ``_degree``, which ``analyze`` reports as d_min.  ValueError says
-    that c' or q overflows: the solution lies beyond the float range.
+    that c', q or a root overflows: the solution lies beyond the float
+    range.  The solution is built unchecked from the roots checked here.
     """
     a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
     cprime = companion_coefficients(h).tolist()
@@ -312,15 +337,16 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     if not all(map(math.isfinite, cprime + d)):
         raise ValueError("the companion coefficients of p or q are not finite: the minimal solution overflows")
     roots_x, roots_y = _monic_roots(cprime, d)
-    xs, info_x = _branch_values(roots_x, h.n_x, tol.zero_cutoff(a.values), tol, rank)
-    y_cutoff = tol.zero if tol.zero is not None else tol.zero_cutoff(_reciprocal(a.values))
-    ys, info_y = _branch_values(roots_y, h.n_y, y_cutoff, tol, n_y_tilde)
+    x_cutoff = tol.zero_cutoff(a.values)
+    xs, info_x = _branch_values(roots_x, h.n_x, x_cutoff, tol, rank)
+    ys, info_y = _branch_values(roots_y, h.n_y, _y_cutoff(a.values, roots_y, x_cutoff, tol), tol, n_y_tilde)
     if xs is None or ys is None:
         exc = NonRealSolution("retained roots have significant imaginary parts")
         exc._degree = rank - info_x["zeros_filtered"]
         raise exc
-    # both sides are in canonical order already
-    return BranchSolution(xs, ys), {"x": info_x, "y": info_y}
+    # both sides are in canonical order already; an overflowing root raises here
+    xs, ys = _as_float_tuple(xs, "xs"), _as_float_tuple(ys, "ys")
+    return _unchecked(BranchSolution, xs=xs, ys=ys, degree=len(xs) - xs.count(0.0)), {"x": info_x, "y": info_y}
 
 
 @dataclass(frozen=True)

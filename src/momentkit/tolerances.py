@@ -61,7 +61,7 @@ class ToleranceSet:
     def zero_cutoff(self, coeffs) -> float:
         if self.zero is not None:
             return self.zero
-        return 1e-8 * max(abs(v) ** (1.0 / k) for k, v in enumerate(coeffs[1:], 1))
+        return 1e-8 * max(map(pow, map(abs, coeffs[1:]), map((1.0).__truediv__, range(1, len(coeffs)))))
 
 
 # the defaults, shared by every entry point called without ``tol``

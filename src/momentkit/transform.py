@@ -4,7 +4,9 @@ The forward map (branch values -> moments) is the oracle every inversion
 result is checked against.  The exponential transform turns a moment
 sequence into the Taylor coefficients of q(z)/p(z), where p and q carry
 the positive and negative branch values as reciprocal roots; it is the
-sequence all Hankel machinery is built from.
+sequence all Hankel machinery is built from.  Values are checked once,
+where they enter: by the public constructors, and by ``exp_transform``
+in its loop, which then builds its result unchecked.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ def _as_float_tuple(values, name: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be finite real numbers")
     return out
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for fields already in the form its ``__post_init__`` checks, which is skipped."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -185,4 +194,4 @@ def exp_transform(m) -> ExpCoefficients:
         a[k] = s / k
         if not math.isfinite(a[k]):
             raise ValueError(f"a_{k} is not finite ({a[k]!r}): the exponential transform overflows")
-    return ExpCoefficients(tuple(a))
+    return _unchecked(ExpCoefficients, values=tuple(a))

@@ -8,6 +8,7 @@ Vandermonde solve against the first r moments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllConditionedNodes, RankDeficientSignal
-from .structure import numeric_rank
+from .structure import _count_above
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 
@@ -56,6 +57,12 @@ def trig_forward(sig: TrigSignal, count: int) -> np.ndarray:
         first = int(bad[0])
         raise ValueError(f"m_{first} is not finite ({complex(m[first])!r}): the exponential sums overflow")
     return m
+
+
+@functools.cache
+def _hankel_index(r: int) -> np.ndarray:
+    """Read-only r x r table of i + j: H0 is ``m[_hankel_index(r)]``."""
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * r - 1), r)
 
 
 def _angular_gap(a: float, b: float) -> float:
@@ -101,9 +108,9 @@ def trig_invert(
     if not np.all(np.isfinite(mv)):
         raise ValueError("moments must be finite")
 
-    idx = np.add.outer(np.arange(r), np.arange(r))
+    idx = _hankel_index(r)
     H0, H1 = mv[idx], mv[idx + 1]
-    rank = numeric_rank(H0, tol.rank)
+    rank = _count_above(np.linalg.svd(H0, compute_uv=False), tol.rank)
     if rank < r:
         raise RankDeficientSignal(f"moment matrix rank {rank} < requested modes {r}")
 

@@ -10,8 +10,9 @@ read off the signs of the same eigenvalues and factors nothing more, so
 for c' and for the minimum-norm cbar alike; only a rank-deficient A1
 takes ``lstsq``, and only where the continuation asks for it, so no SVD
 returns vectors.  The roots of p and q come from one eigenvalue call
-when their degrees agree.  These are counts, not times, so they hold on
-any machine.  Every ``np.linalg`` function that momentkit calls is
+when their degrees agree.  The series 1/a, which sets the y-side zero
+cutoff, is formed only where a y-root lies near zero (``reciprocal``).
+These are counts, not times, so they hold on any machine.  Every ``np.linalg`` function that momentkit calls is
 counted, which a scan of the source checks.
 """
 
@@ -35,17 +36,21 @@ M_PAIR = mk.forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8])
 M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [])
 # no positive branches: the empty system, decided without an SVD
 M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
+# the README's worked instance: y = 0 comes back as a rounding-noise root
+WORKED = mk.MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
 
-COUNTED = ("build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
+COUNTED = (
+    "build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky", "reciprocal",
+)
 LINALG = ("eigvalsh", "lstsq", "solve", "eigvals", "cholesky")
 
 
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of numpy.linalg.{eigvalsh,svd,lstsq,solve,eigvals,cholesky}, and of
-    build_hankel and A's assembler (``assemble``) through every momentkit
-    module that binds them; ``svd_uv`` counts the SVDs that return
-    vectors."""
+    build_hankel, A's assembler (``assemble``) and the series 1/a
+    (``reciprocal``) through every momentkit module that binds them;
+    ``svd_uv`` counts the SVDs that return vectors."""
     tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -64,7 +69,7 @@ def counts(monkeypatch):
         return svd(a, full_matrices, compute_uv, hermitian)
 
     monkeypatch.setattr(np.linalg, "svd", svd_counting_vectors)
-    for name, key in (("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble")):
+    for name, key in (("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble"), ("_reciprocal", "reciprocal")):
         original = getattr(structure, name)
         wrapped = counting(key, original)
         for mod_name, mod in list(sys.modules.items()):
@@ -105,10 +110,12 @@ def pin(**counts):
     # p = 1 has no roots, so only q's companion matrix is solved
     (lambda: mk.analyze(M_EMPTY), pin(eigvals=1)),
     (lambda: mk.invert_min_degree(M_EMPTY), pin(eigvals=1)),
+    # a y-root at the rounding-noise level: only 1/a decides whether it is zero
+    (lambda: mk.invert_min_degree(WORKED), pin(eigvalsh=1, solve=1, eigvals=1, reciprocal=1)),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
     "invert_matched_pair", "next_moment_matched_pair", "markov_certificate_matched_pair",
-    "invert_fallback", "analyze_empty", "invert_empty",
+    "invert_fallback", "analyze_empty", "invert_empty", "invert_worked",
 ])
 def test_call_counts(counts, call, want):
     call()

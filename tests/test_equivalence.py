@@ -92,3 +92,20 @@ def test_report_degrees_agree_with_the_minimal_solution():
         ):
             broken.append(case["label"])
     assert broken == []
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["label"] for case in CASES])
+def test_unchecked_results_are_what_the_checked_constructors_make(case):
+    # exp_transform and the minimal solution skip the constructors' checks;
+    # their results must equal, bit for bit and degree included, what the
+    # checked constructors make of the same values
+    m = mk.MomentSequence(tuple(case["moments"]), case["n_x"], case["n_y"])
+    a = mk.exp_transform(m)
+    assert a == mk.ExpCoefficients(a.values) and repr(a) == repr(mk.ExpCoefficients(a.values))
+    solutions = [mk.analyze(m).minimal_solution]
+    try:
+        solutions.append(mk.invert_min_degree(m))
+    except (mk.MomentProblemError, ValueError):
+        pass
+    for sol in filter(None, solutions):
+        assert sol == mk.BranchSolution(sol.xs, sol.ys) and repr(sol) == repr(mk.BranchSolution(sol.xs, sol.ys))

@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkit import (
+    MomentProblemError,
     MomentSequence,
     NoSolution,
+    ToleranceSet,
     analyze,
+    exp_transform,
     extend_moments,
     forward_moments,
     invert_min_degree,
@@ -25,6 +28,7 @@ from momentkit import (
     next_moment,
     weights,
 )
+from momentkit.structure import _reciprocal
 from instances import multiset_distance, separated_values
 
 PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -110,6 +114,34 @@ def test_analyze_raises_only_where_the_exponential_transform_overflows(n_x, n_y,
         assert "exponential transform overflows" in str(exc)
     else:
         assert 0 <= report.d_min <= report.rank_A1 <= m.n_x
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=10), st.integers(-12, 12))
+def test_the_y_series_cutoff_is_below_twice_the_x_series_cutoff(values, j):
+    # Cauchy's majorant |(1/a)_k| <= 2^(k-1) alpha^k with alpha = max
+    # |a_k|^(1/k), on finite moments scaled as s = 2^j scales m_k, by s^k
+    s = 2.0**j
+    a = exp_transform(tuple(v * s**k for k, v in enumerate(values, 1))).values
+    x_cutoff, y_cutoff = ToleranceSet().zero_cutoff(a), ToleranceSet().zero_cutoff(_reciprocal(a))
+    assert y_cutoff < 2.0 * x_cutoff or y_cutoff == x_cutoff == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(separated_instances(), st.integers(0, 2), st.integers(-12, 12))
+def test_a_skipped_y_series_would_filter_no_y_root(instance, zeros, j):
+    # where every y-root exceeds 4 times the x-side cutoff, 1/a is not
+    # formed; no y-root may then lie at or below the cutoff 1/a gives
+    s = 2.0**j
+    m = forward_moments([s * v for v in instance[0]], [s * v for v in instance[1]] + [0.0] * zeros)
+    try:
+        _, info = invert_min_degree(m, full_output=True)
+    except MomentProblemError:
+        return
+    a = exp_transform(m).values
+    roots = info["y"]["eigenvalues"]
+    if all(abs(z) > 4.0 * ToleranceSet().zero_cutoff(a) for z in roots):
+        assert all(abs(z) > ToleranceSet().zero_cutoff(_reciprocal(a)) for z in roots)
 
 
 def _terms(values, k):

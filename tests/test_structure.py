@@ -231,15 +231,77 @@ def test_reciprocal_series_matches_its_definitions():
 
 
 def test_y_series_is_formed_only_for_the_default_zero_cutoff(monkeypatch):
-    # a fixed tol.zero is the y-side cutoff itself, so 1/a is never read
+    # a fixed tol.zero is the y-side cutoff itself, so 1/a is never read;
+    # under the default, 1/a is formed only where a y-root lies within 4
+    # times the x-side cutoff, which bounds the cutoff of 1/a
     calls = []
     reciprocal = structure._reciprocal
     monkeypatch.setattr(structure, "_reciprocal", lambda a: calls.append(1) or reciprocal(a))
-    m = forward_moments([0.3, 1.5], [0.1, 1.2])
-    for tol, want in ((ToleranceSet(zero=1e-9), 0), (ToleranceSet(), 1)):
+    far = forward_moments([0.3, 1.5], [0.1, 1.2])
+    worked = forward_moments([1.0, 3.0], [0.0, 2.0])
+    for m, tol, want in ((far, ToleranceSet(zero=1e-9), 0), (far, ToleranceSet(), 0), (worked, ToleranceSet(), 1)):
         calls.clear()
-        invert_min_degree(m, tol=tol)
+        sol = invert_min_degree(m, tol=tol)
         assert len(calls) == want
+    # the worked instance's y = 0 is a rounding-noise root, filtered as before
+    assert sol.ys == (1.9999999999999973, 0.0)
+
+
+def _y_cutoff_formed(a, roots, x_cutoff, tol):
+    """The y-side cutoff with 1/a formed on every call under the default."""
+    return tol.zero if tol.zero is not None else tol.zero_cutoff(structure._reciprocal(a))
+
+
+def test_skipping_the_y_series_changes_no_output(monkeypatch):
+    # where the bound decides, the solution and its diagnostics are the
+    # bits the cutoff of 1/a gives; small ys beside large xs, and zeros,
+    # put y-roots near the cutoff
+    rng = np.random.default_rng(19)
+    problems = [forward_moments([1e6], [0.005]), forward_moments([1.0, 3.0], [0.0, 2.0])]
+    for _ in range(300):
+        n_x, n_y = int(rng.integers(0, 5)), int(rng.integers(1, 5))
+        values = separated_values(rng, n_x + n_y)
+        ys = [v * 10.0 ** rng.uniform(-8, 0) for v in values[n_x:]]
+        if rng.random() < 0.3:
+            ys[0] = 0.0
+        problems.append(forward_moments([v * 10.0 ** rng.uniform(0, 3) for v in values[:n_x]], ys))
+
+    def outcome(m, tol):
+        try:
+            return repr(invert_min_degree(m, tol=tol, full_output=True))
+        except (MomentProblemError, ValueError) as exc:
+            return repr(exc)
+
+    tols = (ToleranceSet(), ToleranceSet(zero=1e-9), ToleranceSet(rank=1e-8))
+    skipped = [outcome(m, tol) for m in problems for tol in tols]
+    monkeypatch.setattr(structure, "_y_cutoff", _y_cutoff_formed)
+    assert skipped == [outcome(m, tol) for m in problems for tol in tols]
+
+
+def test_an_overflowing_root_is_rejected_as_the_constructor_rejects_it(monkeypatch):
+    m = forward_moments([1.0, 3.0], [0.5, 2.0])
+    monic_roots = structure._monic_roots
+    for side, name in ((0, "xs"), (1, "ys")):
+        def overflowing(*polys, side=side):
+            roots = monic_roots(*polys)
+            roots[side] = np.array([np.inf, *roots[side][1:]])
+            return roots
+
+        monkeypatch.setattr(structure, "_monic_roots", overflowing)
+        with pytest.raises(ValueError, match=f"^{name} must be finite real numbers$"):
+            invert_min_degree(m)
+
+
+def test_zero_cutoff_is_the_generator_formula_bit_for_bit():
+    # one exponent 1.0 / k per coefficient, for every length
+    rng = np.random.default_rng(64)
+    tol = ToleranceSet()
+    for K in range(1, 65):
+        for _ in range(5):
+            a = [1.0, *(rng.normal(size=K) * 10.0 ** rng.uniform(-12, 12, size=K)).tolist()]
+            want = 1e-8 * max(abs(v) ** (1.0 / k) for k, v in enumerate(a[1:], 1))
+            assert tol.zero_cutoff(a) == tol.zero_cutoff(tuple(a)) == want
+    assert ToleranceSet(zero=0.25).zero_cutoff(a) == 0.25
 
 
 def _companion_roots(coeffs):
@@ -296,7 +358,8 @@ def test_solvable_by_the_theorem_at_full_rank(monkeypatch):
     # True and the SVD of A is never taken; where A1 is rank-deficient the
     # SVD of A decides
     calls = []
-    monkeypatch.setattr(structure, "numeric_rank", lambda M, tol: calls.append(1) or numeric_rank(M, tol))
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kwargs: calls.append(1) or svd(M, **kwargs))
     rng = np.random.default_rng(2026)
     problems = [MomentSequence((0.0, 1.0), 1, 1)]  # rank-deficient and unsolvable
     for _ in range(1000):

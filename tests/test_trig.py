@@ -11,6 +11,7 @@ from momentkit import (
     trig_forward,
     trig_invert,
 )
+from momentkit import trig
 
 
 def _random_signal(rng, r, sep=0.3):
@@ -96,6 +97,14 @@ def test_fft_grid_cross_check():
     for f, a in zip(recovered.freqs, recovered.amps):
         q = int(round((f % (2 * np.pi)) * N / (2 * np.pi))) % N
         assert abs(a - spectrum[q]) <= 1e-8
+
+
+def test_hankel_index_table_is_read_only():
+    # H0 = m[i + j] for i, j < r; the table is cached on r alone
+    table = trig._hankel_index(3)
+    assert table.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4]] and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[...] = 0
 
 
 def test_rank_deficient_signal_rejected():
