@@ -134,7 +134,9 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
     value is the same for all of them), and each new m_k from the
     triangular row of the exponential transform, k a_k = m_k + sum_{j<k}
     m_j a_{k-j}.  ``cbar`` is a list of floats, so the arithmetic is on
-    Python floats: an overflow gives inf or NaN without a warning.
+    Python floats: an overflow gives inf or NaN without a warning.  The
+    first m_k that is not finite raises ValueError naming it, before any
+    later moment is formed.
 
     Each sum runs left to right in j, one rounding per term, from an
     integer 0 as ``sum`` starts (an empty sum, n_x = 0, stays 0).  The
@@ -153,25 +155,17 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
         s = 0
         for j in range(1, k):
             s += mvals[j - 1] * avals[k - j]
-        mvals.append(k * a_k - s)
+        m_k = k * a_k - s
+        if not math.isfinite(m_k):
+            raise ValueError(f"m_{k} is not finite ({m_k!r}): the continued moments overflow")
+        mvals.append(m_k)
     return avals, mvals
-
-
-def _continued_moments(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int) -> list:
-    """m_1..m_{K+count} from ``_recurrence``; ValueError names the first
-    moment that overflows to a non-finite value."""
-    mvals = _recurrence(m, a, cbar, count)[1]
-    # m_1..m_K are finite, as every MomentSequence is
-    for k, v in enumerate(mvals[m.K :], m.K + 1):
-        if not math.isfinite(v):
-            raise ValueError(f"m_{k} is not finite ({v!r}): the continued moments overflow")
-    return mvals
 
 
 def _min_norm_moments(m: MomentSequence, tol: ToleranceSet, count: int) -> list:
     """m_1..m_{K+count} from the minimum-norm solution of ``m``'s system."""
     h = _factor(m, tol.rank)
-    return _continued_moments(m, h.a, _solve_cbar(h), count)
+    return _recurrence(m, h.a, _solve_cbar(h), count)[1]
 
 
 def next_moment(
@@ -200,7 +194,7 @@ def next_moment(
         cvec = np.asarray(cbar, dtype=float)
         if cvec.shape != (m.n_x,):
             raise ValueError(f"cbar must have length n_x = {m.n_x}")
-        mvals = _continued_moments(m, exp_transform(m), cvec.tolist(), 1)
+        mvals = _recurrence(m, exp_transform(m), cvec.tolist(), 1)[1]
     return float(mvals[-1])
 
 

@@ -5,9 +5,10 @@ matrix and a diagonal of residue-type weights; positivity of those
 weights together with distinctness is equivalent to the reversed Hankel
 block being symmetric positive definite, which in turn characterizes the
 classical interlaced solution when the branch counts are equal.  So at
-full rank the Markov certificate is read off the eigenvalues of the
-data's own block that decided its rank, and the branch values are
-computed only where A1 is rank-deficient or the solution is asked for.
+every rank the Markov certificate is read off the eigenvalues of the
+data's own block that decided its rank.  The branch values are computed
+only where the solution is asked for or A1 is rank-deficient, and there
+only to check that the minimal solution exists.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class MarkovCertificate:
     """Individual certificates tying a moment sequence to the Markov picture.
 
     spd implies full rank, so it agrees with ``analyze``'s unique.
-    interlaced is only meaningful when interlacing_applicable (equal
-    branch counts); for a single pair it reduces to y_1 < x_1.
+    weights_positive equals spd, and interlaced is spd where
+    interlacing_applicable (equal branch counts) and False elsewhere; for
+    a single pair it reduces to y_1 < x_1.
     extended_singular is True on every certificate: the data is solvable,
     so A extended by the next row of its Toeplitz form annihilates
     (1, cbar) for any solution cbar of A1 cbar = -a0.
@@ -111,16 +113,22 @@ class MarkovCertificate:
 
 def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_output: bool = False):
     """Certificates: SPD of the reversed block, interlacing, extended-matrix
-    singularity and weight positivity of ``m``.
+    singularity and weight positivity of ``m``, read off one ``spd`` flag.
 
     For distinct x-values the reversed block factors as fliplr(A1) =
     V diag(w) V^T, with V the Vandermonde matrix of the x-values and w
     their weights, for any split.  So where A1 has full rank, SPD is the
     statement that the x-values are real and distinct with every weight
     positive, and at n_x = n_y that they interlace with the y-values: the
-    three flags are read off the eigenvalues that decided rank(A1), and
-    nothing is inverted.  A rank-deficient A1 is not SPD; its other two
-    flags are computed from the minimal solution.
+    flags are read off the eigenvalues that decided rank(A1).  A
+    rank-deficient A1 is not SPD, and its other two flags are False too.
+    At rank r < n_x the minimal solution has at most r nonzero x-values
+    and at most n_y - (n_x - r) < n_y nonzero y-values, so both sides
+    carry a 0.0 pad when n_y > 0.  A value on both sides cannot
+    interlace, and the weight of x = 0 has the factor (0 - 0) = 0.  At
+    n_y = 0 (so n_x >= 2, as A1 = [a_0] at n_x = 1) the weights 1/p'(x_j)
+    sum to 0, and two zero xs are not distinct.  So ``interlaced = spd
+    and applicable`` and ``weights_positive = spd`` at every rank.
 
     With ``full_output`` also returns ``{"minimal_solution": sol}``, the
     minimal ``BranchSolution`` of ``m``, as ``(MarkovCertificate, dict)``.
@@ -143,25 +151,14 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     applicable = m.n_x == m.n_y
     full_rank = h.A1_rank == h.n_x
     spd = full_rank and h.eigs[0].item() > 0.0
+    # at rank deficiency the inversion only checks that the minimal
+    # solution exists; it stays until the rank is decided by witness
     sol = None if full_rank and not full_output else _invert(h, tol)[0]
-
-    if full_rank:
-        interlaced, weights_positive = spd and applicable, spd
-    else:
-        xs, ys = sorted(sol.xs), sorted(sol.ys)
-        interlaced = applicable and all(ys[i] < xs[i] for i in range(m.n_x)) and all(
-            xs[i] < ys[i + 1] for i in range(m.n_x - 1)
-        )
-        try:
-            weights_positive = all(w > 0.0 for w in weights(sol.xs, sol.ys).weights)
-        except RepeatedRoots:
-            weights_positive = False
-
     cert = MarkovCertificate(
         spd=spd,
-        interlaced=interlaced,
+        interlaced=spd and applicable,
         extended_singular=True,
-        weights_positive=weights_positive,
+        weights_positive=spd,
         interlacing_applicable=applicable,
     )
     return (cert, {"minimal_solution": sol}) if full_output else cert

@@ -251,6 +251,14 @@ def test_overflowing_moments_are_bad_input(capsys, tmp_path, args):
     assert out["error"]["detail"].startswith("m_3 is not finite")
 
 
+def test_extend_stops_at_the_first_overflowing_moment(capsys, tmp_path):
+    doc = {"moments": list(mk.forward_moments([3.0, 1.0], [2.0]).values), "n_x": 2, "n_y": 1}
+    code, out = run_cli(capsys, ["extend", "--count", "1000000"], doc, tmp_path)
+    assert (code, out) == (4, {"error": {
+        "kind": "BadInput", "detail": "m_641 is not finite (nan): the continued moments overflow",
+    }})
+
+
 def test_markov_check_of_huge_data_reads_no_next_coefficient(capsys, tmp_path):
     # x ~ 5e153 > y ~ -5e153; a_3, which would overflow, is not needed
     code, out = run_cli(capsys, ["markov-check"], {"moments": [1e154, 1e154], "n_x": 1, "n_y": 1}, tmp_path)
@@ -266,6 +274,18 @@ def test_markov_check_inverts_only_when_verbose(capsys, tmp_path):
     assert code == 0
     assert [out[k] for k in ("spd", "interlaced", "extended_singular", "weights_positive")] == [False, False, True, False]
     code, out = run_cli(capsys, ["markov-check", "--verbose"], doc, tmp_path)
+    assert code == 3
+    assert out["error"]["kind"] == "NonRealSolution"
+
+
+def test_markov_check_at_rank_deficient_A1(capsys, tmp_path):
+    # a matched pair x = y = 0.5 beside interlaced values holds no flag ...
+    doc = {"moments": list(mk.forward_moments([1.0, 3.0, 0.5], [0.25, 2.0, 0.5]).values), "n_x": 3, "n_y": 3}
+    code, out = run_cli(capsys, ["markov-check"], doc, tmp_path)
+    assert code == 0
+    assert [out[k] for k in ("spd", "interlaced", "extended_singular", "weights_positive")] == [False, False, True, False]
+    # ... and beside x = 1 +- i the inversion that checks the solution raises
+    code, out = run_cli(capsys, ["markov-check"], {"moments": [2, 0, -4, -8], "n_x": 3, "n_y": 1}, tmp_path)
     assert code == 3
     assert out["error"]["kind"] == "NonRealSolution"
 

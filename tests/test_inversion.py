@@ -248,6 +248,14 @@ def test_continued_moments_that_overflow_raise():
                 call()
 
 
+def test_continuation_stops_at_the_first_non_finite_moment():
+    # the moments of xs (3, 1), ys (2) overflow from m_641 on; asking for a
+    # million more raises as soon as m_641 is formed
+    m = forward_moments([3.0, 1.0], [2.0])
+    with pytest.raises(ValueError, match=r"^m_641 is not finite \(nan\): the continued moments overflow$"):
+        extend_moments(m, 10**6)
+
+
 def _sequential_recurrence(m, a, cbar, count):
     """The continuation with every sum accumulated left to right, one
     rounding per term."""

@@ -158,6 +158,26 @@ def test_certificate_of_non_real_data_needs_no_solution():
         markov_certificate(m, full_output=True)
 
 
+def test_certificate_at_rank_deficiency_checks_the_solution_exists():
+    # x = 1 +- i beside a matched pair: rank(A1) = 2 < 3 decides every flag,
+    # and the inversion that checks the minimal solution still raises
+    m = MomentSequence((2.0, 0.0, -4.0, -8.0), 3, 1)
+    assert analyze(m).rank_A1 == 2
+    with pytest.raises(NonRealSolution):
+        markov_certificate(m)
+
+
+def test_certificate_of_a_matched_pair_holds_no_flag():
+    # xs (1, 3) interlace with ys (0.25, 2), but the pair x = y = 0.5 makes
+    # A1 rank-deficient: the minimal solution pads each side with 0.0
+    m = forward_moments([1.0, 3.0, 0.5], [0.25, 2.0, 0.5])
+    cert, info = markov_certificate(m, full_output=True)
+    assert astuple(cert) == (False, False, True, False, True)
+    assert markov_certificate(m) == cert
+    sol = info["minimal_solution"]
+    assert (sol.degree, sol.xs[-1], sol.ys[-1]) == (2, 0.0, 0.0)
+
+
 def test_certificate_rejects_empty_positive_side():
     # the empty system answers every other entry point; there is no block here
     with pytest.raises(NoPositiveBranches, match="n_x = 0: no positive-branch system to build"):

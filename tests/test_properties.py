@@ -18,6 +18,7 @@ from momentkit import (
     MomentProblemError,
     MomentSequence,
     NoSolution,
+    RepeatedRoots,
     ToleranceSet,
     analyze,
     exp_transform,
@@ -160,6 +161,31 @@ def test_a_matched_pair_changes_no_moment_and_one_degree_bound(instance, t):
     before, after = analyze(m), analyze(paired)
     assert after.exists
     assert (after.d_min, after.d_max) == (before.d_min, before.d_max + 1)
+    # a rank-deficient A1 holds no Markov flag: the minimal solution pads
+    # each side with 0.0, so the solution-based reading is False as well
+    try:
+        cert, info = markov_certificate(paired, full_output=True)
+    except MomentProblemError as err:
+        with pytest.raises(type(err)):
+            invert_min_degree(paired)
+    else:
+        assert (cert.spd, cert.interlaced, cert.extended_singular, cert.weights_positive) == (False, False, True, False)
+        sol = info["minimal_solution"]
+        assert 0.0 in sol.xs and 0.0 in sol.ys
+        assert _solution_flags(sol, cert.interlacing_applicable) == (cert.interlaced, cert.weights_positive)
+
+
+def _solution_flags(sol, applicable):
+    """(interlaced, weights_positive) read off a solution: the sorted
+    values strictly interlace, and every weight is positive, a repeated
+    x-value counting as not positive."""
+    xs, ys = sorted(sol.xs), sorted(sol.ys)
+    interlaced = applicable and all(y < x for x, y in zip(xs, ys)) and all(x < y for x, y in zip(xs, ys[1:]))
+    try:
+        positive = all(w > 0.0 for w in weights(sol.xs, sol.ys).weights)
+    except RepeatedRoots:
+        positive = False
+    return interlaced, positive
 
 
 # With n_x = 0 before the pair, A1 of the paired data is the 1 x 1 block

@@ -121,6 +121,17 @@ def test_build_hankel_checks_length():
         build_hankel(ExpCoefficients((1.0, 1.0)), 2, 1)
 
 
+def test_build_hankel_takes_a_plain_coefficient_list():
+    a = exp_transform(forward_moments([0.3, 1.5, 2.7], [0.1, 1.2]))
+    h, g = build_hankel(a, 3, 2), build_hankel(list(a.values), 3, 2)
+    assert np.array_equal(g.A, h.A) and np.array_equal(g.eigs, h.eigs)
+    assert g.A1_rank == h.A1_rank == 3
+    # the list is checked as the ExpCoefficients constructor checks it
+    for bad in ([2.0, *a.values[1:]], [1.0, float("nan"), *a.values[2:]]):
+        with pytest.raises(ValueError):
+            build_hankel(bad, 3, 2)
+
+
 def test_index_map_audit_against_literal_transcription():
     # entry-by-entry comparison with the displayed anti-shifted layouts:
     # A[i][j] = a_{n_y+i-j} (1-based row, 0-based column), reduced blocks
