@@ -177,8 +177,9 @@ def _cmd_next(doc, args, tol):
     value = next_moment(m, tol=tol)
     out = {"schema": SCHEMA, "next_moment": value}
     if args.verbose:
-        # second route for comparison; unavailable when the branch values
-        # are not real even though the recursion itself is fine
+        # second route for comparison, on the factorization next_moment
+        # kept on m; unavailable when the branch values are not real even
+        # though the recursion itself is fine
         try:
             sol = invert_min_degree(m, tol=tol)
             k = m.K + 1

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FamilyOverflow, NoSolution
-from .structure import HankelSystem, _invert, build_hankel, companion_coefficients, solvable
+from .structure import HankelSystem, _cprime, _decided, _invert, companion_coefficients
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, ExpCoefficients, MomentSequence, exp_transform
 
@@ -26,20 +26,21 @@ _METHODS = ("geneig", "companion")
 
 
 def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
-    """The decided Hankel system of ``m``, built once.
+    """The decided Hankel system of ``m``, where a solution exists.
 
-    Every entry point takes its system from here, or builds and decides
-    it as ``analyze`` does, so a problem gets one Hankel build and one
-    existence decision per call; the y-side is read off the same system.
-    With n_x = 0 the system is empty and always solvable.
+    Every entry point takes its system from here, and ``analyze`` from
+    ``structure._decided`` as this does, so a problem object gets one
+    Hankel build and one existence decision per rank tolerance, however
+    many entry points are called on it; the y-side is read off the same
+    system.  With n_x = 0 the system is empty and always solvable.
 
     Raises
     ------
     NoSolution
-        When a0 is outside range(A1).
+        When a0 is outside range(A1), on every call.
     """
-    h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
-    if not solvable(h):
+    h, exists = _decided(m, tol_rank)
+    if not exists:
         raise NoSolution("first Hankel column is outside the range of the Hankel block")
     return h
 
@@ -115,14 +116,15 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
 
 
 def _solve_cbar(h: HankelSystem) -> list:
-    """The minimum-norm solution of ``A1 cbar = -a0``, as a list.
+    """The minimum-norm solution of ``A1 cbar = -a0``, as a list, which
+    the caller only reads.
 
-    At full rank the solution is unique: it is c', the LU solve of
-    ``companion_coefficients``.  A rank-deficient A1 is solved by
+    At full rank the solution is unique: it is c', the LU solve that the
+    system keeps (``structure._cprime``).  A rank-deficient A1 is solved by
     ``np.linalg.lstsq(A1, -a0, rcond=None)``.
     """
     if h.A1_rank == h.n_x:
-        return companion_coefficients(h).tolist()
+        return _cprime(h)
     return np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0].tolist()
 
 

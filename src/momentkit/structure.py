@@ -30,6 +30,11 @@ root is real, so only a complex stack is split per side.
 Values are checked once, where they enter: a by ``transform``, and c',
 q and the roots by ``_invert``.  So the rank decisions take the SVD
 without ``numeric_rank``'s checks, and the solution is built unchecked.
+
+A problem is decided once per object: ``_decided`` keeps the system and
+existence verdict of a ``MomentSequence`` on it, and ``_cprime`` keeps
+c' on the system, so each entry point after the first on one object
+does only its own step.  Errors and results are never kept.
 """
 
 from __future__ import annotations
@@ -119,7 +124,9 @@ class HankelSystem:
     at A1_rank, so ``dataclasses.replace(h, A1_rank=r)`` is the system
     at any candidate rank r <= n_x with nothing rebuilt.
 
-    Every array is read-only, since the views share their data.
+    Every array is read-only, since the views share their data.  c' is
+    solved on first use and kept (``_cprime``); a replaced system solves
+    its own.
     """
 
     a: ExpCoefficients
@@ -198,12 +205,39 @@ def solvable(h: HankelSystem) -> bool:
     return h.A1_rank == h.n_x or _count_above(np.linalg.svd(h.A, compute_uv=False), h.tol_rank) == h.A1_rank
 
 
+def _decided(m: MomentSequence, tol_rank: float) -> tuple[HankelSystem, bool]:
+    """``build_hankel`` and ``solvable`` of ``m`` at ``tol_rank``, run
+    once per object and kept in ``m.__dict__`` beside the fields, which
+    equality, hash, repr and pickles ignore; another tolerance replaces
+    them.  Kept per object, not per value: equal moments need not be the
+    same bits (0.0 == -0.0).  A build that raises keeps nothing."""
+    d = m.__dict__.get("_decided")
+    if d is None or d[0].tol_rank != tol_rank:
+        h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
+        d = m.__dict__["_decided"] = (h, solvable(h))
+    return d
+
+
+def _cprime(h: HankelSystem) -> list:
+    """c' of ``companion_coefficients`` as a list of floats, solved once
+    per system, kept in ``h.__dict__`` and only read after.  A singular
+    reduced system stores nothing and raises on every call."""
+    c = h.__dict__.get("_cprime")
+    if c is None:
+        r, T = h.A1_rank, h.T
+        if 0 < r < h.n_x and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
+            raise SingularReducedSystem("reduced matrix is numerically singular")
+        c = h.__dict__["_cprime"] = np.linalg.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
+    return c
+
+
 def companion_coefficients(h: HankelSystem) -> np.ndarray:
     """Coefficients c' = (c_1..c_r) of the reduced companion polynomial.
 
     Solves ``A1_tilde c' = -a0_tilde`` where a0_tilde is the first column
     of A0_tilde.  The monic polynomial z^r + c_1 z^{r-1} + ... + c_r then
-    carries the minimal solution's x-values (plus zeros) as roots.
+    carries the minimal solution's x-values (plus zeros) as roots.  The
+    solve runs once per system, and each call returns a new array.
 
     Raises
     ------
@@ -214,12 +248,7 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
         rank A1_tilde is A1, whose rank ``build_hankel`` decided at the
         same tolerance, so only a reduced system is decided again.
     """
-    r, T = h.A1_rank, h.T
-    if r == 0:
-        return np.zeros(0)
-    if r < h.n_x and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
-        raise SingularReducedSystem("reduced matrix is numerically singular")
-    return np.linalg.solve(T[:, 1:], -T[:, 0])
+    return np.array(_cprime(h))
 
 
 @functools.cache
@@ -309,7 +338,7 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     ``method`` entry of the diagnostics.
 
     The x-values are the eigenvalues of the reduced pencil, which is the
-    companion matrix of c' = ``companion_coefficients(h)``.  The
+    companion matrix of c', solved once per system (``_cprime``).  The
     y-values come from the same system: with p = (1, c') the reduced
     x-polynomial, q = p*a truncated at degree n_y_tilde has the y-values
     as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
@@ -329,9 +358,9 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     range.  The solution is built unchecked from the roots checked here.
     """
     a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
-    cprime = companion_coefficients(h).tolist()
+    cprime = _cprime(h)
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
-    # companion_coefficients has raised SingularReducedSystem
+    # _cprime has raised SingularReducedSystem
     n = n_y_tilde + 1
     d = np.convolve([1.0, *cprime][:n], a.values[:n])[1:n].tolist()  # orders 1..n_y_tilde of p*a
     if not all(map(math.isfinite, cprime + d)):
@@ -385,16 +414,14 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     the analysis and of the minimal solution; the report records
     ``tol.rank``.
 
-    The Hankel system is built and its existence decided once here,
-    also for n_x = 0, where it is the empty system and p = 1; the minimal
-    solution, both sides of it, is read off that decided system alone.
-    Its result is the one ``invert_min_degree`` returns, whose own build
-    would repeat the same computation on the same moments at the same
-    tolerance.
+    The Hankel system and its existence come from ``_decided``, also
+    for n_x = 0, where it is the empty system and p = 1: built once per
+    object and tolerance, and shared with every other entry point called
+    on ``m``.  The minimal solution, both sides of it, is read off that
+    decided system alone, and is the one ``invert_min_degree`` returns.
     """
     tol = tol or DEFAULT_TOLERANCES
-    h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol.rank)
-    exists = solvable(h)
+    h, exists = _decided(m, tol.rank)
     d_min, minimal = 0, None
     if exists:
         try:

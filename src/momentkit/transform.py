@@ -12,7 +12,7 @@ in its loop, which then builds its result unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 
@@ -52,6 +52,11 @@ class MomentSequence:
             )
         if len(self.values) == 0:
             raise ValueError("at least one moment is required")
+
+    def __getstate__(self):
+        # the fields only: a decided system that ``structure`` keeps beside
+        # them stays in this process, and copies and pickles decide anew
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def K(self) -> int:

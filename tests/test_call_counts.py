@@ -14,9 +14,15 @@ when their degrees agree.  The series 1/a, which sets the y-side zero
 cutoff, is formed only where a y-root lies near zero (``reciprocal``).
 These are counts, not times, so they hold on any machine.  Every ``np.linalg`` function that momentkit calls is
 counted, which a scan of the source checks.
+
+A problem object keeps its decided system, c' included, so these pins
+are counted on a fresh object: a cold call.  The warm pins count what a
+second entry point on the same object adds, which is only its own step,
+and a different rank tolerance decides the object again.
 """
 
 import ast
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -84,41 +90,41 @@ def pin(**counts):
     return {**dict.fromkeys(COUNTED, 0), "build_hankel": 1, "assemble": 1, **counts}
 
 
-@pytest.mark.parametrize("call, want", [
+@pytest.mark.parametrize("call, problem, want", [
     # the eigenvalues of the reversed A1 decide the rank, and at full rank
     # existence; one eigvals call reads the roots of p and q, of one degree here
-    (lambda: mk.analyze(M), pin(eigvalsh=1, solve=1, eigvals=1)),
+    (mk.analyze, M, pin(eigvalsh=1, solve=1, eigvals=1)),
     # the same at n = 3: the count does not grow with n_x
-    (lambda: mk.analyze(M3), pin(eigvalsh=1, solve=1, eigvals=1)),
+    (mk.analyze, M3, pin(eigvalsh=1, solve=1, eigvals=1)),
     # at full rank every flag is read off the signs of the same eigenvalues
-    (lambda: mk.markov_certificate(M), pin(eigvalsh=1)),
-    (lambda: mk.invert_min_degree(M, "companion"), pin(eigvalsh=1, solve=1, eigvals=1)),
-    (lambda: mk.invert_min_degree(M, "geneig"), pin(eigvalsh=1, solve=1, eigvals=1)),
+    (mk.markov_certificate, M, pin(eigvalsh=1)),
+    (lambda m: mk.invert_min_degree(m, "companion"), M, pin(eigvalsh=1, solve=1, eigvals=1)),
+    (lambda m: mk.invert_min_degree(m, "geneig"), M, pin(eigvalsh=1, solve=1, eigvals=1)),
     # at full rank the minimum-norm solution is the unique LU solution
-    (lambda: mk.next_moment(M), pin(eigvalsh=1, solve=1)),
+    (mk.next_moment, M, pin(eigvalsh=1, solve=1)),
     # rank-deficient A1 falls back to the SVDs of A and A1_tilde, and
     # A1_tilde is a corner of A, not assembled again
-    (lambda: mk.invert_min_degree(M_PAIR), pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
+    (mk.invert_min_degree, M_PAIR, pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
     # the SVD of A, then lstsq for the minimum-norm solution
-    (lambda: mk.next_moment(M_PAIR), pin(eigvalsh=1, svd=1, lstsq=1)),
-    # a rank-deficient A1 is not SPD and reads its other flags off the
-    # minimal solution, which takes the same calls as invert_min_degree
-    (lambda: mk.markov_certificate(M_PAIR), pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
+    (mk.next_moment, M_PAIR, pin(eigvalsh=1, svd=1, lstsq=1)),
+    # a rank-deficient A1 is not SPD; the minimal solution is still
+    # inverted to check that it exists, with invert_min_degree's calls
+    (mk.markov_certificate, M_PAIR, pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
     # full-rank A1 is solvable without the SVD of A; n_y = 0, so q has no
     # roots and only p's companion matrix is solved
-    (lambda: mk.invert_min_degree(M_FALLBACK), pin(eigvalsh=1, solve=1, eigvals=1)),
+    (mk.invert_min_degree, M_FALLBACK, pin(eigvalsh=1, solve=1, eigvals=1)),
     # p = 1 has no roots, so only q's companion matrix is solved
-    (lambda: mk.analyze(M_EMPTY), pin(eigvals=1)),
-    (lambda: mk.invert_min_degree(M_EMPTY), pin(eigvals=1)),
+    (mk.analyze, M_EMPTY, pin(eigvals=1)),
+    (mk.invert_min_degree, M_EMPTY, pin(eigvals=1)),
     # a y-root at the rounding-noise level: only 1/a decides whether it is zero
-    (lambda: mk.invert_min_degree(WORKED), pin(eigvalsh=1, solve=1, eigvals=1, reciprocal=1)),
+    (mk.invert_min_degree, WORKED, pin(eigvalsh=1, solve=1, eigvals=1, reciprocal=1)),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
     "invert_matched_pair", "next_moment_matched_pair", "markov_certificate_matched_pair",
     "invert_fallback", "analyze_empty", "invert_empty", "invert_worked",
 ])
-def test_call_counts(counts, call, want):
-    call()
+def test_call_counts(counts, call, problem, want):
+    call(dataclasses.replace(problem))
     assert counts == want
 
 
@@ -140,8 +146,9 @@ def test_every_linalg_call_is_counted():
     (["markov-check"], 1),
     (["markov-check", "--verbose"], 1),
     (["next"], 1),
-    # the diagnostic is a deliberately independent second route
-    (["next", "--verbose"], 2),
+    # the diagnostic is an independent second route, the minimal
+    # solution's power sum, read off the factorization next_moment made
+    (["next", "--verbose"], 1),
 ])
 def test_cli_build_counts(counts, capsys, tmp_path, argv, builds):
     path = tmp_path / "request.json"
@@ -149,3 +156,33 @@ def test_cli_build_counts(counts, capsys, tmp_path, argv, builds):
     assert cli.main(argv + ["--input", str(path)]) == 0
     capsys.readouterr()
     assert counts["build_hankel"] == counts["assemble"] == builds
+
+
+@pytest.mark.parametrize("first, then, problem, added", [
+    # rank, existence and c' are read off the kept system: the recursion is all that runs
+    (mk.invert_min_degree, mk.next_moment, M, {}),
+    # at full rank the flags are the signs of the kept eigenvalues
+    (mk.analyze, mk.markov_certificate, M, {}),
+    # the SVDs that decided existence and the reduced block are kept; the
+    # minimum-norm solution of a rank-deficient A1 is the continuation's own
+    (mk.analyze, mk.next_moment, M_PAIR, {"lstsq": 1}),
+], ids=["next_after_invert", "markov_after_analyze", "next_after_analyze_matched_pair"])
+def test_warm_call_counts(counts, first, then, problem, added):
+    m = dataclasses.replace(problem)
+    first(m)
+    counts.update(dict.fromkeys(COUNTED, 0))
+    then(m)
+    assert counts == {**dict.fromkeys(COUNTED, 0), **added}
+
+
+def test_another_rank_tolerance_decides_again(counts):
+    m, loose = dataclasses.replace(M), mk.ToleranceSet(rank=1e-8)
+    mk.next_moment(m)
+    # the same rank tolerance under other thresholds reuses the system
+    mk.next_moment(m, tol=mk.ToleranceSet(imag=1e-6))
+    assert counts == pin(eigvalsh=1, solve=1)
+    mk.next_moment(m, tol=loose)
+    mk.next_moment(m, tol=loose)
+    # one system is kept per object: the default tolerance decides again
+    mk.next_moment(m)
+    assert counts["build_hankel"] == counts["assemble"] == counts["eigvalsh"] == 3

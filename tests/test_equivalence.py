@@ -94,6 +94,45 @@ def test_report_degrees_agree_with_the_minimal_solution():
     assert broken == []
 
 
+LOOSE = mk.ToleranceSet(rank=1e-8)
+# golden.CALLS at a looser rank tolerance, interleaved with them on one object
+LOOSE_CALLS = (
+    ("analyze", lambda m: mk.analyze(m, LOOSE)),
+    ("markov_certificate", lambda m: mk.markov_certificate(m, LOOSE, full_output=True)),
+    ("invert_companion", lambda m: mk.invert_min_degree(m, "companion", LOOSE)),
+    ("invert_geneig", lambda m: mk.invert_min_degree(m, "geneig", LOOSE)),
+    ("next_moment", lambda m: mk.next_moment(m, LOOSE)),
+    ("extend_moments", lambda m: mk.extend_moments(m, 3, LOOSE)),
+)
+
+
+def _replay(call, m):
+    """repr of ``call(m)``, or of the error it raises, class and message."""
+    try:
+        return repr(call(m))
+    except (mk.MomentProblemError, ValueError) as exc:
+        return repr(exc)
+
+
+def test_warm_calls_equal_cold_calls_bit_for_bit():
+    # a problem object keeps its decided system: each call made after
+    # every other call on one object must give what it gives on a fresh
+    # one.  Each tolerance's calls run as a block, which reuses one
+    # system, then alternate with the other's, which decides it anew
+    assert [name for name, _ in LOOSE_CALLS] == [name for name, _ in golden.CALLS]
+    default, loose = [call for _, call in golden.CALLS], [call for _, call in LOOSE_CALLS]
+    calls = default + loose + [call for pair in zip(default, loose) for call in pair]
+    for case in CASES:
+        def fresh():
+            return mk.MomentSequence(tuple(case["moments"]), case["n_x"], case["n_y"])
+
+        cold = {call: _replay(call, fresh()) for call in calls}
+        for order in (calls, calls[::-1]):
+            m = fresh()
+            warm = [_replay(call, m) for call in order]
+            assert warm == [cold[call] for call in order], case["label"]
+
+
 @pytest.mark.parametrize("case", CASES, ids=[case["label"] for case in CASES])
 def test_unchecked_results_are_what_the_checked_constructors_make(case):
     # exp_transform and the minimal solution skip the constructors' checks;

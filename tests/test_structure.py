@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,9 +16,12 @@ from momentkit import (
     build_hankel,
     companion_coefficients,
     exp_transform,
+    extend_moments,
     family_member,
     forward_moments,
     invert_min_degree,
+    markov_certificate,
+    next_moment,
     numeric_rank,
 )
 from momentkit import structure
@@ -570,3 +575,92 @@ def test_analysis_matches_forward_data():
         back = forward_moments(report.minimal_solution.xs, report.minimal_solution.ys)
         scale = max(1.0, max(abs(v) for v in m.values))
         assert max(abs(a - b) for a, b in zip(back.values, m.values)) <= 1e-8 * scale
+
+
+def _outcomes(m):
+    """repr of every entry point's result on ``m``, or of the error it raises."""
+    out = []
+    for call in (
+        analyze,
+        invert_min_degree,
+        next_moment,
+        lambda m: extend_moments(m, 3),
+        lambda m: markov_certificate(m, full_output=True),
+        lambda m: analyze(m, ToleranceSet(rank=1e-8)),
+    ):
+        try:
+            out.append(repr(call(m)))
+        except (MomentProblemError, ValueError) as exc:
+            out.append(repr(exc))
+    return out
+
+
+def test_a_used_problem_is_the_same_value():
+    # the decided system a problem keeps is not part of its value
+    m = forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8])
+    fresh = MomentSequence(m.values, m.n_x, m.n_y)
+    before = repr(m)
+    cold = _outcomes(fresh)
+    assert _outcomes(m) == cold
+    assert m == fresh and hash(m) == hash(fresh)
+    assert repr(m) == before == repr(fresh)
+    assert _outcomes(fresh) == cold  # warm on both now
+
+
+def test_negated_and_replaced_problems_share_no_decided_system():
+    m = forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4])
+    h, _ = structure._decided(m, 1e-12)
+    for other in (m.negated(), m.negated().negated(), replace(m), replace(m, n_x=2, n_y=4)):
+        assert structure._decided(other, 1e-12)[0] is not h
+        assert _outcomes(other) == _outcomes(MomentSequence(other.values, other.n_x, other.n_y))
+    assert structure._decided(m, 1e-12)[0] is h
+
+
+def test_equal_problems_of_other_bits_keep_their_own_answers():
+    # 0.0 == -0.0, so the two problems are equal and hash alike, but their
+    # minimal solutions differ in the last bits: a system kept by value
+    # would hand one problem the other's answer
+    plus = MomentSequence((0.0, -1.0, 0.0, -1.0), 2, 2)
+    minus = MomentSequence((-0.0, -1.0, -0.0, -1.0), 2, 2)
+    assert plus == minus and hash(plus) == hash(minus)
+    # each answer read off a system built here, outside any object
+    want = [repr(structure._invert(build_hankel(exp_transform(m), 2, 2), ToleranceSet())[0]) for m in (plus, minus)]
+    assert want[0] != want[1]
+    for m, sol in zip((plus, minus), want):
+        assert repr(invert_min_degree(m)) == repr(analyze(m).minimal_solution) == sol
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_or_pickled_problem_gives_the_same_answers(duplicate):
+    m = forward_moments([0.3, 1.5, 2.7, 0.8], [0.1, 1.2, 2.4, 0.8])
+    cold = _outcomes(replace(m))
+    for source in (replace(m), m):  # unused, then used
+        twin = duplicate(source)
+        assert twin == m and repr(twin) == repr(m)
+        assert _outcomes(twin) == cold
+    assert _outcomes(m) == cold
+    # the kept system is not pickled
+    assert pickle.dumps(m) == pickle.dumps(replace(m))
+
+
+def test_companion_coefficients_returns_a_new_array_each_call():
+    h = build_hankel(ExpCoefficients((1.0, 3.0, 7.0)), 2, 0)
+    first = companion_coefficients(h)
+    want = first.copy()
+    assert first.flags.writeable
+    first[:] = 0.0
+    again = companion_coefficients(h)
+    assert again is not first and np.array_equal(again, want)
+    assert companion_coefficients(build_hankel(ExpCoefficients((1.0, 2.0)), 0, 1)).shape == (0,)
+
+
+def test_a_singular_reduced_system_raises_on_every_call():
+    m = forward_moments([1000.0, 2000.0, 3000.0], [])
+    h, _ = structure._decided(m, 1e-12)
+    for _ in range(2):
+        with pytest.raises(SingularReducedSystem):
+            companion_coefficients(h)
+        with pytest.raises(SingularReducedSystem):
+            invert_min_degree(m)
+        assert analyze(m).minimal_solution is None
