@@ -207,27 +207,32 @@ def solvable(h: HankelSystem) -> bool:
 
 def _decided(m: MomentSequence, tol_rank: float) -> tuple[HankelSystem, bool]:
     """``build_hankel`` and ``solvable`` of ``m`` at ``tol_rank``, run
-    once per object and kept in ``m.__dict__`` beside the fields, which
-    equality, hash, repr and pickles ignore; another tolerance replaces
-    them.  Kept per object, not per value: equal moments need not be the
-    same bits (0.0 == -0.0).  A build that raises keeps nothing."""
-    d = m.__dict__.get("_decided")
+    once per object and kept on it beside the fields, which equality,
+    hash, repr and pickles ignore; another tolerance replaces them.  Kept
+    per object, not per value: equal moments need not be the same bits
+    (0.0 == -0.0).  A build that raises keeps nothing.  Set through
+    ``object.__setattr__``, as ``__post_init__`` sets fields, since
+    reading ``m.__dict__`` would build a dict for every problem."""
+    d = getattr(m, "_decided", None)
     if d is None or d[0].tol_rank != tol_rank:
         h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
-        d = m.__dict__["_decided"] = (h, solvable(h))
+        d = (h, solvable(h))
+        object.__setattr__(m, "_decided", d)
     return d
 
 
 def _cprime(h: HankelSystem) -> list:
     """c' of ``companion_coefficients`` as a list of floats, solved once
-    per system, kept in ``h.__dict__`` and only read after.  A singular
-    reduced system stores nothing and raises on every call."""
-    c = h.__dict__.get("_cprime")
+    per system, kept on it as ``_decided`` keeps a system, and only read
+    after.  A singular reduced system stores nothing and raises on every
+    call."""
+    c = getattr(h, "_cprime", None)
     if c is None:
         r, T = h.A1_rank, h.T
         if 0 < r < h.n_x and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
             raise SingularReducedSystem("reduced matrix is numerically singular")
-        c = h.__dict__["_cprime"] = np.linalg.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
+        c = np.linalg.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
+        object.__setattr__(h, "_cprime", c)
     return c
 
 
