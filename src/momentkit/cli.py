@@ -33,7 +33,7 @@ import os
 import sys
 
 from .errors import FamilyOverflow, MomentProblemError, NonRealSolution, NoPositiveBranches
-from .inversion import extend_moments, family_member, invert_min_degree, next_moment
+from .inversion import _METHODS, extend_moments, family_member, invert_min_degree, next_moment
 from .markov import markov_certificate
 from .structure import analyze
 from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, ToleranceSet
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("transform", _cmd_transform, "moments -> exponential-transform coefficients")
     command("analyze", _cmd_analyze, "moments -> solvability report")
     p = command("invert", _cmd_invert, "moments -> minimal-degree branch solution")
-    p.add_argument("--method", choices=("geneig", "companion"), default="companion")
+    p.add_argument("--method", choices=_METHODS, default="companion")
     command("next", _cmd_next, "moments -> next moment")
     p = command("extend", _cmd_extend, "moments -> extended moment sequence")
     p.add_argument("--count", type=int, required=True, help="number of additional moments")

@@ -3,11 +3,12 @@
 ``invert_min_degree`` returns the minimal-degree solution that
 ``structure`` reads off the decided Hankel system, as ``analyze`` does;
 ``companion_coefficients`` is bound here too.
-The coefficient recursion propagates higher moments without ever forming
-branch values, which is the numerically preferred route when only the
-next moments are wanted.  It runs on Python floats with each sum
-accumulated left to right, so the continued moments are the same bits
-on every run and Python version.
+``next_moment`` and ``extend_moments`` continue the same decided system
+(``_continue``), a supplied cbar included.  The coefficient recursion
+propagates higher moments without ever forming branch values, which is
+the numerically preferred route when only the next moments are wanted.
+It runs on Python floats with each sum accumulated left to right, so the
+continued moments are the same bits on every run and Python version.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import FamilyOverflow, NoSolution
 from .structure import HankelSystem, _cprime, _decided, _invert, companion_coefficients
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
-from .transform import BranchSolution, ExpCoefficients, MomentSequence, exp_transform
+from .transform import BranchSolution, MomentSequence, _as_float_tuple
 
 _METHODS = ("geneig", "companion")
 
@@ -115,30 +116,16 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
     return BranchSolution.from_branches(xs, ys)
 
 
-def _solve_cbar(h: HankelSystem) -> list:
-    """The minimum-norm solution of ``A1 cbar = -a0``, as a list, which
-    the caller only reads.
-
-    At full rank the solution is unique: it is c', the LU solve that the
-    system keeps (``structure._cprime``).  A rank-deficient A1 is solved by
-    ``np.linalg.lstsq(A1, -a0, rcond=None)``.
-    """
-    if h.A1_rank == h.n_x:
-        return _cprime(h)
-    return np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0].tolist()
-
-
-def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
-    """a_0..a_{K+count} and m_1..m_{K+count} as two lists.
+def _recurrence(m: Sequence[float], a: Sequence[float], cbar: Sequence[float], count: int) -> list:
+    """m_1..m_{K+count} continued from m_1..m_K, a_0..a_K and cbar.
 
     Each new a_k comes from the coefficient recursion a_k = -sum_j
     cbar_j a_{k-j}, valid for any solution cbar of the full system (the
     value is the same for all of them), and each new m_k from the
     triangular row of the exponential transform, k a_k = m_k + sum_{j<k}
-    m_j a_{k-j}.  ``cbar`` is a list of floats, so the arithmetic is on
-    Python floats: an overflow gives inf or NaN without a warning.  The
-    first m_k that is not finite raises ValueError naming it, before any
-    later moment is formed.
+    m_j a_{k-j}.  On Python floats an overflow gives inf or NaN without
+    a warning; the first m_k that is not finite raises ValueError naming
+    it, before any later moment is formed.
 
     Each sum runs left to right in j, one rounding per term, from an
     integer 0 as ``sum`` starts (an empty sum, n_x = 0, stays 0).  The
@@ -146,9 +133,8 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
     Python versions; ``sum`` itself compensates float sums from
     Python 3.12 on.
     """
-    avals = list(a.values)
-    mvals = list(m.values)
-    for k in range(m.K + 1, m.K + count + 1):
+    avals, mvals = list(a), list(m)
+    for k in range(len(m) + 1, len(m) + count + 1):
         s = 0
         for j in range(1, len(cbar) + 1):
             s += cbar[j - 1] * avals[k - j]
@@ -161,57 +147,58 @@ def _recurrence(m: MomentSequence, a: ExpCoefficients, cbar: list, count: int):
         if not math.isfinite(m_k):
             raise ValueError(f"m_{k} is not finite ({m_k!r}): the continued moments overflow")
         mvals.append(m_k)
-    return avals, mvals
+    return mvals
 
 
-def _min_norm_moments(m: MomentSequence, tol: ToleranceSet, count: int) -> list:
-    """m_1..m_{K+count} from the minimum-norm solution of ``m``'s system."""
-    h = _factor(m, tol.rank)
-    return _recurrence(m, h.a, _solve_cbar(h), count)[1]
+def _continue(m: MomentSequence, tol: ToleranceSet | None, count: int, cbar: Sequence[float] | None = None) -> list:
+    """m_1..m_{K+count} on the decided system of ``m``, which ``_factor``
+    finds solvable, from the checked ``cbar`` or else the minimum-norm
+    one: c' at full rank (``structure._cprime``), otherwise
+    ``np.linalg.lstsq(A1, -a0, rcond=None)``."""
+    h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
+    if cbar is None:
+        cbar = _cprime(h) if h.A1_rank == h.n_x else np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0].tolist()
+    return _recurrence(m.values, h.a.values, cbar, count)
 
 
-def next_moment(
-    m: MomentSequence,
-    tol: ToleranceSet | None = None,
-    cbar: Sequence[float] | None = None,
-) -> float:
+def next_moment(m: MomentSequence, tol: ToleranceSet | None = None, cbar: Sequence[float] | None = None) -> float:
     """m_{K+1} implied by the moment data, without forming branch values.
 
     Any solution cbar of the full (possibly singular) linear system gives
     the same value; by default the minimum-norm solution is used, which is
     deterministic: one LU solve when A1 has full rank, where the solution
     is unique, and otherwise ``np.linalg.lstsq`` with its default cutoff.
-    A particular solution may be supplied through ``cbar``.
+    A particular solution, n_x finite reals, may be supplied through
+    ``cbar``; it continues the same decided system.
 
     Raises
     ------
     NoSolution
         When the moment data admits no solution.
     ValueError
-        When the next moment overflows to a non-finite value.
+        When ``cbar`` is not n_x finite reals, or the next moment
+        overflows to a non-finite value.
     """
-    if cbar is None:
-        mvals = _min_norm_moments(m, tol or DEFAULT_TOLERANCES, 1)
-    else:
-        cvec = np.asarray(cbar, dtype=float)
-        if cvec.shape != (m.n_x,):
+    if cbar is not None:
+        if np.shape(cbar) != (m.n_x,):
             raise ValueError(f"cbar must have length n_x = {m.n_x}")
-        mvals = _recurrence(m, exp_transform(m), cvec.tolist(), 1)[1]
-    return float(mvals[-1])
+        cbar = _as_float_tuple(cbar, "cbar")
+    return _continue(m, tol, 1, cbar)[-1]
 
 
 def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = None) -> tuple[float, ...]:
     """m_1..m_{K+count}: the higher power sums of any solution of ``m``.
 
-    The coefficient vector is solved once from the original K-moment
-    system and kept fixed; each new a-coefficient comes from the
-    recursion and each new moment from the corresponding triangular row.
-    Re-running the next-moment step with an incremented K would
-    reinterpret the branch split, which is not the same problem.
+    The minimum-norm coefficient vector of ``next_moment`` is solved once
+    from the original K-moment system and kept fixed; each new
+    a-coefficient comes from the recursion and each new moment from the
+    corresponding triangular row.  Re-running the next-moment step with
+    an incremented K would reinterpret the branch split, which is not the
+    same problem.
 
     Raises ``NoSolution`` as ``next_moment`` does, and ``ValueError``
     naming the first moment that overflows to a non-finite value.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return tuple(float(v) for v in _min_norm_moments(m, tol or DEFAULT_TOLERANCES, count))
+    return tuple(_continue(m, tol, count))

@@ -1,24 +1,26 @@
 """Structural call counts of each entry point on fixed instances.
 
-Each problem is factored once: one Hankel build, which assembles A once
-and takes one ``eigvalsh`` of the symmetric reversed A1, eigenvalues
-only, whose moduli decide the rank, and with it existence at full rank,
-shared by every entry point.  A is the only matrix assembled: the
-reduced block is a corner of it.  At full rank the Markov certificate is
-read off the signs of the same eigenvalues and factors nothing more, so
-``cholesky`` is pinned at 0.  A full-rank A1 is solved once by LU,
-for c' and for the minimum-norm cbar alike; only a rank-deficient A1
-takes ``lstsq``, and only where the continuation asks for it, so no SVD
-returns vectors.  The roots of p and q come from one eigenvalue call
-when their degrees agree.  The series 1/a, which sets the y-side zero
-cutoff, is formed only where a y-root lies near zero (``reciprocal``).
-These are counts, not times, so they hold on any machine.  Every ``np.linalg`` function that momentkit calls is
-counted, which a scan of the source checks.
+Each problem is factored once: one exponential transform and one Hankel
+build, which assembles A once and takes one ``eigvalsh`` of the
+symmetric reversed A1, eigenvalues only, whose moduli decide the rank,
+and with it existence at full rank, shared by every entry point.  A is
+the only matrix assembled: the reduced block is a corner of it.  At full
+rank the Markov certificate is read off the signs of the same
+eigenvalues and factors nothing more, so ``cholesky`` is pinned at 0.  A
+full-rank A1 is solved once by LU, for c' and for the minimum-norm cbar
+alike; only a rank-deficient A1 takes ``lstsq``, and only where the
+continuation asks for it, so no SVD returns vectors.  The roots of p and
+q come from one eigenvalue call when their degrees agree.  The series
+1/a, which sets the y-side zero cutoff, is formed only where a y-root
+lies near zero (``reciprocal``).  These are counts, not times, so they
+hold on any machine.  Every ``np.linalg`` function that momentkit calls
+is counted, which a scan of the source checks.
 
 A problem object keeps its decided system, c' included, so these pins
 are counted on a fresh object: a cold call.  The warm pins count what a
-second entry point on the same object adds, which is only its own step,
-and a different rank tolerance decides the object again.
+second entry point on the same object adds, which is only its own step;
+a ``next_moment`` with a supplied cbar continues the same kept system.
+A different rank tolerance decides the object again.
 """
 
 import ast
@@ -46,7 +48,8 @@ M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 WORKED = mk.MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
 
 COUNTED = (
-    "build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky", "reciprocal",
+    "transform", "build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky",
+    "reciprocal",
 )
 LINALG = ("eigvalsh", "lstsq", "solve", "eigvals", "cholesky")
 
@@ -54,9 +57,10 @@ LINALG = ("eigvalsh", "lstsq", "solve", "eigvals", "cholesky")
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of numpy.linalg.{eigvalsh,svd,lstsq,solve,eigvals,cholesky}, and of
-    build_hankel, A's assembler (``assemble``) and the series 1/a
-    (``reciprocal``) through every momentkit module that binds them;
-    ``svd_uv`` counts the SVDs that return vectors."""
+    exp_transform (``transform``), build_hankel, A's assembler
+    (``assemble``) and the series 1/a (``reciprocal``) through every
+    momentkit module that binds them; ``svd_uv`` counts the SVDs that
+    return vectors."""
     tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -75,7 +79,10 @@ def counts(monkeypatch):
         return svd(a, full_matrices, compute_uv, hermitian)
 
     monkeypatch.setattr(np.linalg, "svd", svd_counting_vectors)
-    for name, key in (("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble"), ("_reciprocal", "reciprocal")):
+    for name, key in (
+        ("exp_transform", "transform"), ("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble"),
+        ("_reciprocal", "reciprocal"),
+    ):
         original = getattr(structure, name)
         wrapped = counting(key, original)
         for mod_name, mod in list(sys.modules.items()):
@@ -85,9 +92,9 @@ def counts(monkeypatch):
 
 
 def pin(**counts):
-    """One Hankel build, which assembles A once, and the given calls;
-    every other count is 0."""
-    return {**dict.fromkeys(COUNTED, 0), "build_hankel": 1, "assemble": 1, **counts}
+    """One exponential transform, one Hankel build, which assembles A
+    once, and the given calls; every other count is 0."""
+    return {**dict.fromkeys(COUNTED, 0), "transform": 1, "build_hankel": 1, "assemble": 1, **counts}
 
 
 @pytest.mark.parametrize("call, problem, want", [
@@ -166,7 +173,9 @@ def test_cli_build_counts(counts, capsys, tmp_path, argv, builds):
     # the SVDs that decided existence and the reduced block are kept; the
     # minimum-norm solution of a rank-deficient A1 is the continuation's own
     (mk.analyze, mk.next_moment, M_PAIR, {"lstsq": 1}),
-], ids=["next_after_invert", "markov_after_analyze", "next_after_analyze_matched_pair"])
+    # a supplied cbar continues the same kept system: no transform, no build
+    (mk.invert_min_degree, lambda m: mk.next_moment(m, cbar=structure._cprime(m._decided[0])), M, {}),
+], ids=["next_after_invert", "markov_after_analyze", "next_after_analyze_matched_pair", "next_cbar_after_invert"])
 def test_warm_call_counts(counts, first, then, problem, added):
     m = dataclasses.replace(problem)
     first(m)
@@ -185,4 +194,4 @@ def test_another_rank_tolerance_decides_again(counts):
     mk.next_moment(m, tol=loose)
     # one system is kept per object: the default tolerance decides again
     mk.next_moment(m)
-    assert counts["build_hankel"] == counts["assemble"] == counts["eigvalsh"] == 3
+    assert counts["transform"] == counts["build_hankel"] == counts["assemble"] == counts["eigvalsh"] == 3

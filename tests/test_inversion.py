@@ -20,7 +20,7 @@ from momentkit import (
     invert_min_degree,
     next_moment,
 )
-from momentkit.inversion import _recurrence, _solve_cbar
+from momentkit.inversion import _recurrence
 from instances import (
     matched_pair_extension,
     moment_space_error,
@@ -190,10 +190,10 @@ def test_next_moment_invariant_over_particular_solutions():
         null = scipy.linalg.null_space(h.A1, rcond=1e-9)
         assert null.shape[1] >= 1
         values = [next_moment(m_ext)]
-        # one recursion serves both entry points, so the minimum-norm
-        # value agrees bit for bit
-        assert values[0] == extend_moments(m_ext, 1)[-1]
-        assert next_moment(m_ext, cbar=np.array(_solve_cbar(h))) == values[0]
+        # one route serves both entry points and a supplied cbar, so the
+        # minimum-norm value agrees bit for bit
+        assert h.A1_rank < m_ext.n_x
+        assert values[0] == extend_moments(m_ext, 1)[-1] == next_moment(m_ext, cbar=base)
         for _ in range(5):
             perturbed = base + null @ rng.uniform(-2, 2, size=null.shape[1])
             values.append(next_moment(m_ext, cbar=perturbed))
@@ -202,22 +202,30 @@ def test_next_moment_invariant_over_particular_solutions():
 
 
 def test_min_norm_solution_matches_lstsq():
-    # the LU solution at full rank, and otherwise the SVD of A1 with
-    # lstsq's rcond=None cutoff; an exactly singular A1 = [[1, 1], [1, 1]]
-    # and well-conditioned unique systems
-    systems = [build_hankel(ExpCoefficients((1.0, 1.0, 1.0, 1.0)), 2, 1)]
+    # the default continuation runs on the LU solution at full rank, and
+    # otherwise on the SVD of A1 with lstsq's rcond=None cutoff; an
+    # exactly singular A1 = [[1, 1], [1, 1]] (a_k = 1 for all k) and
+    # well-conditioned unique systems
+    problems = [MomentSequence((1.0, 1.0, 1.0), 2, 1)]
     rng = np.random.default_rng(38)
-    while len(systems) < 40:
+    while len(problems) < 40:
         m = random_solvable_instance(rng, n_max=4)[2]
-        h = build_hankel(exp_transform(m), m.n_x, m.n_y)
-        moduli = np.abs(h.eigs)
+        moduli = np.abs(build_hankel(exp_transform(m), m.n_x, m.n_y).eigs)
         if moduli.max() <= 1e3 * moduli.min():
-            systems.append(h)
-    assert np.allclose(_solve_cbar(systems[0]), [-0.5, -0.5], rtol=0.0, atol=1e-15)
-    for h in systems:
+            problems.append(m)
+    for i, m in enumerate(problems):
+        h = build_hankel(exp_transform(m), m.n_x, m.n_y)
         want, *_ = np.linalg.lstsq(h.A1, -h.a0, rcond=None)
-        got = np.array(_solve_cbar(h))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if i == 0:
+            assert h.A1_rank == 1
+            assert np.allclose(want, [-0.5, -0.5], rtol=0.0, atol=1e-15)
+            got = want
+        else:
+            assert h.A1_rank == m.n_x
+            got = np.linalg.solve(h.A1, -h.a0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        continued = _recurrence(m.values, exp_transform(m).values, got.tolist(), 2)
+        assert [v.hex() for v in extend_moments(m, 2)] == [v.hex() for v in continued]
 
 
 M_UNIQUE = forward_moments([1.0, 2.0], [0.5])
@@ -226,16 +234,21 @@ M_UNIQUE = forward_moments([1.0, 2.0], [0.5])
 @pytest.mark.parametrize("call, match", [
     (lambda: invert_min_degree(M_UNIQUE, method="qr"), "method must be one of"),
     (lambda: next_moment(M_UNIQUE, cbar=[1.0]), "cbar must have length n_x = 2"),
+    (lambda: next_moment(M_UNIQUE, cbar=np.ones((2, 1))), "cbar must have length n_x = 2"),
+    (lambda: next_moment(M_UNIQUE, cbar=[float("nan"), 1.0]), "^cbar must be finite real numbers$"),
     (lambda: extend_moments(M_UNIQUE, 0), "count must be >= 1"),
-], ids=["method", "cbar-length", "extend-count-0"])
+], ids=["method", "cbar-length", "cbar-shape", "cbar-non-finite", "extend-count-0"])
 def test_invalid_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
 
 
 def test_next_moment_unsolvable():
-    with pytest.raises(NoSolution):
-        next_moment(MomentSequence((0.0, 1.0), 1, 1))
+    # a supplied cbar continues the same decided system, so it cannot
+    # continue data that no solution fits
+    for cbar in (None, [0.0]):
+        with pytest.raises(NoSolution):
+            next_moment(MomentSequence((0.0, 1.0), 1, 1), cbar=cbar)
 
 
 def test_continued_moments_that_overflow_raise():
@@ -257,8 +270,8 @@ def test_continuation_stops_at_the_first_non_finite_moment():
 
 
 def _sequential_recurrence(m, a, cbar, count):
-    """The continuation with every sum accumulated left to right, one
-    rounding per term."""
+    """The continued moments with every sum accumulated left to right,
+    one rounding per term."""
     avals, mvals = list(a), list(m)
     for k in range(len(m) + 1, len(m) + count + 1):
         acc = 0.0
@@ -269,7 +282,7 @@ def _sequential_recurrence(m, a, cbar, count):
         for j in range(1, k):
             acc += mvals[j - 1] * avals[k - j]
         mvals.append(k * avals[k] - acc)
-    return avals, mvals
+    return mvals
 
 
 def test_continuation_sums_in_a_fixed_order():
@@ -290,16 +303,15 @@ def test_continuation_sums_in_a_fixed_order():
         n_x = int(rng.integers(1, K + 1))
         big = 10.0 ** rng.uniform(10, 17)
         cases.append((
-            tuple(rng.choice([-big, big, 1.0], size=K)),
-            (1.0, *rng.choice([-1.0, 1.0, 0.5], size=K)),
-            list(rng.choice([-big, big, 1.0, 0.25], size=n_x)),
+            tuple(rng.choice([-big, big, 1.0], size=K).tolist()),
+            (1.0, *rng.choice([-1.0, 1.0, 0.5], size=K).tolist()),
+            rng.choice([-big, big, 1.0, 0.25], size=n_x).tolist(),
             int(rng.integers(1, 5)),
         ))
     for m_values, a_values, cbar, count in cases:
-        got = _recurrence(MomentSequence(m_values, len(cbar), len(m_values) - len(cbar)),
-                          ExpCoefficients(a_values), cbar, count)
+        got = _recurrence(m_values, a_values, cbar, count)
         want = _sequential_recurrence(m_values, a_values, cbar, count)
-        assert [[v.hex() for v in side] for side in got] == [[v.hex() for v in side] for side in want]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_extend_moments_worked_cases():
