@@ -37,7 +37,7 @@ from .inversion import _METHODS, extend_moments, family_member, invert_min_degre
 from .markov import markov_certificate
 from .structure import analyze
 from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, ToleranceSet
-from .transform import MomentSequence, _power_sum, exp_transform, forward_moments
+from .transform import MomentSequence, _as_count, _power_sum, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
 SCHEMA = "momentkit/1"
@@ -84,12 +84,6 @@ def _number(v, where: str) -> float:
     return float(v)
 
 
-def _int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{where} must be an integer")
-    return v
-
-
 def _number_list(v, where: str) -> list[float]:
     if not isinstance(v, list):
         raise ValueError(f"{where} must be an array of numbers")
@@ -109,11 +103,8 @@ def _complex_list(v, where: str) -> list[complex]:
 
 def _read_moments(doc) -> MomentSequence:
     _check_fields(doc, {"moments", "n_x", "n_y"}, set())
-    return MomentSequence(
-        tuple(_number_list(doc["moments"], "moments")),
-        _int(doc["n_x"], "n_x"),
-        _int(doc["n_y"], "n_y"),
-    )
+    # the constructor checks that the branch counts are integers
+    return MomentSequence(tuple(_number_list(doc["moments"], "moments")), doc["n_x"], doc["n_y"])
 
 
 def _read_branches(doc) -> tuple[list[float], list[float]]:
@@ -121,7 +112,7 @@ def _read_branches(doc) -> tuple[list[float], list[float]]:
     xs = _number_list(doc["xs"], "xs")
     ys = _number_list(doc["ys"], "ys")
     if "degree" in doc:
-        _int(doc["degree"], "degree")  # accepted for round-trips, not used
+        _as_count(doc["degree"], "degree")  # accepted for round-trips, not used
     return xs, ys
 
 
@@ -271,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
     common.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
-    common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots (default scale-free)")
+    common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots of both sides (default 1e-8 * max_k |m_k|^(1/k))")
     common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
     common.add_argument("--verbose", action="store_true", help="attach diagnostics to the output object")
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FamilyOverflow, NoSolution
 from .structure import HankelSystem, _cprime, _decided, _invert, companion_coefficients
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
-from .transform import BranchSolution, MomentSequence, _as_float_tuple
+from .transform import BranchSolution, MomentSequence, _as_count, _as_float_tuple
 
 _METHODS = ("geneig", "companion")
 
@@ -89,7 +89,7 @@ def invert_min_degree(
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}")
     tol = tol or DEFAULT_TOLERANCES
-    sol, info = _invert(_factor(m, tol.rank), tol)
+    sol, info = _invert(m, _factor(m, tol.rank), tol)
     return (sol, {**info, "method": method}) if full_output else sol
 
 
@@ -197,8 +197,10 @@ def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = Non
     same problem.
 
     Raises ``NoSolution`` as ``next_moment`` does, and ``ValueError``
-    naming the first moment that overflows to a non-finite value.
+    when ``count`` is not an integer >= 1 or naming the first moment that
+    overflows to a non-finite value.
     """
+    count = _as_count(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     return tuple(_continue(m, tol, count))

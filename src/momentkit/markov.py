@@ -23,7 +23,7 @@ from .errors import NoPositiveBranches, RepeatedRoots
 from .inversion import _factor
 from .structure import HankelSystem, _invert
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
-from .transform import BranchSolution, MomentSequence
+from .transform import BranchSolution, MomentSequence, _as_float_tuple
 
 _SEPARATION_FACTOR = 1e-8
 
@@ -45,13 +45,15 @@ def weights(xs: Sequence[float], ys: Sequence[float]) -> WeightData:
 
     Raises
     ------
+    ValueError
+        When a value is not a finite real number.
     RepeatedRoots
         When two x-values are closer than the separation tolerance
         (1e-8 relative to the largest magnitude); the weight formula
         requires simple roots.
     """
-    xv = tuple(float(v) for v in xs)
-    yv = tuple(float(v) for v in ys)
+    xv = _as_float_tuple(xs, "xs")
+    yv = _as_float_tuple(ys, "ys")
     scale = max([1.0] + [abs(v) for v in xv])
     sep = _SEPARATION_FACTOR * scale
     for i in range(len(xv)):
@@ -153,7 +155,7 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     spd = full_rank and h.eigs[0].item() > 0.0
     # at rank deficiency the inversion only checks that the minimal
     # solution exists; it stays until the rank is decided by witness
-    sol = None if full_rank and not full_output else _invert(h, tol)[0]
+    sol = None if full_rank and not full_output else _invert(m, h, tol)[0]
     cert = MarkovCertificate(
         spd=spd,
         interlaced=spd and applicable,
@@ -170,13 +172,16 @@ def density_eval(sol: BranchSolution, x: float) -> float:
     f(x) = sum_j sgn(x_j)[H(x) - H(x - |x_j|)] - (same over y), with H
     the left-continuous unit step (H(0) = 0); zero branch values drop out
     (sgn(0) = 0).  Under the rescaling m_k -> k m_k this density carries
-    the moments of the solution.
+    the moments of the solution.  ValueError says that ``x`` is not a
+    finite real number.
     """
 
     def step(t: float) -> float:
         return 1.0 if t > 0.0 else 0.0
 
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("x must be a finite real number")
     total = 0.0
     for v in sol.xs:
         if v != 0.0:

@@ -15,12 +15,14 @@ A1_tilde^-1 A0_tilde is [-c' | shifted identity], the companion matrix
 of the LU solution c' of A1_tilde c' = -a0_tilde.  The y-values are the
 reciprocal roots of q = p*a on the same system; when both polynomials
 have one degree, one eigenvalue call reads the roots of both companion
-matrices.  d_min is deg p, the count of p's roots that pass the zero
-filter, and d_max = d_min + n_x - rank.
+matrices.  One zero cutoff, read off the moments by
+``ToleranceSet.zero_cutoff``, filters the roots of both sides.  d_min is
+deg p, the count of p's roots that pass it, and d_max = d_min + n_x -
+rank.
 
 Numpy arrays are the inputs and outputs of the factorizations
 (eigvalsh, svd, solve, eigvals) and of the convolution that forms q; the
-rank rule, the zero cutoffs and the root filter work on Python floats in
+rank rule, the zero cutoff and the root filter work on Python floats in
 a fixed order, so every decision repeats bit for bit.  Two read-only
 tables are cached on sizes alone: where each entry of A sits in the
 reversed a-sequence, and the stacked shift matrices that a copy makes
@@ -303,41 +305,7 @@ def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceS
     return (*values, *(0.0,) * (count - len(values))), info
 
 
-def _reciprocal(a: Sequence[float]) -> list:
-    """The power series 1/a to the length of ``a`` (a_0 = 1), which is the
-    exponential transform of the negated moments."""
-    r = [1.0] + [0.0] * (len(a) - 1)
-    for k in range(1, len(a)):
-        s = 0.0
-        for j in range(1, k + 1):
-            s -= a[j] * r[k - j]
-        r[k] = s
-    return r
-
-
-def _y_cutoff(a: Sequence[float], roots: np.ndarray, x_cutoff: float, tol: ToleranceSet) -> float:
-    """The y-side zero cutoff for the y-roots ``roots``: ``tol.zero``, or
-    by default ``tol.zero_cutoff`` of 1/a where it can filter a root.
-
-    Let alpha = max_{1<=j<=K} |a_j|^(1/j), so |a_j| <= alpha^j.  The
-    series b = 1/a has b_0 = 1 and b_k = -sum_{j=1..k} a_j b_{k-j}, so
-    |b_1| <= alpha and, by induction, |b_k| <= alpha^k + sum_{j=1..k-1}
-    alpha^j 2^(k-j-1) alpha^(k-j) = 2^(k-1) alpha^k.  Then |b_k|^(1/k) <
-    2 alpha: the cutoff of 1/a is below twice ``x_cutoff``, the cutoff
-    of a (both are 0 when alpha is).  Where every y-root's modulus
-    exceeds 4 x_cutoff, no y-root can be filtered, and 4 x_cutoff keeps
-    the same roots as the cutoff of 1/a, which is then not formed; the
-    factor 4 leaves room for the rounding of both series.
-    """
-    if tol.zero is not None:
-        return tol.zero
-    bound = 4.0 * x_cutoff
-    if all(map(bound.__lt__, map(abs, roots.tolist()))):
-        return bound
-    return tol.zero_cutoff(_reciprocal(a))
-
-
-def _invert(h: HankelSystem, tol: ToleranceSet):
+def _invert(m: MomentSequence, h: HankelSystem, tol: ToleranceSet):
     """``invert_min_degree(m, tol=tol, full_output=True)`` on the solvable
     Hankel system ``h`` of ``m``, built with ``tol.rank``, without the
     ``method`` entry of the diagnostics.
@@ -350,11 +318,8 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     z^(n_y_tilde-1) + ... + d_n_y_tilde.  The empty system of n_x = 0
     is the rank-0 case: p = 1 and q is a_0..a_{n_y}.
 
-    Each side's zeros are cut at the scale of its own problem's series:
-    a for the xs, and for the ys 1/a, the series of the sign-flipped
-    problem, formed only where it can decide (``_y_cutoff``).  a_k grows
-    like max|x|^k, so a cutoff taken from a would zero a small y beside a
-    large x.  A fixed ``tol.zero`` needs no series.
+    One zero cutoff, ``tol.zero_cutoff`` of the moments, filters the
+    roots of both sides.
 
     NonRealSolution is raised once both sides are read; it carries deg
     p, the x-roots above the cutoff counting complex ones, as
@@ -371,9 +336,9 @@ def _invert(h: HankelSystem, tol: ToleranceSet):
     if not all(map(math.isfinite, cprime + d)):
         raise ValueError("the companion coefficients of p or q are not finite: the minimal solution overflows")
     roots_x, roots_y = _monic_roots(cprime, d)
-    x_cutoff = tol.zero_cutoff(a.values)
-    xs, info_x = _branch_values(roots_x, h.n_x, x_cutoff, tol, rank)
-    ys, info_y = _branch_values(roots_y, h.n_y, _y_cutoff(a.values, roots_y, x_cutoff, tol), tol, n_y_tilde)
+    cutoff = tol.zero_cutoff(m.values)
+    xs, info_x = _branch_values(roots_x, h.n_x, cutoff, tol, rank)
+    ys, info_y = _branch_values(roots_y, h.n_y, cutoff, tol, n_y_tilde)
     if xs is None or ys is None:
         exc = NonRealSolution("retained roots have significant imaginary parts")
         exc._degree = rank - info_x["zeros_filtered"]
@@ -388,7 +353,7 @@ class SolvabilityReport:
     """Existence, degree bounds, uniqueness and the minimal solution.
 
     d_min is deg p of the minimal polynomial pair: the number of p's
-    roots above the x-side zero cutoff, complex roots included, so it
+    roots above the zero cutoff, complex roots included, so it
     depends on ``tol.zero`` as well as ``tol.rank``.  It equals the
     attached minimal solution's degree, and 0 <= d_min <= rank_A1.
     d_max = d_min + n_x - rank_A1.  When no solution exists, or p is
@@ -430,7 +395,7 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     d_min, minimal = 0, None
     if exists:
         try:
-            minimal, _ = _invert(h, tol)
+            minimal, _ = _invert(m, h, tol)
             d_min = minimal.degree
         except NonRealSolution as exc:
             d_min = exc._degree

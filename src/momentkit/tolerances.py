@@ -23,12 +23,19 @@ class ToleranceSet:
         single most consequential knob: Hankel systems degenerate
         continuously, so the cutoff decides solvability near degeneracy.
     zero
-        Absolute cutoff below which an eigenvalue is treated as a
-        structural zero of the reduced system.  ``None`` selects the
-        scale-free default ``1e-8 * max_{k>=1} |s_k|**(1/k)``, taken once
-        per side on the series s of that side's own problem (a for the
-        x-side, 1/a for the y-side): scaling every branch value by c
-        scales s_k by c**k, and so the cutoff by |c|.
+        Absolute cutoff at or below which a root of p or q is a
+        structural zero, on both sides.  ``None`` selects the scale-free
+        default ``1e-8 * mu`` with ``mu = max_{k>=1} |m_k|**(1/k)`` on the
+        moments (``zero_cutoff``): scaling every branch value by c scales
+        m_k by c**k, and so the cutoff by |c|.  |m_k| is the same for the
+        sign-flipped problem, so the cutoff does not depend on which side
+        is called x.  Cauchy's majorants bound mu against the scale of
+        each side's series: with alpha = max_k |a_k|**(1/k) of the
+        exponential transform a, alpha <= mu < 2 alpha, and the same
+        holds for 1/a, the sign-flipped problem's series.  A root at or
+        below the cutoff is zeroed on whichever side it lies, so a value
+        below about 1e-8 of the largest |value| of both sides is zeroed:
+        x = 1e6 beside y = 0.005 returns y = 0.
     imag
         A root with ``|Im z| > imag * (1 + |Re z|)`` makes the solution
         non-real.
@@ -58,10 +65,12 @@ class ToleranceSet:
         if self.zero is not None and not 0.0 <= self.zero < math.inf:
             raise ValueError(f"zero tolerance must be None or finite and >= 0, got {self.zero!r}")
 
-    def zero_cutoff(self, coeffs) -> float:
+    def zero_cutoff(self, moments) -> float:
+        """The zero cutoff of the moments m_1..m_K: ``zero``, or by
+        default ``1e-8 * max_k |m_k|**(1/k)``."""
         if self.zero is not None:
             return self.zero
-        return 1e-8 * max(map(pow, map(abs, coeffs[1:]), map((1.0).__truediv__, range(1, len(coeffs)))))
+        return 1e-8 * max(map(pow, map(abs, moments), map((1.0).__truediv__, range(1, len(moments) + 1))))
 
 
 # the defaults, shared by every entry point called without ``tol``

@@ -12,6 +12,7 @@ in its loop, which then builds its result unchecked.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -21,6 +22,15 @@ def _as_float_tuple(values, name: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be finite real numbers")
     return out
+
+
+def _as_count(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass; a bool, a
+    float or any other type raises ValueError.  A Python int, the common
+    case, skips the slower ``numbers.Integral`` check."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _unchecked(cls, **fields):
@@ -34,7 +44,9 @@ def _unchecked(cls, **fields):
 class MomentSequence:
     """Ordered real moments m_1..m_K with the branch split (n_x, n_y).
 
-    Indices are 1-based in all formulas; ``values[k-1]`` holds m_k.
+    Indices are 1-based in all formulas; ``values[k-1]`` holds m_k.  The
+    branch counts are integers, numpy integers included; a bool, a float
+    or any other type raises ValueError.
     """
 
     values: tuple[float, ...]
@@ -43,6 +55,8 @@ class MomentSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_float_tuple(self.values, "moments"))
+        object.__setattr__(self, "n_x", _as_count(self.n_x, "n_x"))
+        object.__setattr__(self, "n_y", _as_count(self.n_y, "n_y"))
         if self.n_x < 0 or self.n_y < 0:
             raise ValueError("branch counts must be nonnegative")
         if self.n_x + self.n_y != len(self.values):

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import IllConditionedNodes, RankDeficientSignal
 from .structure import _count_above
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .transform import _as_count
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,10 @@ class TrigSignal:
 def trig_forward(sig: TrigSignal, count: int) -> np.ndarray:
     """Moments m_k = sum_j mu_j exp(i k lambda_j) for k = 0..count-1.
 
-    ValueError names the first moment that overflows to a non-finite value.
+    ValueError says that ``count`` is not an integer >= 1, or names the
+    first moment that overflows to a non-finite value.
     """
+    count = _as_count(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     k = np.arange(count)[:, None]
@@ -92,7 +95,8 @@ def trig_invert(
     Raises
     ------
     ValueError
-        A moment is not finite, or there are not 2r of them.
+        r is not an integer >= 1, a moment is not finite, or there are
+        not 2r of them.
     RankDeficientSignal
         The r x r moment matrix has numeric rank below r: the data does
         not carry r resolvable modes.
@@ -100,6 +104,7 @@ def trig_invert(
         Two recovered frequencies coincide within the separation tolerance.
     """
     tol = tol or DEFAULT_TOLERANCES
+    r = _as_count(r, "mode count")
     if r < 1:
         raise ValueError("mode count must be >= 1")
     mv = np.asarray(m, dtype=complex)

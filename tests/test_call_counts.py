@@ -10,10 +10,9 @@ eigenvalues and factors nothing more, so ``cholesky`` is pinned at 0.  A
 full-rank A1 is solved once by LU, for c' and for the minimum-norm cbar
 alike; only a rank-deficient A1 takes ``lstsq``, and only where the
 continuation asks for it, so no SVD returns vectors.  The roots of p and
-q come from one eigenvalue call when their degrees agree.  The series
-1/a, which sets the y-side zero cutoff, is formed only where a y-root
-lies near zero (``reciprocal``).  These are counts, not times, so they
-hold on any machine.  Every ``np.linalg`` function that momentkit calls
+q come from one eigenvalue call when their degrees agree, and the zero
+cutoff is read off the moments with no call at all.  These are counts,
+not times, so they hold on any machine.  Every ``np.linalg`` function that momentkit calls
 is counted, which a scan of the source checks.
 
 A problem object keeps its decided system, c' included, so these pins
@@ -47,20 +46,16 @@ M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 # the README's worked instance: y = 0 comes back as a rounding-noise root
 WORKED = mk.MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
 
-COUNTED = (
-    "transform", "build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky",
-    "reciprocal",
-)
+COUNTED = ("transform", "build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
 LINALG = ("eigvalsh", "lstsq", "solve", "eigvals", "cholesky")
 
 
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of numpy.linalg.{eigvalsh,svd,lstsq,solve,eigvals,cholesky}, and of
-    exp_transform (``transform``), build_hankel, A's assembler
-    (``assemble``) and the series 1/a (``reciprocal``) through every
-    momentkit module that binds them; ``svd_uv`` counts the SVDs that
-    return vectors."""
+    exp_transform (``transform``), build_hankel and A's assembler
+    (``assemble``) through every momentkit module that binds them;
+    ``svd_uv`` counts the SVDs that return vectors."""
     tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -81,7 +76,6 @@ def counts(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd_counting_vectors)
     for name, key in (
         ("exp_transform", "transform"), ("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble"),
-        ("_reciprocal", "reciprocal"),
     ):
         original = getattr(structure, name)
         wrapped = counting(key, original)
@@ -123,8 +117,9 @@ def pin(**counts):
     # p = 1 has no roots, so only q's companion matrix is solved
     (mk.analyze, M_EMPTY, pin(eigvals=1)),
     (mk.invert_min_degree, M_EMPTY, pin(eigvals=1)),
-    # a y-root at the rounding-noise level: only 1/a decides whether it is zero
-    (mk.invert_min_degree, WORKED, pin(eigvalsh=1, solve=1, eigvals=1, reciprocal=1)),
+    # a y-root at the rounding-noise level, zeroed by the cutoff of the
+    # moments without another call
+    (mk.invert_min_degree, WORKED, pin(eigvalsh=1, solve=1, eigvals=1)),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
     "invert_matched_pair", "next_moment_matched_pair", "markov_certificate_matched_pair",

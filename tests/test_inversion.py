@@ -80,8 +80,8 @@ def test_invert_empty_side():
 
 @pytest.mark.parametrize("method", ["companion", "geneig"])
 def test_small_value_beside_a_large_one_is_kept(method):
-    # a_k = x^(k-1) (x - y) grows with the large value; each side's zeros
-    # are cut at its own problem's scale, so 0.005 is no structural zero
+    # the zero cutoff is 1e-8 max_k |m_k|^(1/k), about 1e-5 here, so 0.005
+    # is no structural zero on either side; 1e6 beside 0.005 would zero it
     for x, y in ((1000.0, 0.005), (0.005, 1000.0)):
         sol = invert_min_degree(MomentSequence((x - y, x**2 - y**2), 1, 1), method)
         assert abs(sol.xs[0] - x) <= 1e-10 * max(1.0, x)
@@ -237,7 +237,8 @@ M_UNIQUE = forward_moments([1.0, 2.0], [0.5])
     (lambda: next_moment(M_UNIQUE, cbar=np.ones((2, 1))), "cbar must have length n_x = 2"),
     (lambda: next_moment(M_UNIQUE, cbar=[float("nan"), 1.0]), "^cbar must be finite real numbers$"),
     (lambda: extend_moments(M_UNIQUE, 0), "count must be >= 1"),
-], ids=["method", "cbar-length", "cbar-shape", "cbar-non-finite", "extend-count-0"])
+    (lambda: extend_moments(M_UNIQUE, 2.0), "^count must be an integer, got 2.0$"),
+], ids=["method", "cbar-length", "cbar-shape", "cbar-non-finite", "extend-count-0", "extend-count-float"])
 def test_invalid_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -40,6 +40,17 @@ def test_weights_reject_repeated_roots():
         weights((1.0, 1.0 + 1e-12), (0.0,))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=repr)
+def test_non_finite_values_rejected(bad):
+    # NaN gave NaN weights and a density of 0.0
+    with pytest.raises(ValueError, match="^xs must be finite real numbers$"):
+        weights([bad, 1.0], [0.5])
+    with pytest.raises(ValueError, match="^ys must be finite real numbers$"):
+        weights([1.0], [bad])
+    with pytest.raises(ValueError, match="^x must be a finite real number$"):
+        density_eval(BranchSolution.from_branches([1.0], [0.0]), bad)
+
+
 def test_weights_match_polynomial_definition():
     # w_j = q_r(x_j) / p_r'(x_j) with p_r, q_r the monic root-form polynomials
     rng = np.random.default_rng(51)

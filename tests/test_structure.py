@@ -1,7 +1,6 @@
 import copy
 import pickle
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from instances import (
     random_solvable_instance,
     separated_values,
 )
-from oracles import taylor_quotient
 
 
 def test_build_hankel_pure_positive_instance():
@@ -229,69 +227,30 @@ def test_count_above_is_the_relative_rank_rule():
         assert count(s, tol) == np.count_nonzero(s > tol * s[0])
 
 
-def test_reciprocal_series_matches_its_definitions():
-    rng = np.random.default_rng(24)
-    for _ in range(40):
-        K = int(rng.integers(1, 11))
-        m = MomentSequence(tuple(rng.uniform(-2, 2, size=K)), K, 0)
-        a = exp_transform(m).values
-        got = structure._reciprocal(a)
-        # the float long division r_k = -sum_{j=1..k} a_j r_{k-j}, term by term
-        assert got == taylor_quotient([1.0], a, K)
-        exact = taylor_quotient([Fraction(1)], [Fraction(v) for v in a], K)
-        scale = max(1.0, max(abs(v) for v in exact))
-        assert max(abs(g - float(e)) for g, e in zip(got, exact)) <= 1e-12 * scale
-        # 1/a is the transform of the negated moments
-        negated = exp_transform(m.negated()).values
-        assert max(abs(g - v) for g, v in zip(got, negated)) <= 1e-12 * scale
-
-
-def test_y_series_is_formed_only_for_the_default_zero_cutoff(monkeypatch):
-    # a fixed tol.zero is the y-side cutoff itself, so 1/a is never read;
-    # under the default, 1/a is formed only where a y-root lies within 4
-    # times the x-side cutoff, which bounds the cutoff of 1/a
-    calls = []
-    reciprocal = structure._reciprocal
-    monkeypatch.setattr(structure, "_reciprocal", lambda a: calls.append(1) or reciprocal(a))
-    far = forward_moments([0.3, 1.5], [0.1, 1.2])
-    worked = forward_moments([1.0, 3.0], [0.0, 2.0])
-    for m, tol, want in ((far, ToleranceSet(zero=1e-9), 0), (far, ToleranceSet(), 0), (worked, ToleranceSet(), 1)):
-        calls.clear()
-        sol = invert_min_degree(m, tol=tol)
-        assert len(calls) == want
-    # the worked instance's y = 0 is a rounding-noise root, filtered as before
+def test_worked_instance_zeroes_its_rounding_noise_y():
+    # y = 0 comes back as a root of modulus 1.3e-15, below the cutoff of the moments
+    sol, info = invert_min_degree(forward_moments([1.0, 3.0], [0.0, 2.0]), full_output=True)
     assert sol.ys == (1.9999999999999973, 0.0)
+    assert info["y"]["zeros_filtered"] == 1
 
 
-def _y_cutoff_formed(a, roots, x_cutoff, tol):
-    """The y-side cutoff with 1/a formed on every call under the default."""
-    return tol.zero if tol.zero is not None else tol.zero_cutoff(structure._reciprocal(a))
-
-
-def test_skipping_the_y_series_changes_no_output(monkeypatch):
-    # where the bound decides, the solution and its diagnostics are the
-    # bits the cutoff of 1/a gives; small ys beside large xs, and zeros,
-    # put y-roots near the cutoff
-    rng = np.random.default_rng(19)
-    problems = [forward_moments([1e6], [0.005]), forward_moments([1.0, 3.0], [0.0, 2.0])]
-    for _ in range(300):
-        n_x, n_y = int(rng.integers(0, 5)), int(rng.integers(1, 5))
-        values = separated_values(rng, n_x + n_y)
-        ys = [v * 10.0 ** rng.uniform(-8, 0) for v in values[n_x:]]
-        if rng.random() < 0.3:
-            ys[0] = 0.0
-        problems.append(forward_moments([v * 10.0 ** rng.uniform(0, 3) for v in values[:n_x]], ys))
-
-    def outcome(m, tol):
-        try:
-            return repr(invert_min_degree(m, tol=tol, full_output=True))
-        except (MomentProblemError, ValueError) as exc:
-            return repr(exc)
-
-    tols = (ToleranceSet(), ToleranceSet(zero=1e-9), ToleranceSet(rank=1e-8))
-    skipped = [outcome(m, tol) for m in problems for tol in tols]
-    monkeypatch.setattr(structure, "_y_cutoff", _y_cutoff_formed)
-    assert skipped == [outcome(m, tol) for m in problems for tol in tols]
+def test_one_cutoff_read_off_the_moments_filters_both_sides(monkeypatch):
+    # the xs and the ys of m and of m.negated() are all cut at tol.zero_cutoff(m.values)
+    cutoffs = []
+    branch_values = structure._branch_values
+    monkeypatch.setattr(structure, "_branch_values", lambda roots, count, cutoff, *rest: (
+        cutoffs.append(cutoff) or branch_values(roots, count, cutoff, *rest)
+    ))
+    rng = np.random.default_rng(66)
+    for _ in range(40):
+        n_x, n_y = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        values = [v * scale for v in separated_values(rng, n_x + n_y)]
+        m = forward_moments(values[:n_x], values[n_x:])
+        cutoffs.clear()
+        invert_min_degree(m)
+        invert_min_degree(m.negated())
+        assert cutoffs == [ToleranceSet().zero_cutoff(m.values)] * 4
 
 
 def test_an_overflowing_root_is_rejected_as_the_constructor_rejects_it(monkeypatch):
@@ -309,15 +268,27 @@ def test_an_overflowing_root_is_rejected_as_the_constructor_rejects_it(monkeypat
 
 
 def test_zero_cutoff_is_the_generator_formula_bit_for_bit():
-    # one exponent 1.0 / k per coefficient, for every length
+    # one exponent 1.0 / k per moment m_k, for every length
     rng = np.random.default_rng(64)
     tol = ToleranceSet()
     for K in range(1, 65):
         for _ in range(5):
-            a = [1.0, *(rng.normal(size=K) * 10.0 ** rng.uniform(-12, 12, size=K)).tolist()]
-            want = 1e-8 * max(abs(v) ** (1.0 / k) for k, v in enumerate(a[1:], 1))
-            assert tol.zero_cutoff(a) == tol.zero_cutoff(tuple(a)) == want
-    assert ToleranceSet(zero=0.25).zero_cutoff(a) == 0.25
+            m = (rng.normal(size=K) * 10.0 ** rng.uniform(-12, 12, size=K)).tolist()
+            want = 1e-8 * max(abs(v) ** (1.0 / k) for k, v in enumerate(m, 1))
+            assert tol.zero_cutoff(m) == tol.zero_cutoff(tuple(m)) == want
+    assert ToleranceSet(zero=0.25).zero_cutoff(m) == 0.25
+
+
+def test_zero_cutoff_does_not_depend_on_which_side_is_x():
+    # |m_k| is the same for the sign-flipped problem, so the cutoff is the same bits
+    rng = np.random.default_rng(65)
+    tol = ToleranceSet()
+    for _ in range(200):
+        n_x, n_y = int(rng.integers(0, 5)), int(rng.integers(1, 5))
+        values = (rng.normal(size=n_x + n_y) * 10.0 ** rng.uniform(-8, 8)).tolist()
+        values[int(rng.integers(n_x + n_y))] = 0.0
+        m = forward_moments(values[:n_x], values[n_x:])
+        assert tol.zero_cutoff(m.values) == tol.zero_cutoff(m.negated().values)
 
 
 def _companion_roots(coeffs):
@@ -624,7 +595,7 @@ def test_equal_problems_of_other_bits_keep_their_own_answers():
     minus = MomentSequence((-0.0, -1.0, -0.0, -1.0), 2, 2)
     assert plus == minus and hash(plus) == hash(minus)
     # each answer read off a system built here, outside any object
-    want = [repr(structure._invert(build_hankel(exp_transform(m), 2, 2), ToleranceSet())[0]) for m in (plus, minus)]
+    want = [repr(structure._invert(m, build_hankel(exp_transform(m), 2, 2), ToleranceSet())[0]) for m in (plus, minus)]
     assert want[0] != want[1]
     for m, sol in zip((plus, minus), want):
         assert repr(invert_min_degree(m)) == repr(analyze(m).minimal_solution) == sol

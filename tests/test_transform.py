@@ -7,6 +7,7 @@ from momentkit import (
     BranchSolution,
     ExpCoefficients,
     MomentSequence,
+    analyze,
     exp_transform,
     forward_moments,
 )
@@ -55,10 +56,23 @@ def test_moment_sequence_validates_split():
         MomentSequence((), 0, 0)
 
 
+def test_numpy_integer_branch_counts_are_accepted():
+    m = MomentSequence((2.0, 6.0, 20.0, 66.0), np.int64(2), np.int32(2))
+    assert type(m.n_x) is type(m.n_y) is int
+    assert m == MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
+    assert analyze(m) == analyze(MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2))
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: MomentSequence((1.0,), -1, 2), "branch counts must be nonnegative"),
+    # a split that is not integers passed the K check, and the Hankel
+    # assembly then raised TypeError
+    (lambda: MomentSequence((2.0, 6.0, 20.0, 66.0), 2.0, 2.0), "^n_x must be an integer, got 2.0$"),
+    (lambda: MomentSequence((1.0, 2.0), 1, 1.0), "^n_y must be an integer, got 1.0$"),
+    (lambda: MomentSequence((1.0, 2.0), 1.5, 0.5), "^n_x must be an integer, got 1.5$"),
+    (lambda: MomentSequence((1.0, 2.0), True, 1), "^n_x must be an integer, got True$"),
     (lambda: ExpCoefficients((2.0,)), "must start with a_0 = 1"),
-], ids=["negative-count", "a0-not-1"])
+], ids=["negative-count", "float-counts", "float-n_y", "fractional-counts", "bool-count", "a0-not-1"])
 def test_invalid_arguments_rejected(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -150,7 +150,10 @@ def test_moment_count_validated():
     (lambda: TrigSignal((0.1,), ()), "same length"),
     (lambda: trig_forward(TrigSignal((0.1,), (1.0,)), 0), "count must be >= 1"),
     (lambda: trig_invert([1.0, 1.0], 0), "mode count must be >= 1"),
-], ids=["lengths", "forward-count-0", "modes-0"])
+    # 2.5 made 3 moments, and 2.0 failed in the Hankel indexing
+    (lambda: trig_forward(TrigSignal((0.1,), (1.0,)), 2.5), "^count must be an integer, got 2.5$"),
+    (lambda: trig_invert([2, 0, 2, 0], 2.0), "^mode count must be an integer, got 2.0$"),
+], ids=["lengths", "forward-count-0", "modes-0", "forward-count-float", "modes-float"])
 def test_invalid_arguments_rejected(make, match):
     with pytest.raises(ValueError, match=match):
         make()
