@@ -13,9 +13,18 @@ solution; 4 malformed input, which includes moments that overflow (from
 ``forward``, ``trig-forward`` or the exponential transform), a minimal
 solution beyond the float range, more ``family`` matched pairs than the
 data admits, and ``markov-check`` with no positive branches; 1 internal
-error.  A failure is reported as {"error": {"kind", "detail"}}, where
-kind is ``BadInput`` for malformed input and otherwise the library
-error's class name.
+error.  Every failure is reported on standard output as {"error":
+{"kind", "detail"}}, where kind is ``BadInput`` for malformed input and
+otherwise the library error's class name.  A malformed command line is
+malformed input: its detail is argparse's message, and argparse's usage
+text goes to standard error.  ``--help`` exits 0.
+
+``main`` may be called many times in one process.  Its parsers are built
+on the first call (``_build_parser``) and reused; a request is parsed by
+its subcommand's own parser, found by name, and only ``--help``, an
+empty command line and an unknown subcommand reach the top-level parser.
+A request that gives no tolerance shares ``DEFAULT_TOLERANCES``, and
+every document is written by one JSON encoder.
 
 Result documents are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
@@ -36,7 +45,7 @@ from .errors import FamilyOverflow, MomentProblemError, NonRealSolution, NoPosit
 from .inversion import _METHODS, extend_moments, family_member, invert_min_degree, next_moment
 from .markov import markov_certificate
 from .structure import analyze
-from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, ToleranceSet
+from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet
 from .transform import MomentSequence, _as_count, _power_sum, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
@@ -53,8 +62,14 @@ EXIT_BAD_INPUT = 4
 # JSON emission: result dataclasses as objects, floats in shortest
 # round-trip form; a non-finite float raises ValueError
 
+@functools.cache
+def _encoder() -> json.JSONEncoder:
+    """One encoder for every request, made on the first ``_emit``."""
+    return json.JSONEncoder(default=_fields, allow_nan=False)
+
+
 def _emit(obj) -> str:
-    return json.dumps(obj, default=_fields, allow_nan=False)
+    return _encoder().encode(obj)
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -81,7 +96,10 @@ def _check_fields(doc, required: set[str], optional: set[str]):
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where} must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{where} must be finite real numbers") from None
 
 
 def _number_list(v, where: str) -> list[float]:
@@ -246,34 +264,48 @@ _EXIT_BY_ERROR = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are reported as every other
+    malformed request is, with argparse's message as the detail, before
+    argparse prints its usage text on stderr and exits."""
+
+    def error(self, message):
+        _fail("BadInput", message, EXIT_BAD_INPUT)
+        super().error(message)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``main`` call and reused.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level argument parser and each subcommand's own parser by
+    name, built on the first ``main`` call and reused.
 
     Reuse is safe: ``parse_args`` returns a fresh ``Namespace`` on every
-    call and never mutates the parser, and nothing calls ``add_argument``
-    or ``set_defaults`` once it is built.  Building it takes most of an
-    in-process request's time, so it is not rebuilt per request, and not
-    built at import either.
+    call and never mutates a parser, and nothing calls ``add_argument``
+    or ``set_defaults`` once they are built.  They are not built at
+    import, so a process that imports momentkit and makes no request
+    pays nothing for them.
 
     Each subcommand is declared here once: its parser binds its handler
-    as ``args.run``.
+    as ``args.run`` and is entered in the table that ``main`` dispatches
+    on.  The top-level parser declares the same subcommands for
+    ``--help`` and for its usage errors.
     """
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
     common.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
     common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots of both sides (default 1e-8 * max_k |m_k|^(1/k))")
     common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
     common.add_argument("--verbose", action="store_true", help="attach diagnostics to the output object")
 
-    parser = argparse.ArgumentParser(prog="momentkit", description=(
+    parser = _Parser(prog="momentkit", description=(
         "Solve finite moment problems: one JSON request in (stdin or --input FILE), one JSON result "
         "out (stdout). Exit codes: 0 success, 1 internal error, 2 no solution, 3 non-real solution, "
         "4 malformed input."))
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def command(name, run, help):
-        p = sub.add_parser(name, parents=[common], help=help)
+        p = commands[name] = sub.add_parser(name, parents=[common], help=help)
         p.set_defaults(run=run)
         return p
 
@@ -292,7 +324,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help="number of moments")
     p = command("trig-invert", _cmd_trig_invert, "complex moments -> trig signal")
     p.add_argument("--modes", type=int, required=True, help="number of modes r (input has 2r moments)")
-    return parser
+    return parser, commands
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed by its command's own parser, which gives the
+    namespace of the top-level parser without its ``command`` entry at a
+    fraction of the cost; ``--help``, an empty argv and an unknown
+    command go to the top-level parser."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    own = commands.get(argv[0]) if argv else None
+    return own.parse_args(argv[1:]) if own else parser.parse_args(argv)
 
 
 def _tolerances(args) -> ToleranceSet:
@@ -305,7 +349,9 @@ def _tolerances(args) -> ToleranceSet:
             except ValueError as exc:
                 raise ValueError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
     given = {"rank": rank, "zero": args.tol_zero, "imag": args.tol_imag}
-    return ToleranceSet(**{name: v for name, v in given.items() if v is not None})
+    given = {name: v for name, v in given.items() if v is not None}
+    # the shared defaults, unless a threshold is given
+    return ToleranceSet(**given) if given else DEFAULT_TOLERANCES
 
 
 def _fail(kind: str, detail: str, code: int) -> int:
@@ -314,9 +360,8 @@ def _fail(kind: str, detail: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help; anything else is a malformed request
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT

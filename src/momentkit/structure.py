@@ -31,7 +31,8 @@ root is real, so only a complex stack is split per side.
 
 Values are checked once, where they enter: a by ``transform``, and c',
 q and the roots by ``_invert``.  So the rank decisions take the SVD
-without ``numeric_rank``'s checks, and the solution is built unchecked.
+without ``numeric_rank``'s checks, and the Hankel system and the
+solution are built unchecked.
 
 A problem is decided once per object: ``_decided`` keeps the system and
 existence verdict of a ``MomentSequence`` on it, and ``_cprime`` keeps
@@ -193,7 +194,7 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     # A[:, :0:-1] is fliplr(A1), a Hankel matrix: symmetric bit for bit
     eigs = np.linalg.eigvalsh(A[:, :0:-1]) if n_x else np.zeros(0)
     eigs.setflags(write=False)
-    return HankelSystem(a=coeffs, A=A, eigs=eigs, A1_rank=_count_above(eigs, tol_rank), tol_rank=tol_rank)
+    return _unchecked(HankelSystem, a=coeffs, A=A, eigs=eigs, A1_rank=_count_above(eigs, tol_rank), tol_rank=tol_rank)
 
 
 def solvable(h: HankelSystem) -> bool:
@@ -230,9 +231,12 @@ def _cprime(h: HankelSystem) -> list:
     call."""
     c = getattr(h, "_cprime", None)
     if c is None:
-        r, T = h.A1_rank, h.T
-        if 0 < r < h.n_x and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
-            raise SingularReducedSystem("reduced matrix is numerically singular")
+        # at full rank T is all of A, and A1_tilde is A1, decided nonsingular
+        r, T = h.A1_rank, h.A
+        if r < len(T):
+            T = h.T
+            if r and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
+                raise SingularReducedSystem("reduced matrix is numerically singular")
         c = np.linalg.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
         object.__setattr__(h, "_cprime", c)
     return c
@@ -266,27 +270,33 @@ def _shift_stack(count: int, n: int) -> np.ndarray:
 
 def _monic_roots(*polys: Sequence[float]) -> list:
     """Roots of each z^n + c[0] z^(n-1) + ... + c[n-1], as the eigenvalues
-    of its companion matrix: one array per polynomial.
+    of its companion matrix: one list of Python numbers per polynomial,
+    floats where a call of its own returns a real array and complex
+    numbers otherwise.
 
     Polynomials of one degree share one eigenvalue call on their stacked
     companion matrices, which yields each matrix's eigenvalues bit for
     bit as a call of its own.  That call returns a real array exactly
-    when every root in the stack is real; a complex stack gives each
-    array that is real on its own as real, as its own call would.
+    when every root in the stack is real, read back with one ``tolist``;
+    a complex stack gives each polynomial that is real on its own real
+    roots, as its own call would.
     """
     n = len(polys[0])
     if len(set(map(len, polys))) > 1:
         return [_monic_roots(c)[0] for c in polys]
     if n == 0:
-        return [np.zeros(0) for _ in polys]
+        return [[] for _ in polys]
     C = _shift_stack(len(polys), n).copy()
     C[:, :, 0] = [[-v for v in c] for c in polys]
     roots = np.linalg.eigvals(C)
-    return list(roots) if roots.dtype.kind == "f" else [w if w.imag.any() else w.real for w in roots]
+    if roots.dtype.kind == "f":
+        return roots.tolist()
+    return [(w if w.imag.any() else w.real).tolist() for w in roots]
 
 
-def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceSet, rank: int):
-    """One side's branch values from its polynomial's roots.
+def _branch_values(roots: list, count: int, cutoff: float, tol: ToleranceSet, rank: int):
+    """One side's branch values from its polynomial's roots, as
+    ``_monic_roots`` gives them: all floats or all complex.
 
     Roots at or below ``cutoff`` are structural zeros and are dropped;
     the rest must be real.  Returns (values, info): values has length
@@ -295,14 +305,16 @@ def _branch_values(roots: np.ndarray, count: int, cutoff: float, tol: ToleranceS
     significant imaginary part; info carries the raw roots, the
     filtered-zero count and the side's rank for diagnostics.
     """
-    real, roots = roots.dtype.kind == "f", roots.tolist()
     kept = [z for z in roots if abs(z) > cutoff]
     info = {"eigenvalues": roots, "zeros_filtered": len(roots) - len(kept), "rank": rank}
-    if not real and any(abs(z.imag) > tol.imag * (1.0 + abs(z.real)) for z in kept):
-        return None, info
-    # a real root above the cutoff is nonzero
-    values = sorted(kept) if real else sorted(z.real for z in kept if z.real != 0.0)
-    return (*values, *(0.0,) * (count - len(values))), info
+    # a real root above the cutoff is nonzero; a complex one must be real
+    # within tol.imag, and its real part is the value
+    if kept and type(kept[0]) is complex:
+        if any(abs(z.imag) > tol.imag * (1.0 + abs(z.real)) for z in kept):
+            return None, info
+        kept = [z.real for z in kept if z.real != 0.0]
+    kept.sort()
+    return (*kept, *(0.0,) * (count - len(kept))), info
 
 
 def _invert(m: MomentSequence, h: HankelSystem, tol: ToleranceSet):
@@ -327,18 +339,19 @@ def _invert(m: MomentSequence, h: HankelSystem, tol: ToleranceSet):
     that c', q or a root overflows: the solution lies beyond the float
     range.  The solution is built unchecked from the roots checked here.
     """
-    a, rank, n_y_tilde = h.a, h.A1_rank, h.n_y_tilde
+    rank = h.A1_rank
+    n_y_tilde = m.n_y - m.n_x + rank
     cprime = _cprime(h)
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # _cprime has raised SingularReducedSystem
     n = n_y_tilde + 1
-    d = np.convolve([1.0, *cprime][:n], a.values[:n])[1:n].tolist()  # orders 1..n_y_tilde of p*a
+    d = np.convolve([1.0, *cprime][:n], h.a.values[:n])[1:n].tolist()  # orders 1..n_y_tilde of p*a
     if not all(map(math.isfinite, cprime + d)):
         raise ValueError("the companion coefficients of p or q are not finite: the minimal solution overflows")
     roots_x, roots_y = _monic_roots(cprime, d)
     cutoff = tol.zero_cutoff(m.values)
-    xs, info_x = _branch_values(roots_x, h.n_x, cutoff, tol, rank)
-    ys, info_y = _branch_values(roots_y, h.n_y, cutoff, tol, n_y_tilde)
+    xs, info_x = _branch_values(roots_x, m.n_x, cutoff, tol, rank)
+    ys, info_y = _branch_values(roots_y, m.n_y, cutoff, tol, n_y_tilde)
     if xs is None or ys is None:
         exc = NonRealSolution("retained roots have significant imaginary parts")
         exc._degree = rank - info_x["zeros_filtered"]

@@ -18,10 +18,16 @@ from typing import Sequence
 
 
 def _as_float_tuple(values, name: str) -> tuple[float, ...]:
-    out = tuple(map(float, values))
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"{name} must be finite real numbers")
-    return out
+    """``values`` as a tuple of finite floats.  ValueError says that one
+    is infinite, NaN or an integer beyond the float range; TypeError that
+    one is not a number."""
+    try:
+        out = tuple(map(float, values))
+        if all(map(math.isfinite, out)):
+            return out
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite real numbers")
 
 
 def _as_count(value, name: str) -> int:
@@ -34,7 +40,8 @@ def _as_count(value, name: str) -> int:
 
 
 def _unchecked(cls, **fields):
-    """``cls(**fields)`` for fields already in the form its ``__post_init__`` checks, which is skipped."""
+    """``cls(**fields)`` for fields already in the form its ``__post_init__``
+    checks, without running ``__init__``, and so without those checks."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

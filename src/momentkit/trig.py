@@ -32,8 +32,11 @@ class TrigSignal:
     amps: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", tuple(map(float, self.freqs)))
-        object.__setattr__(self, "amps", tuple(map(complex, self.amps)))
+        try:
+            object.__setattr__(self, "freqs", tuple(map(float, self.freqs)))
+            object.__setattr__(self, "amps", tuple(map(complex, self.amps)))
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("freqs and amps must be finite") from None
         if len(self.freqs) != len(self.amps):
             raise ValueError("freqs and amps must have the same length")
         parts = (*self.freqs, *(z.real for z in self.amps), *(z.imag for z in self.amps))
@@ -107,7 +110,10 @@ def trig_invert(
     r = _as_count(r, "mode count")
     if r < 1:
         raise ValueError("mode count must be >= 1")
-    mv = np.asarray(m, dtype=complex)
+    try:
+        mv = np.asarray(m, dtype=complex)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("moments must be finite") from None
     if mv.ndim != 1 or mv.size != 2 * r:
         raise ValueError(f"need exactly 2r = {2 * r} moments, got {mv.size}")
     if not np.all(np.isfinite(mv)):

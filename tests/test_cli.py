@@ -395,6 +395,48 @@ def test_schema_field_round_trips(capsys, tmp_path):
 
 def test_usage_error_exits_4(capsys, tmp_path):
     assert main(["no-such-command"]) == 4
+    # argparse's message is the detail of a BadInput document on stdout;
+    # the usage text stays on stderr
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert (set(error), error["kind"]) == ({"kind", "detail"}, "BadInput")
+    assert error["detail"].startswith("argument command: invalid choice: 'no-such-command'")
+    assert captured.err.startswith("usage: momentkit")
+
+
+@pytest.mark.parametrize("argv, detail, usage", [
+    ([], "the following arguments are required: command", "usage: momentkit [-h]"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from "
+     "'forward', 'transform', 'analyze', 'invert', 'next', 'extend', 'family', 'markov-check', "
+     "'trig-forward', 'trig-invert')", "usage: momentkit [-h]"),
+    (["invert", "--bogus"], "unrecognized arguments: --bogus", "usage: momentkit invert"),
+    (["extend"], "the following arguments are required: --count", "usage: momentkit extend"),
+    (["extend", "--count", "x"], "argument --count: invalid int value: 'x'", "usage: momentkit extend"),
+    (["invert", "--method", "qr"], "argument --method: invalid choice: 'qr' (choose from 'geneig', 'companion')",
+     "usage: momentkit invert"),
+    (["analyze", "--tol", "1e-3"], "ambiguous option: --tol could match --tol-rank, --tol-zero, --tol-imag",
+     "usage: momentkit analyze"),
+], ids=["empty", "unknown-command", "unknown-flag", "missing-count", "bad-count", "bad-choice", "ambiguous"])
+def test_usage_errors_print_a_bad_input_document(capsys, argv, detail, usage):
+    # missing and unrecognized arguments are the cases that
+    # exit_on_error=False leaves to sys.exit on Python 3.11
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": {"kind": "BadInput", "detail": detail}}
+    assert captured.err.startswith(usage)
+    assert captured.err.endswith(f": error: {detail}\n")
+
+
+def test_an_integer_beyond_the_float_range_is_bad_input(capsys, tmp_path):
+    # a 400-digit JSON integer is an int that float() cannot convert; it
+    # was an InternalError (OverflowError) with exit 1
+    huge = "1" + "0" * 400
+    for argv, payload, detail in (
+        (["invert"], f'{{"moments": [{huge}, 2.0], "n_x": 1, "n_y": 1}}', "moments must be finite real numbers"),
+        (["forward"], f'{{"xs": [{huge}], "ys": []}}', "xs must be finite real numbers"),
+        (["trig-invert", "--modes", "1"], f'{{"moments": [[1, 0], [0, {huge}]]}}', "moments must be finite real numbers"),
+    ):
+        assert run_cli(capsys, argv, payload, tmp_path) == (4, {"error": {"kind": "BadInput", "detail": detail}})
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -507,6 +549,10 @@ def test_parser_reuse_leaks_nothing_between_requests(capsys, tmp_path):
         ["extend", "--count", "2", *given],
         ["extend", *given],
         ["analyze", *given],
+        # a request with a tolerance, then one without: the second reports
+        # the default, so the shared DEFAULT_TOLERANCES was not replaced
+        ["analyze", "--tol-rank", "1e-3", *given],
+        ["analyze", *given],
     ]
 
     def run(argv):
@@ -517,9 +563,91 @@ def test_parser_reuse_leaks_nothing_between_requests(capsys, tmp_path):
     for argv in requests:
         cli._build_parser.cache_clear()
         fresh.append(run(argv))
-    assert [code for code, _ in fresh] == [0, 0, 4, 0, 0, 4, 0]
+    assert [code for code, _ in fresh] == [0, 0, 4, 0, 0, 4, 0, 0, 0]
+    assert [json.loads(out)["tol_rank"] for _, out in fresh[-2:]] == [1e-3, 1e-12]
     for _ in range(2):
         assert [run(argv) for argv in requests] == fresh
+    assert mk.tolerances.DEFAULT_TOLERANCES == mk.ToleranceSet()
+
+
+def test_default_tolerances_are_shared_and_the_environment_read_per_request(monkeypatch):
+    parser, _ = cli._build_parser()
+    args = parser.parse_args(["analyze"])
+    assert cli._tolerances(args) is mk.tolerances.DEFAULT_TOLERANCES
+    monkeypatch.setenv("MOMENTKIT_TOL_RANK", "1e-3")
+    assert cli._tolerances(args) == mk.ToleranceSet(rank=1e-3)
+    monkeypatch.delenv("MOMENTKIT_TOL_RANK")
+    assert cli._tolerances(args) is mk.tolerances.DEFAULT_TOLERANCES
+    assert cli._tolerances(parser.parse_args(["analyze", "--tol-imag", "1e-3"])) == mk.ToleranceSet(imag=1e-3)
+
+
+# each command with its required options, and a request it accepts
+ROUTE_COMMANDS = {
+    "forward": ([], {"xs": [1.0, 3.0], "ys": [0.0, 2.0]}),
+    "transform": ([], README_INSTANCE),
+    "analyze": ([], README_INSTANCE),
+    "invert": (["--method", "geneig"], README_INSTANCE),
+    "next": ([], README_INSTANCE),
+    "extend": (["--count", "3"], README_INSTANCE),
+    "family": (["--r-roots", "0.5"], {"moments": [1, 1, 1], "n_x": 2, "n_y": 1}),
+    "markov-check": ([], README_INSTANCE),
+    "trig-forward": (["--count", "6"], {"freqs": [-1.0, 0.5, 2.0], "amps": [[1, 0], [0.5, 0.5], [2, 0]]}),
+    "trig-invert": (["--modes", "3"], {"moments": [
+        [z.real, z.imag] for z in mk.trig_forward(mk.TrigSignal((-1.0, 0.5, 2.0), (1, 0.5 + 0.5j, 2)), 6)
+    ]}),
+}
+
+
+def _route_argvs(name, required):
+    """Command lines for ``name`` that the command's own parser and the
+    top-level parser must read alike; FILE is the request's path."""
+    yield [name, *required, "--verbose", "--input", "FILE", "--tol-rank", "1e-6"]
+    yield [name, "--input", "FILE", *required]
+    yield [name, f"{required[0]}={required[1]}" if required else "--tol-imag=1e-3", "--input", "FILE"]
+    yield [name, *required, "--verb", "--input", "FILE"]
+    yield [name, "--help"]
+    yield [name, "--input"]
+    yield [name, "--input", "FILE"] if required else [name, "--input", "FILE", "--tol-rank"]
+    yield [name, *required, "--input", "FILE", "--bogus"]
+    yield [name, *required, "--input", "FILE", "extra"]
+
+
+ROUTE_CASES = [
+    (name, argv) for name, (required, _) in ROUTE_COMMANDS.items() for argv in _route_argvs(name, required)
+] + [
+    ("invert", argv) for argv in ([], ["--help"], ["-h"], ["no-such-command"], ["--input", "FILE", "invert"])
+]
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse`` makes of ``argv``, or how it stops."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+@pytest.mark.parametrize("name, argv", ROUTE_CASES, ids=[" ".join(argv) or "empty" for _, argv in ROUTE_CASES])
+def test_the_command_table_route_parses_as_the_top_level_parser(capsys, tmp_path, monkeypatch, name, argv):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(ROUTE_COMMANDS[name][1]))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+
+    def top_level(argv):
+        return cli._build_parser()[0].parse_args(argv)
+
+    own, top = _parsed(cli._parse, argv), _parsed(top_level, argv)
+    if isinstance(top, dict):
+        # the top-level parser adds the command's name
+        assert top == {"command": argv[0], **own}
+    else:
+        assert own == top
+    capsys.readouterr()
+    # the same exit code and stdout through main, by either route
+    outcomes = [(main(argv), capsys.readouterr().out)]
+    monkeypatch.setattr(cli, "_parse", top_level)
+    outcomes.append((main(argv), capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch):

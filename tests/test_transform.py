@@ -7,9 +7,14 @@ from momentkit import (
     BranchSolution,
     ExpCoefficients,
     MomentSequence,
+    TrigSignal,
     analyze,
+    density_eval,
     exp_transform,
     forward_moments,
+    next_moment,
+    trig_invert,
+    weights,
 )
 from oracles import (
     convolve_lists,
@@ -132,6 +137,45 @@ def test_values_must_be_finite(bad):
     # finite moments whose transform overflows: a_2 = (1e200 + 1e400) / 2
     with pytest.raises(ValueError, match="finite"):
         exp_transform((1e200, 1e200))
+
+
+HUGE = 10**400  # an integer beyond the float range: float() raises OverflowError
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: MomentSequence((1.0, HUGE), 1, 1), "^moments must be finite real numbers$"),
+    (lambda: ExpCoefficients((1.0, HUGE)), "^coefficients must be finite real numbers$"),
+    (lambda: BranchSolution((HUGE,), ()), "^xs must be finite real numbers$"),
+    (lambda: BranchSolution((1.0,), (HUGE,)), "^ys must be finite real numbers$"),
+    (lambda: forward_moments([HUGE], []), "^xs must be finite real numbers$"),
+    (lambda: weights([HUGE, 1.0], [0.5]), "^xs must be finite real numbers$"),
+    (lambda: weights([1.0], [-HUGE]), "^ys must be finite real numbers$"),
+    (lambda: next_moment(MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2), cbar=[HUGE, 1.0]),
+     "^cbar must be finite real numbers$"),
+    (lambda: TrigSignal((HUGE,), (1.0,)), "^freqs and amps must be finite$"),
+    (lambda: TrigSignal((0.0,), (HUGE,)), "^freqs and amps must be finite$"),
+    (lambda: trig_invert([HUGE, 1.0], 1), "^moments must be finite$"),
+    (lambda: density_eval(BranchSolution((1.0,), ()), HUGE), "^x must be a finite real number$"),
+], ids=[
+    "MomentSequence", "ExpCoefficients", "BranchSolution-xs", "BranchSolution-ys", "forward_moments",
+    "weights-xs", "weights-ys", "next_moment-cbar", "TrigSignal-freqs", "TrigSignal-amps", "trig_invert",
+    "density_eval",
+])
+def test_an_integer_beyond_the_float_range_is_not_finite(call, match):
+    # these raised OverflowError from float() or complex(); they now raise
+    # the ValueError of an infinite value
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_a_value_of_the_wrong_type_is_still_a_type_error():
+    for make in (
+        lambda: MomentSequence((1.0, None), 1, 1),
+        lambda: forward_moments([object()], []),
+        lambda: weights([1.0], [[0.5]]),
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_round_trip_random():
