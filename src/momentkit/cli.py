@@ -23,8 +23,10 @@ text goes to standard error.  ``--help`` exits 0.
 on the first call (``_build_parser``) and reused; a request is parsed by
 its subcommand's own parser, found by name, and only ``--help``, an
 empty command line and an unknown subcommand reach the top-level parser.
-A request that gives no tolerance shares ``DEFAULT_TOLERANCES``, and
-every document is written by one JSON encoder.
+``forward``, ``transform`` and ``trig-forward`` solve nothing: they take
+``--input`` only and read no ``MOMENTKIT_TOL_RANK``.  A request that
+gives no tolerance shares ``DEFAULT_TOLERANCES``, and every document is
+written by one JSON encoder.
 
 Result documents are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
@@ -290,8 +292,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     on.  The top-level parser declares the same subcommands for
     ``--help`` and for its usage errors.
     """
-    common = _Parser(add_help=False)
-    common.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
+    # forward, transform and trig-forward take --input only
+    io = _Parser(add_help=False)
+    io.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
+    common = _Parser(add_help=False, parents=[io])
     common.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
     common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots of both sides (default 1e-8 * max_k |m_k|^(1/k))")
     common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
@@ -304,13 +308,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def command(name, run, help):
-        p = commands[name] = sub.add_parser(name, parents=[common], help=help)
+    def command(name, run, help, parent=common):
+        p = commands[name] = sub.add_parser(name, parents=[parent], help=help)
         p.set_defaults(run=run)
         return p
 
-    command("forward", _cmd_forward, "branch values -> moments")
-    command("transform", _cmd_transform, "moments -> exponential-transform coefficients")
+    command("forward", _cmd_forward, "branch values -> moments", io)
+    command("transform", _cmd_transform, "moments -> exponential-transform coefficients", io)
     command("analyze", _cmd_analyze, "moments -> solvability report")
     p = command("invert", _cmd_invert, "moments -> minimal-degree branch solution")
     p.add_argument("--method", choices=_METHODS, default="companion")
@@ -320,7 +324,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("family", _cmd_family, "moments -> family member with matched pairs appended")
     p.add_argument("--r-roots", default="", help="comma-separated matched-pair values")
     command("markov-check", _cmd_markov_check, "moments -> Markov certificates")
-    p = command("trig-forward", _cmd_trig_forward, "trig signal -> complex moments")
+    p = command("trig-forward", _cmd_trig_forward, "trig signal -> complex moments", io)
     p.add_argument("--count", type=int, required=True, help="number of moments")
     p = command("trig-invert", _cmd_trig_invert, "complex moments -> trig signal")
     p.add_argument("--modes", type=int, required=True, help="number of modes r (input has 2r moments)")
@@ -340,6 +344,8 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _tolerances(args) -> ToleranceSet:
+    if "tol_rank" not in args:  # a command that solves nothing
+        return DEFAULT_TOLERANCES
     rank = args.tol_rank
     if rank is None:
         env = os.environ.get("MOMENTKIT_TOL_RANK")
@@ -375,7 +381,7 @@ def main(argv=None) -> int:
             text = sys.stdin.read()
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ValueError(f"invalid JSON: {exc}") from exc
         print(_emit(args.run(doc, args, tol)))
         return EXIT_OK

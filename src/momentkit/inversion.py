@@ -99,9 +99,10 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
     Each t in r_roots joins both branch sides (a common polynomial factor
     on p and q), consuming one zero pad per side; the moments are
     unchanged.  The family capacity equals the number of zero pads
-    available on the scarcer side.
+    available on the scarcer side.  ValueError says that a matched-pair
+    value is not a finite real number.
     """
-    extras = tuple(float(t) for t in r_roots)
+    extras = _as_float_tuple(r_roots, "r_roots")
     zeros_x = sum(1 for v in minimal.xs if v == 0.0)
     zeros_y = sum(1 for v in minimal.ys if v == 0.0)
     capacity = min(zeros_x, zeros_y)
@@ -200,7 +201,4 @@ def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = Non
     when ``count`` is not an integer >= 1 or naming the first moment that
     overflows to a non-finite value.
     """
-    count = _as_count(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return tuple(_continue(m, tol, count))
+    return tuple(_continue(m, tol, _as_count(count, "count", 1)))

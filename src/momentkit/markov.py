@@ -179,12 +179,7 @@ def density_eval(sol: BranchSolution, x: float) -> float:
     def step(t: float) -> float:
         return 1.0 if t > 0.0 else 0.0
 
-    try:
-        x = float(x)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError("x must be a finite real number")
+    (x,) = _as_float_tuple((x,), "x")
     total = 0.0
     for v in sol.xs:
         if v != 0.0:

@@ -29,10 +29,10 @@ reversed a-sequence, and the stacked shift matrices that a copy makes
 companion matrices.  eigvals returns a real stack exactly when every
 root is real, so only a complex stack is split per side.
 
-Values are checked once, where they enter: a by ``transform``, and c',
-q and the roots by ``_invert``.  So the rank decisions take the SVD
-without ``numeric_rank``'s checks, and the Hankel system and the
-solution are built unchecked.
+Values are checked once, where they enter: a, the counts and the rank
+tolerance by ``build_hankel``, and c', q and the roots by ``_invert``.
+So the rank decisions take the SVD without ``numeric_rank``'s checks,
+and the Hankel system and the solution are built unchecked.
 
 A problem is decided once per object: ``_decided`` keeps the system and
 existence verdict of a ``MomentSequence`` on it, and ``_cprime`` keeps
@@ -50,14 +50,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonRealSolution, SingularReducedSystem
-from .tolerances import DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet, _check_rank
 from .transform import (
     BranchSolution,
     ExpCoefficients,
     MomentSequence,
+    _as_count,
     _as_float_tuple,
     _unchecked,
-    as_exp_coefficients,
     exp_transform,
 )
 
@@ -75,8 +75,10 @@ def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
     """Number of singular values above ``tol_rel * sigma_max``.
 
     Returns 0 for an empty or all-zero matrix.  Raises ValueError for a
-    matrix with an inf or NaN entry, whose singular values decide nothing.
+    matrix with an inf or NaN entry, whose singular values decide nothing,
+    or a ``tol_rel`` outside (0, 1).
     """
+    _check_rank(tol_rel)
     M = np.atleast_2d(np.asarray(matrix))
     if M.size == 0:
         return 0
@@ -94,7 +96,7 @@ def _entry_index(n_x: int) -> np.ndarray:
     return index
 
 
-def _toeplitz_slice(a: Sequence[float], n_x: int, n_y: int) -> np.ndarray:
+def _toeplitz_slice(a: Sequence[float], n_x: int) -> np.ndarray:
     """A, the n_x x (n_x+1) matrix with entry a[n_y + i - j], 1-based row
     i, 0-based column j, of the sequence ``a`` = a_0..a_{n_x+n_y}.
 
@@ -182,14 +184,16 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     and the reduced block T is the corner of A that rank selects.  With
     n_x = 0 this is the empty system: A is 0 x 1, rank(A1) is 0 and T is
     all of A, so p = 1 and every decision on it is made without a
-    factorization.
+    factorization.  ValueError says that a count is negative or not an
+    integer, or that ``tol_rank`` lies outside (0, 1).
     """
-    coeffs = as_exp_coefficients(a)
+    n_x, n_y, tol_rank = _as_count(n_x, "n_x"), _as_count(n_y, "n_y"), _check_rank(tol_rank)
+    coeffs = a if isinstance(a, ExpCoefficients) else ExpCoefficients(tuple(a))
     if coeffs.order != n_x + n_y:
         raise ValueError(
             f"need coefficients a_0..a_{n_x + n_y}, got a_0..a_{coeffs.order}"
         )
-    A = _toeplitz_slice(coeffs.values, n_x, n_y)
+    A = _toeplitz_slice(coeffs.values, n_x)
     A.setflags(write=False)
     # A[:, :0:-1] is fliplr(A1), a Hankel matrix: symmetric bit for bit
     eigs = np.linalg.eigvalsh(A[:, :0:-1]) if n_x else np.zeros(0)

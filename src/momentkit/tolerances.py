@@ -14,6 +14,15 @@ DEFAULT_RANK = 1e-12
 DEFAULT_IMAG = 1e-8
 
 
+def _check_rank(rank: float) -> float:
+    """``rank`` where ``0 < rank < 1``, NaN excluded, and ValueError
+    otherwise: the rank rule of ``ToleranceSet``, ``numeric_rank`` and
+    ``build_hankel``."""
+    if not 0.0 < rank < 1.0:  # false for NaN
+        raise ValueError(f"rank tolerance must lie in (0, 1), got {rank!r}")
+    return rank
+
+
 @dataclass(frozen=True)
 class ToleranceSet:
     """Thresholds controlling rank decisions and root filtering.
@@ -55,9 +64,8 @@ class ToleranceSet:
     separation: float = 1e-8
 
     def __post_init__(self):
+        _check_rank(self.rank)
         # each test is false for NaN, so NaN fails it
-        if not 0.0 < self.rank < 1.0:
-            raise ValueError(f"rank tolerance must lie in (0, 1), got {self.rank!r}")
         if not 0.0 < self.imag < math.inf:
             raise ValueError(f"imag tolerance must be finite and > 0, got {self.imag!r}")
         if not 0.0 < self.separation < math.inf:

@@ -5,12 +5,15 @@ result is checked against.  The exponential transform turns a moment
 sequence into the Taylor coefficients of q(z)/p(z), where p and q carry
 the positive and negative branch values as reciprocal roots; it is the
 sequence all Hankel machinery is built from.  Values are checked once,
-where they enter: by the public constructors, and by ``exp_transform``
-in its loop, which then builds its result unchecked.
+where they enter, by one rule per kind: ``_as_float_tuple``,
+``_as_complex_tuple`` and ``_as_count`` are the entry checks of every
+public function and constructor, and ``exp_transform`` checks its
+coefficients in its loop, then builds its result unchecked.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -30,12 +33,26 @@ def _as_float_tuple(values, name: str) -> tuple[float, ...]:
     raise ValueError(f"{name} must be finite real numbers")
 
 
-def _as_count(value, name: str) -> int:
-    """``value`` as an int: Python and numpy integers pass; a bool, a
-    float or any other type raises ValueError.  A Python int, the common
-    case, skips the slower ``numbers.Integral`` check."""
+def _as_complex_tuple(values, name: str) -> tuple[complex, ...]:
+    """``values`` as a tuple of finite complex numbers, by the rule of
+    ``_as_float_tuple``."""
+    try:
+        out = tuple(map(complex, values))
+        if all(map(cmath.isfinite, out)):
+            return out
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite complex numbers")
+
+
+def _as_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int >= ``least``: Python and numpy integers pass; a
+    bool, a float, any other type or a smaller value raises ValueError.  A
+    Python int, the common case, skips the slower ``numbers.Integral`` check."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
     return int(value)
 
 
@@ -52,8 +69,8 @@ class MomentSequence:
     """Ordered real moments m_1..m_K with the branch split (n_x, n_y).
 
     Indices are 1-based in all formulas; ``values[k-1]`` holds m_k.  The
-    branch counts are integers, numpy integers included; a bool, a float
-    or any other type raises ValueError.
+    branch counts are nonnegative integers, numpy integers included; a
+    bool, a float, any other type or a negative count raises ValueError.
     """
 
     values: tuple[float, ...]
@@ -64,8 +81,6 @@ class MomentSequence:
         object.__setattr__(self, "values", _as_float_tuple(self.values, "moments"))
         object.__setattr__(self, "n_x", _as_count(self.n_x, "n_x"))
         object.__setattr__(self, "n_y", _as_count(self.n_y, "n_y"))
-        if self.n_x < 0 or self.n_y < 0:
-            raise ValueError("branch counts must be nonnegative")
         if self.n_x + self.n_y != len(self.values):
             raise ValueError(
                 f"n_x + n_y = {self.n_x + self.n_y} must equal the number "
@@ -158,18 +173,6 @@ class BranchSolution:
         return len(self.ys)
 
 
-def _moment_values(m) -> tuple[float, ...]:
-    if isinstance(m, MomentSequence):
-        return m.values
-    return _as_float_tuple(m, "moments")
-
-
-def as_exp_coefficients(a) -> ExpCoefficients:
-    if isinstance(a, ExpCoefficients):
-        return a
-    return ExpCoefficients(tuple(a))
-
-
 def _power_sum(values: Sequence[float], k: int) -> float:
     """sum_j values_j**k, accumulated left to right (``sum`` compensates
     float sums from Python 3.12 on, which would change the last bits).  A
@@ -210,7 +213,7 @@ def exp_transform(m) -> ExpCoefficients:
     longer moment sequence only appends coefficients.  ValueError names
     the first coefficient that overflows to a non-finite value.
     """
-    values = _moment_values(m)
+    values = m.values if isinstance(m, MomentSequence) else _as_float_tuple(m, "moments")
     K = len(values)
     a = [1.0] + [0.0] * K
     for k in range(1, K + 1):

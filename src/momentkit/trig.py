@@ -9,7 +9,6 @@ Vandermonde solve against the first r moments.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import IllConditionedNodes, RankDeficientSignal
 from .structure import _count_above
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
-from .transform import _as_count
+from .transform import _as_complex_tuple, _as_count, _as_float_tuple
 
 
 @dataclass(frozen=True)
@@ -32,16 +31,10 @@ class TrigSignal:
     amps: tuple[complex, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "freqs", tuple(map(float, self.freqs)))
-            object.__setattr__(self, "amps", tuple(map(complex, self.amps)))
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("freqs and amps must be finite") from None
+        object.__setattr__(self, "freqs", _as_float_tuple(self.freqs, "freqs"))
+        object.__setattr__(self, "amps", _as_complex_tuple(self.amps, "amps"))
         if len(self.freqs) != len(self.amps):
             raise ValueError("freqs and amps must have the same length")
-        parts = (*self.freqs, *(z.real for z in self.amps), *(z.imag for z in self.amps))
-        if not all(map(math.isfinite, parts)):
-            raise ValueError("freqs and amps must be finite")
 
 
 def trig_forward(sig: TrigSignal, count: int) -> np.ndarray:
@@ -50,10 +43,7 @@ def trig_forward(sig: TrigSignal, count: int) -> np.ndarray:
     ValueError says that ``count`` is not an integer >= 1, or names the
     first moment that overflows to a non-finite value.
     """
-    count = _as_count(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    k = np.arange(count)[:, None]
+    k = np.arange(_as_count(count, "count", 1))[:, None]
     lam = np.asarray(sig.freqs)[None, :]
     amps = np.asarray(sig.amps)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -100,6 +90,8 @@ def trig_invert(
     ValueError
         r is not an integer >= 1, a moment is not finite, or there are
         not 2r of them.
+    TypeError
+        A moment is not a number.
     RankDeficientSignal
         The r x r moment matrix has numeric rank below r: the data does
         not carry r resolvable modes.
@@ -107,17 +99,10 @@ def trig_invert(
         Two recovered frequencies coincide within the separation tolerance.
     """
     tol = tol or DEFAULT_TOLERANCES
-    r = _as_count(r, "mode count")
-    if r < 1:
-        raise ValueError("mode count must be >= 1")
-    try:
-        mv = np.asarray(m, dtype=complex)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("moments must be finite") from None
-    if mv.ndim != 1 or mv.size != 2 * r:
+    r = _as_count(r, "mode count", 1)
+    mv = np.array(_as_complex_tuple(m, "moments"))
+    if mv.size != 2 * r:
         raise ValueError(f"need exactly 2r = {2 * r} moments, got {mv.size}")
-    if not np.all(np.isfinite(mv)):
-        raise ValueError("moments must be finite")
 
     idx = _hankel_index(r)
     H0, H1 = mv[idx], mv[idx + 1]

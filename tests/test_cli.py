@@ -321,6 +321,13 @@ def test_malformed_requests_are_bad_input(capsys, tmp_path, argv, doc, detail):
     assert detail in out["error"]["detail"]
 
 
+def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path):
+    # the decoder's RecursionError was an InternalError with exit 1
+    code, out = run_cli(capsys, ["invert"], "[" * 100_000 + "]" * 100_000, tmp_path)
+    assert (code, out["error"]["kind"]) == (4, "BadInput")
+    assert out["error"]["detail"].startswith("invalid JSON: ")
+
+
 def test_analyze_reports_a_minimal_solution_that_overflows(capsys, tmp_path):
     code, out = run_cli(capsys, ["analyze"], {"moments": [1e-300, 2e10], "n_x": 1, "n_y": 1}, tmp_path)
     assert code == 0
@@ -596,6 +603,19 @@ ROUTE_COMMANDS = {
         [z.real, z.imag] for z in mk.trig_forward(mk.TrigSignal((-1.0, 0.5, 2.0), (1, 0.5 + 0.5j, 2)), 6)
     ]}),
 }
+
+
+@pytest.mark.parametrize("name", ["forward", "transform", "trig-forward"])
+def test_commands_that_solve_nothing_take_no_tolerance(capsys, tmp_path, monkeypatch, name):
+    required, doc = ROUTE_COMMANDS[name]
+    # the variable is not read: "abc" was BadInput with exit 4
+    monkeypatch.setenv("MOMENTKIT_TOL_RANK", "abc")
+    assert cli._tolerances(cli._parse([name, *required])) is mk.tolerances.DEFAULT_TOLERANCES
+    code, out = run_cli(capsys, [name, *required], doc, tmp_path)
+    assert code == 0 and "error" not in out
+    for flag in (["--tol-rank", "1e-6"], ["--tol-zero", "0"], ["--tol-imag", "1e-3"], ["--verbose"]):
+        detail = f"unrecognized arguments: {' '.join(flag)}"
+        assert run_cli(capsys, [name, *required, *flag], doc, tmp_path) == (4, {"error": {"kind": "BadInput", "detail": detail}})
 
 
 def _route_argvs(name, required):

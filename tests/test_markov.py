@@ -47,7 +47,7 @@ def test_non_finite_values_rejected(bad):
         weights([bad, 1.0], [0.5])
     with pytest.raises(ValueError, match="^ys must be finite real numbers$"):
         weights([1.0], [bad])
-    with pytest.raises(ValueError, match="^x must be a finite real number$"):
+    with pytest.raises(ValueError, match="^x must be finite real numbers$"):
         density_eval(BranchSolution.from_branches([1.0], [0.0]), bad)
 
 

@@ -181,7 +181,7 @@ def test_toeplitz_slice_follows_the_entry_formula():
     for n_x in range(9):
         for n_y in range(9):
             a = (1.0,) + tuple(k + 0.5 for k in range(1, n_x + n_y + 1))
-            M = structure._toeplitz_slice(a, n_x, n_y)
+            M = structure._toeplitz_slice(a, n_x)
             want = [
                 [a[n_y + i - j] if n_y + i - j >= 0 else 0.0 for j in range(n_x + 1)]
                 for i in range(1, n_x + 1)

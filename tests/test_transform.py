@@ -7,12 +7,19 @@ from momentkit import (
     BranchSolution,
     ExpCoefficients,
     MomentSequence,
+    ToleranceSet,
     TrigSignal,
     analyze,
+    build_hankel,
     density_eval,
     exp_transform,
+    extend_moments,
+    family_member,
     forward_moments,
+    invert_min_degree,
     next_moment,
+    numeric_rank,
+    trig_forward,
     trig_invert,
     weights,
 )
@@ -68,8 +75,13 @@ def test_numpy_integer_branch_counts_are_accepted():
     assert analyze(m) == analyze(MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2))
 
 
+WORKED = MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
+A3 = ExpCoefficients((1.0, 3.0, 7.0))
+
+
 @pytest.mark.parametrize("make, match", [
-    (lambda: MomentSequence((1.0,), -1, 2), "branch counts must be nonnegative"),
+    (lambda: MomentSequence((1.0,), -1, 2), "^n_x must be >= 0$"),
+    (lambda: MomentSequence((1.0,), 2, -1), "^n_y must be >= 0$"),
     # a split that is not integers passed the K check, and the Hankel
     # assembly then raised TypeError
     (lambda: MomentSequence((2.0, 6.0, 20.0, 66.0), 2.0, 2.0), "^n_x must be an integer, got 2.0$"),
@@ -77,7 +89,31 @@ def test_numpy_integer_branch_counts_are_accepted():
     (lambda: MomentSequence((1.0, 2.0), 1.5, 0.5), "^n_x must be an integer, got 1.5$"),
     (lambda: MomentSequence((1.0, 2.0), True, 1), "^n_x must be an integer, got True$"),
     (lambda: ExpCoefficients((2.0,)), "must start with a_0 = 1"),
-], ids=["negative-count", "float-counts", "float-n_y", "fractional-counts", "bool-count", "a0-not-1"])
+    # build_hankel checked neither its counts nor its rank tolerance: a
+    # negative n_y gave a system with n_y = -1, and a NaN tolerance rank 0
+    (lambda: build_hankel(A3, 3, -1), "^n_y must be >= 0$"),
+    (lambda: build_hankel(A3, -1, 3), "^n_x must be >= 0$"),
+    (lambda: build_hankel(A3, 2.0, 0), "^n_x must be an integer, got 2.0$"),
+    (lambda: build_hankel(A3, True, 1), "^n_x must be an integer, got True$"),
+    (lambda: build_hankel(A3, 2, 0, float("nan")), r"^rank tolerance must lie in \(0, 1\), got nan$"),
+    (lambda: build_hankel(A3, 2, 0, 0.0), r"^rank tolerance must lie in \(0, 1\), got 0.0$"),
+    (lambda: build_hankel(A3, 2, 0, 1.0), r"^rank tolerance must lie in \(0, 1\), got 1.0$"),
+    # numeric_rank returned 0 at a NaN tolerance
+    (lambda: numeric_rank([[1.0, 0.0], [0.0, 1.0]], float("nan")), r"^rank tolerance must lie in \(0, 1\), got nan$"),
+    (lambda: numeric_rank([[1.0, 0.0], [0.0, 1.0]], 0.0), r"^rank tolerance must lie in \(0, 1\), got 0.0$"),
+    (lambda: numeric_rank([[1.0, 0.0], [0.0, 1.0]], 1.0), r"^rank tolerance must lie in \(0, 1\), got 1.0$"),
+    (lambda: ToleranceSet(rank=float("nan")), r"^rank tolerance must lie in \(0, 1\), got nan$"),
+    # the least value of every other count
+    (lambda: extend_moments(WORKED, 0), "^count must be >= 1$"),
+    (lambda: trig_forward(TrigSignal((0.1,), (1.0,)), 0), "^count must be >= 1$"),
+    (lambda: trig_invert([1.0, 1.0], 0), "^mode count must be >= 1$"),
+], ids=[
+    "negative-count", "negative-n_y", "float-counts", "float-n_y", "fractional-counts", "bool-count", "a0-not-1",
+    "build_hankel-negative-n_y", "build_hankel-negative-n_x", "build_hankel-float-count", "build_hankel-bool-count",
+    "build_hankel-rank-nan", "build_hankel-rank-0", "build_hankel-rank-1",
+    "numeric_rank-nan", "numeric_rank-0", "numeric_rank-1", "ToleranceSet-rank-nan",
+    "extend_moments-count-0", "trig_forward-count-0", "trig_invert-modes-0",
+])
 def test_invalid_arguments_rejected(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -152,14 +188,16 @@ HUGE = 10**400  # an integer beyond the float range: float() raises OverflowErro
     (lambda: weights([1.0], [-HUGE]), "^ys must be finite real numbers$"),
     (lambda: next_moment(MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2), cbar=[HUGE, 1.0]),
      "^cbar must be finite real numbers$"),
-    (lambda: TrigSignal((HUGE,), (1.0,)), "^freqs and amps must be finite$"),
-    (lambda: TrigSignal((0.0,), (HUGE,)), "^freqs and amps must be finite$"),
-    (lambda: trig_invert([HUGE, 1.0], 1), "^moments must be finite$"),
-    (lambda: density_eval(BranchSolution((1.0,), ()), HUGE), "^x must be a finite real number$"),
+    (lambda: TrigSignal((HUGE,), (1.0,)), "^freqs must be finite real numbers$"),
+    (lambda: TrigSignal((0.0,), (HUGE,)), "^amps must be finite complex numbers$"),
+    (lambda: trig_invert([HUGE, 1.0], 1), "^moments must be finite complex numbers$"),
+    (lambda: density_eval(BranchSolution((1.0,), ()), HUGE), "^x must be finite real numbers$"),
+    (lambda: family_member(invert_min_degree(forward_moments([1.0, 3.0, 0.5], [0.25, 2.0, 0.5])), [HUGE]),
+     "^r_roots must be finite real numbers$"),
 ], ids=[
     "MomentSequence", "ExpCoefficients", "BranchSolution-xs", "BranchSolution-ys", "forward_moments",
     "weights-xs", "weights-ys", "next_moment-cbar", "TrigSignal-freqs", "TrigSignal-amps", "trig_invert",
-    "density_eval",
+    "density_eval", "family_member",
 ])
 def test_an_integer_beyond_the_float_range_is_not_finite(call, match):
     # these raised OverflowError from float() or complex(); they now raise
@@ -173,6 +211,9 @@ def test_a_value_of_the_wrong_type_is_still_a_type_error():
         lambda: MomentSequence((1.0, None), 1, 1),
         lambda: forward_moments([object()], []),
         lambda: weights([1.0], [[0.5]]),
+        # a nested list of moments failed the length check with ValueError
+        lambda: trig_invert([[1.0, 0.0], [0.0, 1.0]], 1),
+        lambda: TrigSignal((0.1,), ([1.0],)),
     ):
         with pytest.raises(TypeError):
             make()
