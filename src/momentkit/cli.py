@@ -48,7 +48,7 @@ from .inversion import _METHODS, extend_moments, family_member, invert_min_degre
 from .markov import markov_certificate
 from .structure import analyze
 from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet
-from .transform import MomentSequence, _as_count, _power_sum, exp_transform, forward_moments
+from .transform import MomentSequence, _as_complex_tuple, _as_count, _power_sum, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
 SCHEMA = "momentkit/1"
@@ -95,16 +95,17 @@ def _check_fields(doc, required: set[str], optional: set[str]):
         raise ValueError(f"unsupported schema {doc['schema']!r}; expected {SCHEMA!r}")
 
 
-def _number(v, where: str) -> float:
+def _number(v, where: str) -> int | float:
+    """``v`` as JSON decoded it, if it is a number and not a bool.  Whether
+    it is finite and within the float range is the library's entry check,
+    so each field has one message for NaN, Infinity and an integer
+    literal beyond the float range."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where} must be a number")
-    try:
-        return float(v)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ValueError(f"{where} must be finite real numbers") from None
+    return v
 
 
-def _number_list(v, where: str) -> list[float]:
+def _number_list(v, where: str) -> list[int | float]:
     if not isinstance(v, list):
         raise ValueError(f"{where} must be an array of numbers")
     return [_number(x, where) for x in v]
@@ -113,12 +114,14 @@ def _number_list(v, where: str) -> list[float]:
 def _complex_list(v, where: str) -> list[complex]:
     if not isinstance(v, list):
         raise ValueError(f"{where} must be an array of [re, im] pairs")
-    out = []
+    parts = []
     for x in v:
         if not (isinstance(x, list) and len(x) == 2):
             raise ValueError(f"{where} entries must be [re, im] pairs")
-        out.append(complex(_number(x[0], where), _number(x[1], where)))
-    return out
+        parts += (_number(x[0], where), _number(x[1], where))
+    # each part checked by the rule of the complex field it belongs to
+    z = _as_complex_tuple(parts, where)
+    return [complex(re.real, im.real) for re, im in zip(z[::2], z[1::2])]
 
 
 def _read_moments(doc) -> MomentSequence:

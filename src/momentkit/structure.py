@@ -20,14 +20,16 @@ matrices.  One zero cutoff, read off the moments by
 deg p, the count of p's roots that pass it, and d_max = d_min + n_x -
 rank.
 
-Numpy arrays are the inputs and outputs of the factorizations
-(eigvalsh, svd, solve, eigvals) and of the convolution that forms q; the
-rank rule, the zero cutoff and the root filter work on Python floats in
-a fixed order, so every decision repeats bit for bit.  Two read-only
-tables are cached on sizes alone: where each entry of A sits in the
-reversed a-sequence, and the stacked shift matrices that a copy makes
-companion matrices.  eigvals returns a real stack exactly when every
-root is real, so only a complex stack is split per side.
+Numpy arrays are the inputs and outputs of the factorizations and of
+the convolution that forms q.  eigvalsh, solve and eigvals go through
+``_lapack``, numpy's LAPACK gufuncs without ``np.linalg``'s per-call
+dispatch, and svd through ``np.linalg``; the rank rule, the zero cutoff
+and the root filter work on Python floats in a fixed order, so every
+decision repeats bit for bit.  Two read-only tables are cached on sizes
+alone: where each entry of A sits in the reversed a-sequence, and the
+stacked shift matrices that a copy makes companion matrices.  eigvals
+returns a real stack exactly when every root is real, so only a complex
+stack is split per side.
 
 Values are checked once, where they enter: a, the counts and the rank
 tolerance by ``build_hankel``, and c', q and the roots by ``_invert``.
@@ -49,6 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _lapack
 from .errors import NonRealSolution, SingularReducedSystem
 from .tolerances import DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet, _check_rank
 from .transform import (
@@ -196,7 +199,7 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     A = _toeplitz_slice(coeffs.values, n_x)
     A.setflags(write=False)
     # A[:, :0:-1] is fliplr(A1), a Hankel matrix: symmetric bit for bit
-    eigs = np.linalg.eigvalsh(A[:, :0:-1]) if n_x else np.zeros(0)
+    eigs = _lapack.eigvalsh(A[:, :0:-1]) if n_x else np.zeros(0)
     eigs.setflags(write=False)
     return _unchecked(HankelSystem, a=coeffs, A=A, eigs=eigs, A1_rank=_count_above(eigs, tol_rank), tol_rank=tol_rank)
 
@@ -241,7 +244,7 @@ def _cprime(h: HankelSystem) -> list:
             T = h.T
             if r and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
                 raise SingularReducedSystem("reduced matrix is numerically singular")
-        c = np.linalg.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
+        c = _lapack.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
         object.__setattr__(h, "_cprime", c)
     return c
 
@@ -292,7 +295,7 @@ def _monic_roots(*polys: Sequence[float]) -> list:
         return [[] for _ in polys]
     C = _shift_stack(len(polys), n).copy()
     C[:, :, 0] = [[-v for v in c] for c in polys]
-    roots = np.linalg.eigvals(C)
+    roots = _lapack.eigvals(C)
     if roots.dtype.kind == "f":
         return roots.tolist()
     return [(w if w.imag.any() else w.real).tolist() for w in roots]

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _lapack
 from .errors import IllConditionedNodes, RankDeficientSignal
 from .structure import _count_above
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -110,7 +111,7 @@ def trig_invert(
     if rank < r:
         raise RankDeficientSignal(f"moment matrix rank {rank} < requested modes {r}")
 
-    eigs = np.linalg.eigvals(np.linalg.solve(H0, H1))
+    eigs = _lapack.eigvals(_lapack.solve(H0, H1))
     freqs = np.angle(eigs)  # (-pi, pi]
     f = freqs.tolist()
     g = sorted(f)
@@ -123,7 +124,7 @@ def trig_invert(
 
     nodes = np.exp(1j * freqs)  # moduli forced to one
     V = nodes[None, :] ** np.arange(r)[:, None]
-    amps = np.linalg.solve(V, mv[:r])
+    amps = _lapack.solve(V, mv[:r])
 
     order = np.argsort(freqs)
     sig = TrigSignal(freqs[order].tolist(), amps[order].tolist())

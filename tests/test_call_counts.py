@@ -12,8 +12,11 @@ alike; only a rank-deficient A1 takes ``lstsq``, and only where the
 continuation asks for it, so no SVD returns vectors.  The roots of p and
 q come from one eigenvalue call when their degrees agree, and the zero
 cutoff is read off the moments with no call at all.  These are counts,
-not times, so they hold on any machine.  Every ``np.linalg`` function that momentkit calls
-is counted, which a scan of the source checks.
+not times, so they hold on any machine.  Every LAPACK driver that
+momentkit calls is counted, which a scan of the source checks:
+``eigvalsh``, ``solve`` and ``eigvals`` through ``momentkit._lapack``,
+their one route, and ``svd``, ``lstsq`` and ``cholesky`` through
+``np.linalg``.
 
 A problem object keeps its decided system, c' included, so these pins
 are counted on a fresh object: a cold call.  The warm pins count what a
@@ -26,13 +29,14 @@ import ast
 import dataclasses
 import json
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import momentkit as mk
-from momentkit import cli, structure
+from momentkit import _lapack, cli, structure
 
 M = mk.forward_moments([0.3, 0.9, 1.5, 2.1, 2.7], [0.1, 0.6, 1.2, 1.8, 2.4])
 M3 = mk.forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4])
@@ -47,15 +51,17 @@ M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 WORKED = mk.MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
 
 COUNTED = ("transform", "build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
-LINALG = ("eigvalsh", "lstsq", "solve", "eigvals", "cholesky")
+KERNELS = ("eigvalsh", "solve", "eigvals")  # momentkit._lapack
+LINALG = ("lstsq", "cholesky")  # np.linalg, with svd
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of numpy.linalg.{eigvalsh,svd,lstsq,solve,eigvals,cholesky}, and of
-    exp_transform (``transform``), build_hankel and A's assembler
-    (``assemble``) through every momentkit module that binds them;
-    ``svd_uv`` counts the SVDs that return vectors."""
+    """Calls of momentkit._lapack.{eigvalsh,solve,eigvals}, of
+    numpy.linalg.{svd,lstsq,cholesky}, and of exp_transform
+    (``transform``), build_hankel and A's assembler (``assemble``)
+    through every momentkit module that binds them; ``svd_uv`` counts the
+    SVDs that return vectors."""
     tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -65,6 +71,8 @@ def counts(monkeypatch):
 
         return wrapper
 
+    for name in KERNELS:
+        monkeypatch.setattr(_lapack, name, counting(name, getattr(_lapack, name)))
     for name in LINALG:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     svd = counting("svd", np.linalg.svd)
@@ -131,17 +139,27 @@ def test_call_counts(counts, call, problem, want):
 
 
 def test_every_linalg_call_is_counted():
-    # a numpy.linalg function outside COUNTED would bypass the pins above
-    called = set()
+    # a LAPACK call outside COUNTED, or a kernel called past
+    # momentkit._lapack, would bypass the pins above
+    lapack, linalg, gufunc_callers = set(), set(), set()
     for path in Path(mk.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg"):
-                    called.add(node.func.attr)
+                owner = ast.unparse(node.func.value)
+                if owner in ("np.linalg", "numpy.linalg"):
+                    linalg.add(node.func.attr)
+                elif owner == "_lapack":
+                    lapack.add(node.func.attr)
+                elif owner == "_umath_linalg":
+                    gufunc_callers.add(path.stem)
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-                called.update(alias.name for alias in node.names)
-    assert "eigvalsh" in called
-    assert called <= set(COUNTED)
+                # an exception class and the gufunc module are not calls
+                names = (alias.name for alias in node.names)
+                linalg.update(n for n in names if not isinstance(getattr(np.linalg, n), (type, types.ModuleType)))
+    # the kernels have one route, and only it calls the gufuncs
+    assert lapack == set(KERNELS) and not linalg & lapack
+    assert gufunc_callers == {"_lapack"}
+    assert linalg <= set(COUNTED)
 
 
 @pytest.mark.parametrize("argv, builds", [

@@ -434,16 +434,20 @@ def test_usage_errors_print_a_bad_input_document(capsys, argv, detail, usage):
     assert captured.err.endswith(f": error: {detail}\n")
 
 
-def test_an_integer_beyond_the_float_range_is_bad_input(capsys, tmp_path):
-    # a 400-digit JSON integer is an int that float() cannot convert; it
-    # was an InternalError (OverflowError) with exit 1
-    huge = "1" + "0" * 400
-    for argv, payload, detail in (
-        (["invert"], f'{{"moments": [{huge}, 2.0], "n_x": 1, "n_y": 1}}', "moments must be finite real numbers"),
-        (["forward"], f'{{"xs": [{huge}], "ys": []}}', "xs must be finite real numbers"),
-        (["trig-invert", "--modes", "1"], f'{{"moments": [[1, 0], [0, {huge}]]}}', "moments must be finite real numbers"),
-    ):
-        assert run_cli(capsys, argv, payload, tmp_path) == (4, {"error": {"kind": "BadInput", "detail": detail}})
+@pytest.mark.parametrize("argv, template, detail", [
+    (["invert"], '{{"moments": [{v}, 2.0], "n_x": 1, "n_y": 1}}', "moments must be finite real numbers"),
+    (["forward"], '{{"xs": [1.0, {v}], "ys": []}}', "xs must be finite real numbers"),
+    (["trig-forward", "--count", "2"], '{{"freqs": [{v}], "amps": [[1, 0]]}}', "freqs must be finite real numbers"),
+    (["trig-forward", "--count", "2"], '{{"freqs": [0.5], "amps": [[1, {v}]]}}', "amps must be finite complex numbers"),
+    (["trig-invert", "--modes", "1"], '{{"moments": [[1, 0], [0, {v}]]}}', "moments must be finite complex numbers"),
+], ids=["invert", "forward", "trig-forward-freqs", "trig-forward-amps", "trig-invert"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["nan", "inf", "-inf", "huge"])
+def test_a_number_that_is_not_finite_has_one_message_per_field(capsys, tmp_path, argv, template, detail, value):
+    # a 400-digit JSON integer is an int that float() cannot convert; the
+    # CLI once turned it into an InternalError, then checked it by a rule
+    # of its own, so a complex field named it a real number
+    payload = template.format(v=value)
+    assert run_cli(capsys, argv, payload, tmp_path) == (4, {"error": {"kind": "BadInput", "detail": detail}})
 
 
 def test_stdin_input(capsys, monkeypatch):

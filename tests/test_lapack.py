@@ -1,0 +1,127 @@
+"""The LAPACK kernels of ``momentkit._lapack`` against ``np.linalg``, bit
+for bit and dtype for dtype, on the arrays momentkit builds: symmetric
+Hankel blocks and their reversed views, real companion stacks with real
+and with complex roots, and trig_invert's complex pencils and
+Vandermonde solves.  Their failures are numpy's: ``LinAlgError`` with
+numpy's message, and no warning.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from numpy.linalg import LinAlgError
+
+from momentkit import _lapack, structure, trig
+
+SIZES = range(1, 11)
+
+
+def same(got, want):
+    """Equal dtype, shape and bits."""
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def hankel_block(rng, n):
+    """A, n x (n+1), of a random a-sequence a_0..a_{2n}, as build_hankel assembles it."""
+    a = (1.0, *rng.uniform(-3.0, 3.0, 2 * n))
+    return structure._toeplitz_slice(a, n)
+
+
+def companions(*polys):
+    """The stacked companion matrices of monic polynomials of one degree, as _monic_roots builds them."""
+    C = structure._shift_stack(len(polys), len(polys[0])).copy()
+    C[:, :, 0] = [[-v for v in c] for c in polys]
+    return C
+
+
+def real_roots(rng, n):
+    return np.poly(np.sort(rng.uniform(-2.0, 2.0, n)))[1:]
+
+
+def complex_roots(rng, n):
+    # a conjugate pair among n - 2 real roots
+    z = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5))
+    return np.poly([z, z.conjugate(), *rng.uniform(-2.0, 2.0, n - 2)]).real[1:]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_eigvalsh_of_hankel_blocks(n):
+    rng = np.random.default_rng(n)
+    A = hankel_block(rng, n)
+    # the reversed A1 that build_hankel factors, a view, and a square block of A
+    for M in (A[:, :0:-1], A[:, 1:][:, ::-1], np.ascontiguousarray(A[:, :0:-1]), A[:, :n]):
+        same(_lapack.eigvalsh(M), np.linalg.eigvalsh(M))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kinds", [("real",), ("complex",), ("real", "real"), ("complex", "complex"), ("real", "complex")])
+def test_eigvals_of_companion_stacks(n, kinds):
+    rng = np.random.default_rng(n)
+    # below degree 2 there is no conjugate pair
+    polys = [complex_roots(rng, n) if kind == "complex" and n > 1 else real_roots(rng, n) for kind in kinds]
+    C = companions(*polys)
+    got = _lapack.eigvals(C)
+    same(got, np.linalg.eigvals(C))
+    # one polynomial with a complex pair makes the whole stack complex
+    assert (got.dtype == np.complex128) == ("complex" in kinds and n > 1)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_solve_of_reduced_systems(n):
+    rng = np.random.default_rng(200 + n)
+    T = hankel_block(rng, n)
+    # c' of _cprime: a 1-D right-hand side against a column view
+    same(_lapack.solve(T[:, 1:], -T[:, 0]), np.linalg.solve(T[:, 1:], -T[:, 0]))
+    B = rng.standard_normal((n, 3))
+    same(_lapack.solve(T[:, 1:], B), np.linalg.solve(T[:, 1:], B))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_trig_pencil_and_vandermonde(r):
+    rng = np.random.default_rng(300 + r)
+    freqs = np.sort(rng.uniform(-np.pi, np.pi, r))
+    amps = rng.uniform(0.5, 2.0, r) * np.exp(1j * rng.uniform(0, 2 * np.pi, r))
+    mv = trig.trig_forward(trig.TrigSignal(freqs.tolist(), amps.tolist()), 2 * r)
+    idx = trig._hankel_index(r)
+    H0, H1 = mv[idx], mv[idx + 1]
+    # the pencil: a 2-D complex right-hand side, then its complex eigenvalues
+    P = _lapack.solve(H0, H1)
+    same(P, np.linalg.solve(H0, H1))
+    eigs = _lapack.eigvals(P)
+    same(eigs, np.linalg.eigvals(P))
+    # the amplitudes: a 1-D right-hand side against the Vandermonde matrix of the nodes
+    nodes = np.exp(1j * np.angle(eigs))
+    V = nodes[None, :] ** np.arange(r)[:, None]
+    same(_lapack.solve(V, mv[:r]), np.linalg.solve(V, mv[:r]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("b", [[1.0, 1.0], [[1.0], [1.0]]])
+def test_an_exactly_singular_solve_raises_numpys_error(dtype, b):
+    a, b = np.array([[1.0, 2.0], [2.0, 4.0]], dtype), np.array(b, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinAlgError, match="^Singular matrix$"):
+            np.linalg.solve(a, b)
+        with pytest.raises(LinAlgError, match="^Singular matrix$"):
+            _lapack.solve(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)])
+def test_non_finite_eigvals_input_raises_numpys_error(bad):
+    a = np.eye(3, dtype=complex if isinstance(bad, complex) else float)
+    a[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinAlgError, match="^Array must not contain infs or NaNs$"):
+            np.linalg.eigvals(a)
+        with pytest.raises(LinAlgError, match="^Array must not contain infs or NaNs$"):
+            _lapack.eigvals(a)
+
+
+def test_linalg_error_is_a_value_error():
+    # analyze and the CLI classify a LAPACK failure as a ValueError
+    assert issubclass(LinAlgError, ValueError)
