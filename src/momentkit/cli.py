@@ -23,12 +23,17 @@ text goes to standard error.  ``--help`` exits 0.
 on the first call (``_build_parser``) and reused; a request is parsed by
 its subcommand's own parser, found by name, and only ``--help``, an
 empty command line and an unknown subcommand reach the top-level parser.
-``forward``, ``transform`` and ``trig-forward`` solve nothing: they take
-``--input`` only and read no ``MOMENTKIT_TOL_RANK``.  A request that
-gives no tolerance shares ``DEFAULT_TOLERANCES``, and every document is
-written by one JSON encoder.
+A command takes only the flags it reads.  ``forward``, ``transform`` and
+``trig-forward`` solve nothing: they take ``--input`` only and read no
+``MOMENTKIT_TOL_RANK``.  ``extend`` and ``trig-invert`` read the rank
+tolerance alone, so they take ``--tol-rank`` but not ``--tol-zero`` or
+``--tol-imag``.  A request that gives no tolerance shares
+``DEFAULT_TOLERANCES``, and every document is written by one JSON
+encoder.
 
-Result documents are the library's result dataclasses, field by field in
+A handler returns the fields of its result, and ``main`` puts
+``"schema": "momentkit/1"`` in front of them, once for every command.
+Result fields are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
 ``MarkovCertificate``), so a field added to one of them becomes an
 additive ``momentkit/1`` output field.
@@ -111,17 +116,17 @@ def _number_list(v, where: str) -> list[int | float]:
     return [_number(x, where) for x in v]
 
 
-def _complex_list(v, where: str) -> list[complex]:
+def _complex_list(v, where: str) -> tuple[complex, ...]:
     if not isinstance(v, list):
         raise ValueError(f"{where} must be an array of [re, im] pairs")
-    parts = []
     for x in v:
         if not (isinstance(x, list) and len(x) == 2):
             raise ValueError(f"{where} entries must be [re, im] pairs")
-        parts += (_number(x[0], where), _number(x[1], where))
-    # each part checked by the rule of the complex field it belongs to
-    z = _as_complex_tuple(parts, where)
-    return [complex(re.real, im.real) for re, im in zip(z[::2], z[1::2])]
+        for part in x:
+            _number(part, where)
+    # each pair made complex inside the field's own check, so a part
+    # beyond the float range overflows there and has the field's message
+    return _as_complex_tuple((complex(re, im) for re, im in v), where)
 
 
 def _read_moments(doc) -> MomentSequence:
@@ -148,16 +153,13 @@ def _fields(result) -> dict:
     return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
 
 
-def _doc(result) -> dict:
-    return {"schema": SCHEMA, **_fields(result)}
-
-
 def _moment_doc(m: MomentSequence) -> dict:
-    return {"schema": SCHEMA, "moments": list(m.values), "n_x": m.n_x, "n_y": m.n_y}
+    return {"moments": list(m.values), "n_x": m.n_x, "n_y": m.n_y}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns the output document)
+# subcommand handlers (each returns the output fields; ``main`` stamps
+# the schema)
 
 def _cmd_forward(doc, args, tol):
     return _moment_doc(forward_moments(*_read_branches(doc)))
@@ -165,16 +167,16 @@ def _cmd_forward(doc, args, tol):
 
 def _cmd_transform(doc, args, tol):
     m = _read_moments(doc)
-    return {"schema": SCHEMA, "a": list(exp_transform(m).values)}
+    return {"a": list(exp_transform(m).values)}
 
 
 def _cmd_analyze(doc, args, tol):
-    return _doc(analyze(_read_moments(doc), tol=tol))
+    return _fields(analyze(_read_moments(doc), tol=tol))
 
 
 def _cmd_invert(doc, args, tol):
     sol, info = invert_min_degree(_read_moments(doc), method=args.method, tol=tol, full_output=True)
-    out = _doc(sol)
+    out = _fields(sol)
     if args.verbose:
         out["diagnostics"] = {
             "method": info["method"],
@@ -189,7 +191,7 @@ def _cmd_invert(doc, args, tol):
 def _cmd_next(doc, args, tol):
     m = _read_moments(doc)
     value = next_moment(m, tol=tol)
-    out = {"schema": SCHEMA, "next_moment": value}
+    out = {"next_moment": value}
     if args.verbose:
         # second route for comparison, on the factorization next_moment
         # kept on m; unavailable when the branch values are not real even
@@ -207,7 +209,7 @@ def _cmd_next(doc, args, tol):
 def _cmd_extend(doc, args, tol):
     m = _read_moments(doc)
     extended = extend_moments(m, args.count, tol=tol)
-    return {"schema": SCHEMA, "moments": list(extended)}
+    return {"moments": list(extended)}
 
 
 def _parse_roots(text: str) -> list[float]:
@@ -222,37 +224,33 @@ def _parse_roots(text: str) -> list[float]:
 def _cmd_family(doc, args, tol):
     m = _read_moments(doc)
     minimal = invert_min_degree(m, tol=tol)
-    return _doc(family_member(minimal, _parse_roots(args.r_roots)))
+    return _fields(family_member(minimal, _parse_roots(args.r_roots)))
 
 
 def _cmd_markov_check(doc, args, tol):
     result = markov_certificate(_read_moments(doc), tol=tol, full_output=args.verbose)
     if not args.verbose:
-        return _doc(result)
+        return _fields(result)
     cert, info = result
     sol = info["minimal_solution"]
-    return {**_doc(cert), "diagnostics": {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}}
+    return {**_fields(cert), "diagnostics": {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}}
 
 
 def _cmd_trig_forward(doc, args, tol):
     _check_fields(doc, {"freqs", "amps"}, set())
     sig = TrigSignal(
         tuple(_number_list(doc["freqs"], "freqs")),
-        tuple(_complex_list(doc["amps"], "amps")),
+        _complex_list(doc["amps"], "amps"),
     )
     moments = trig_forward(sig, args.count)
-    return {"schema": SCHEMA, "moments": [_complex_pair(z) for z in moments]}
+    return {"moments": [_complex_pair(z) for z in moments]}
 
 
 def _cmd_trig_invert(doc, args, tol):
     _check_fields(doc, {"moments"}, set())
     moments = _complex_list(doc["moments"], "moments")
     sig, info = trig_invert(moments, args.modes, tol=tol, full_output=True)
-    out = {
-        "schema": SCHEMA,
-        "freqs": list(sig.freqs),
-        "amps": [_complex_pair(a) for a in sig.amps],
-    }
+    out = {"freqs": list(sig.freqs), "amps": [_complex_pair(a) for a in sig.amps]}
     if args.verbose:
         out["diagnostics"] = {
             "eigenvalues": [_complex_pair(z) for z in info["eigenvalues"]],
@@ -295,14 +293,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     on.  The top-level parser declares the same subcommands for
     ``--help`` and for its usage errors.
     """
-    # forward, transform and trig-forward take --input only
+    # forward, transform and trig-forward take --input only; extend and
+    # trig-invert read the rank tolerance alone
     io = _Parser(add_help=False)
     io.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
-    common = _Parser(add_help=False, parents=[io])
-    common.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
+    rank = _Parser(add_help=False, parents=[io])
+    rank.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
+    common = _Parser(add_help=False, parents=[rank])
     common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots of both sides (default 1e-8 * max_k |m_k|^(1/k))")
     common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
-    common.add_argument("--verbose", action="store_true", help="attach diagnostics to the output object")
+    for parent in (rank, common):
+        parent.add_argument("--verbose", action="store_true", help="attach diagnostics to the output object")
 
     parser = _Parser(prog="momentkit", description=(
         "Solve finite moment problems: one JSON request in (stdin or --input FILE), one JSON result "
@@ -322,14 +323,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("invert", _cmd_invert, "moments -> minimal-degree branch solution")
     p.add_argument("--method", choices=_METHODS, default="companion")
     command("next", _cmd_next, "moments -> next moment")
-    p = command("extend", _cmd_extend, "moments -> extended moment sequence")
+    p = command("extend", _cmd_extend, "moments -> extended moment sequence", rank)
     p.add_argument("--count", type=int, required=True, help="number of additional moments")
     p = command("family", _cmd_family, "moments -> family member with matched pairs appended")
     p.add_argument("--r-roots", default="", help="comma-separated matched-pair values")
     command("markov-check", _cmd_markov_check, "moments -> Markov certificates")
     p = command("trig-forward", _cmd_trig_forward, "trig signal -> complex moments", io)
     p.add_argument("--count", type=int, required=True, help="number of moments")
-    p = command("trig-invert", _cmd_trig_invert, "complex moments -> trig signal")
+    p = command("trig-invert", _cmd_trig_invert, "complex moments -> trig signal", rank)
     p.add_argument("--modes", type=int, required=True, help="number of modes r (input has 2r moments)")
     return parser, commands
 
@@ -357,7 +358,8 @@ def _tolerances(args) -> ToleranceSet:
                 rank = float(env)
             except ValueError as exc:
                 raise ValueError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
-    given = {"rank": rank, "zero": args.tol_zero, "imag": args.tol_imag}
+    # extend and trig-invert take no --tol-zero or --tol-imag
+    given = {"rank": rank, "zero": getattr(args, "tol_zero", None), "imag": getattr(args, "tol_imag", None)}
     given = {name: v for name, v in given.items() if v is not None}
     # the shared defaults, unless a threshold is given
     return ToleranceSet(**given) if given else DEFAULT_TOLERANCES
@@ -386,7 +388,7 @@ def main(argv=None) -> int:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ValueError(f"invalid JSON: {exc}") from exc
-        print(_emit(args.run(doc, args, tol)))
+        print(_emit({"schema": SCHEMA, **args.run(doc, args, tol)}))
         return EXIT_OK
     except OSError as exc:
         return _fail("BadInput", f"cannot read input: {exc}", EXIT_BAD_INPUT)

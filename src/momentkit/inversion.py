@@ -18,32 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FamilyOverflow, NoSolution
-from .structure import HankelSystem, _cprime, _decided, _invert, companion_coefficients
+# NoSolution is raised by structure._factor; it stays bound here, where
+# the entry points that raise it are, as bench/smoke.py reads it
+from .errors import FamilyOverflow, NoSolution  # noqa: F401
+from .structure import _cprime, _factor, _invert, companion_coefficients
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, MomentSequence, _as_count, _as_float_tuple
 
 _METHODS = ("geneig", "companion")
-
-
-def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
-    """The decided Hankel system of ``m``, where a solution exists.
-
-    Every entry point takes its system from here, and ``analyze`` from
-    ``structure._decided`` as this does, so a problem object gets one
-    Hankel build and one existence decision per rank tolerance, however
-    many entry points are called on it; the y-side is read off the same
-    system.  With n_x = 0 the system is empty and always solvable.
-
-    Raises
-    ------
-    NoSolution
-        When a0 is outside range(A1), on every call.
-    """
-    h, exists = _decided(m, tol_rank)
-    if not exists:
-        raise NoSolution("first Hankel column is outside the range of the Hankel block")
-    return h
 
 
 def invert_min_degree(
@@ -152,13 +134,13 @@ def _recurrence(m: Sequence[float], a: Sequence[float], cbar: Sequence[float], c
 
 
 def _continue(m: MomentSequence, tol: ToleranceSet | None, count: int, cbar: Sequence[float] | None = None) -> list:
-    """m_1..m_{K+count} on the decided system of ``m``, which ``_factor``
-    finds solvable, from the checked ``cbar`` or else the minimum-norm
-    one: c' at full rank (``structure._cprime``), otherwise
-    ``np.linalg.lstsq(A1, -a0, rcond=None)``."""
+    """m_1..m_{K+count} on the decided system of ``m``, which
+    ``structure._factor`` finds solvable, from the checked ``cbar`` or
+    else the minimum-norm one: c' at full rank (``structure._cprime``),
+    otherwise ``np.linalg.lstsq(A1, -a0, rcond=None)``."""
     h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
     if cbar is None:
-        cbar = _cprime(h) if h.A1_rank == h.n_x else np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0].tolist()
+        cbar = _cprime(h) if h.full_rank else np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0].tolist()
     return _recurrence(m.values, h.a.values, cbar, count)
 
 

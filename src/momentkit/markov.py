@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoPositiveBranches, RepeatedRoots
-from .inversion import _factor
-from .structure import HankelSystem, _invert
+from .structure import HankelSystem, _factor, _invert
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 from .transform import BranchSolution, MomentSequence, _as_float_tuple
 
@@ -48,9 +47,8 @@ def weights(xs: Sequence[float], ys: Sequence[float]) -> WeightData:
     ValueError
         When a value is not a finite real number.
     RepeatedRoots
-        When two x-values are closer than the separation tolerance
-        (1e-8 relative to the largest magnitude); the weight formula
-        requires simple roots.
+        When two x-values are within the separation tolerance, 1e-8 times
+        max(1, max |x|); the weight formula requires simple roots.
     """
     xv = _as_float_tuple(xs, "xs")
     yv = _as_float_tuple(ys, "ys")
@@ -81,15 +79,15 @@ def factorization_residual(h: HankelSystem, wd: WeightData) -> float:
     Checks A1 R = V W V^T and A0 R = V W X V^T, with R the anti-identity
     (column reversal), W = diag(weights), X = diag(xs).  A small residual
     certifies that the entries of ``h.a`` are the weighted power sums of
-    the x-values.
+    the x-values.  The empty system (n_x = 0) factors exactly: 0.0.
     """
     if len(wd.xs) != h.n_x:
         raise ValueError(f"weight data has {len(wd.xs)} nodes; system expects {h.n_x}")
     V = _vandermonde(wd.xs)
     W = np.diag(wd.weights)
     X = np.diag(wd.xs)
-    r1 = np.max(np.abs(np.fliplr(h.A1) - V @ W @ V.T))
-    r0 = np.max(np.abs(np.fliplr(h.A0) - V @ W @ X @ V.T))
+    r1 = np.max(np.abs(np.fliplr(h.A1) - V @ W @ V.T), initial=0.0)
+    r0 = np.max(np.abs(np.fliplr(h.A0) - V @ W @ X @ V.T), initial=0.0)
     return float(max(r1, r0))
 
 
@@ -151,11 +149,10 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     tol = tol or DEFAULT_TOLERANCES
     h = _factor(m, tol.rank)
     applicable = m.n_x == m.n_y
-    full_rank = h.A1_rank == h.n_x
-    spd = full_rank and h.eigs[0].item() > 0.0
+    spd = h.full_rank and h.eigs[0].item() > 0.0
     # at rank deficiency the inversion only checks that the minimal
     # solution exists; it stays until the rank is decided by witness
-    sol = None if full_rank and not full_output else _invert(m, h, tol)[0]
+    sol = None if h.full_rank and not full_output else _invert(m, h, tol)[0]
     cert = MarkovCertificate(
         spd=spd,
         interlaced=spd and applicable,

@@ -6,19 +6,21 @@ and it is the only matrix a problem assembles.  One ``eigvalsh`` of the
 symmetric fliplr(A1) decides rank(A1) by the eigenvalues' moduli, A1's
 singular values, and definiteness by their signs.  The rank decides
 uniqueness, and at full rank existence too, since a0 then lies in
-range(A1) by the theorem; only a rank-deficient A1 takes the SVD of A,
-whose rank against rank(A1) decides existence.  The x-values are
-the eigenvalues of the reduced pencil (A0_tilde, A1_tilde) = (T[:, :r],
-T[:, 1:]), where T = A[:r, n_x-r:] is A's top-right corner at the
-decided rank r.  The two blocks share the columns T[:, 1:r], so
-A1_tilde^-1 A0_tilde is [-c' | shifted identity], the companion matrix
-of the LU solution c' of A1_tilde c' = -a0_tilde.  The y-values are the
-reciprocal roots of q = p*a on the same system; when both polynomials
-have one degree, one eigenvalue call reads the roots of both companion
-matrices.  One zero cutoff, read off the moments by
-``ToleranceSet.zero_cutoff``, filters the roots of both sides.  d_min is
-deg p, the count of p's roots that pass it, and d_max = d_min + n_x -
-rank.
+range(A1) by the theorem (``HankelSystem.full_rank``); only a
+rank-deficient A1 takes the SVD of A, whose rank against rank(A1)
+decides existence.  The x-values are the eigenvalues of the reduced
+pencil (A0_tilde, A1_tilde) = (T[:, :r], T[:, 1:]), where T =
+A[:r, n_x-r:] is A's top-right corner at the decided rank r.  Below
+full rank A1_tilde is ranked as A1 is, by one ``eigvalsh`` of its
+reversed form, the leading r x r block of fliplr(A1).  The two blocks
+share the columns T[:, 1:r], so A1_tilde^-1 A0_tilde is [-c' | shifted
+identity], the companion matrix of the LU solution c' of A1_tilde c' =
+-a0_tilde.  The y-values are the reciprocal roots of q = p*a on the
+same system; when both polynomials have one degree, one eigenvalue call
+reads the roots of both companion matrices.  One zero cutoff, read off
+the moments by ``ToleranceSet.zero_cutoff``, filters the roots of both
+sides.  d_min is deg p, the count of p's roots that pass it, and d_max
+= d_min + n_x - rank.
 
 Numpy arrays are the inputs and outputs of the factorizations and of
 the convolution that forms q.  eigvalsh, solve and eigvals go through
@@ -33,13 +35,15 @@ stack is split per side.
 
 Values are checked once, where they enter: a, the counts and the rank
 tolerance by ``build_hankel``, and c', q and the roots by ``_invert``.
-So the rank decisions take the SVD without ``numeric_rank``'s checks,
-and the Hankel system and the solution are built unchecked.
+So the rank decisions factor without ``numeric_rank``'s checks, and the
+Hankel system and the solution are built unchecked.
 
 A problem is decided once per object: ``_decided`` keeps the system and
 existence verdict of a ``MomentSequence`` on it, and ``_cprime`` keeps
 c' on the system, so each entry point after the first on one object
-does only its own step.  Errors and results are never kept.
+does only its own step.  ``_factor`` is the existence gate of every
+entry point but ``analyze``, which reports existence instead of raising
+``NoSolution``.  Errors and results are never kept.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _lapack
-from .errors import NonRealSolution, SingularReducedSystem
+from .errors import NonRealSolution, NoSolution, SingularReducedSystem
 from .tolerances import DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet, _check_rank
 from .transform import (
     BranchSolution,
@@ -145,11 +149,18 @@ class HankelSystem:
 
     @property
     def n_x(self) -> int:
-        return self.A.shape[0]
+        return len(self.A)
 
     @property
     def n_y(self) -> int:
         return self.a.order - self.n_x
+
+    @property
+    def full_rank(self) -> bool:
+        """Whether rank(A1) = n_x: a solution exists and is unique, and the
+        reduced pencil is all of A.  Read off ``A1_rank``, so a replaced
+        system answers at its own rank."""
+        return self.A1_rank == len(self.A)
 
     @property
     def n_y_tilde(self) -> int:
@@ -212,7 +223,7 @@ def solvable(h: HankelSystem) -> bool:
     and no SVD is taken.  Where A1 is rank-deficient the SVD of A
     decides: ``numeric_rank(A) == rank(A1)``.
     """
-    return h.A1_rank == h.n_x or _count_above(np.linalg.svd(h.A, compute_uv=False), h.tol_rank) == h.A1_rank
+    return h.full_rank or _count_above(np.linalg.svd(h.A, compute_uv=False), h.tol_rank) == h.A1_rank
 
 
 def _decided(m: MomentSequence, tol_rank: float) -> tuple[HankelSystem, bool]:
@@ -231,6 +242,27 @@ def _decided(m: MomentSequence, tol_rank: float) -> tuple[HankelSystem, bool]:
     return d
 
 
+def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
+    """The decided Hankel system of ``m``, where a solution exists.
+
+    Every entry point but ``analyze`` takes its system from here, and
+    ``analyze`` from ``_decided`` as this does, so a problem object gets
+    one Hankel build and one existence decision per rank tolerance,
+    however many entry points are called on it; the y-side is read off
+    the same system.  With n_x = 0 the system is empty and always
+    solvable.
+
+    Raises
+    ------
+    NoSolution
+        When a0 is outside range(A1), on every call.
+    """
+    h, exists = _decided(m, tol_rank)
+    if not exists:
+        raise NoSolution("first Hankel column is outside the range of the Hankel block")
+    return h
+
+
 def _cprime(h: HankelSystem) -> list:
     """c' of ``companion_coefficients`` as a list of floats, solved once
     per system, kept on it as ``_decided`` keeps a system, and only read
@@ -240,9 +272,11 @@ def _cprime(h: HankelSystem) -> list:
     if c is None:
         # at full rank T is all of A, and A1_tilde is A1, decided nonsingular
         r, T = h.A1_rank, h.A
-        if r < len(T):
+        if not h.full_rank:
             T = h.T
-            if r and _count_above(np.linalg.svd(T[:, 1:], compute_uv=False), h.tol_rank) < r:
+            # T[:, :0:-1] is fliplr(A1_tilde), the leading r x r block of
+            # fliplr(A1): ranked by the rule that ranked A1
+            if r and _count_above(_lapack.eigvalsh(T[:, :0:-1]), h.tol_rank) < r:
                 raise SingularReducedSystem("reduced matrix is numerically singular")
         c = _lapack.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
         object.__setattr__(h, "_cprime", c)
@@ -426,7 +460,7 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
         rank_A1=h.A1_rank,
         d_min=d_min,
         d_max=d_min + h.n_x - h.A1_rank,
-        unique=h.A1_rank == h.n_x,
+        unique=h.full_rank,
         minimal_solution=minimal,
         tol_rank=tol.rank,
     )

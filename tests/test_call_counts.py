@@ -4,8 +4,10 @@ Each problem is factored once: one exponential transform and one Hankel
 build, which assembles A once and takes one ``eigvalsh`` of the
 symmetric reversed A1, eigenvalues only, whose moduli decide the rank,
 and with it existence at full rank, shared by every entry point.  A is
-the only matrix assembled: the reduced block is a corner of it.  At full
-rank the Markov certificate is read off the signs of the same
+the only matrix assembled: the reduced block is a corner of it.  Only a
+rank-deficient A1 takes more: the SVD of A for existence, and one more
+``eigvalsh``, of the reversed reduced block, which ranks it as A1 is
+ranked.  At full rank the Markov certificate is read off the signs of the same
 eigenvalues and factors nothing more, so ``cholesky`` is pinned at 0.  A
 full-rank A1 is solved once by LU, for c' and for the minimum-norm cbar
 alike; only a rank-deficient A1 takes ``lstsq``, and only where the
@@ -111,14 +113,15 @@ def pin(**counts):
     (lambda m: mk.invert_min_degree(m, "geneig"), M, pin(eigvalsh=1, solve=1, eigvals=1)),
     # at full rank the minimum-norm solution is the unique LU solution
     (mk.next_moment, M, pin(eigvalsh=1, solve=1)),
-    # rank-deficient A1 falls back to the SVDs of A and A1_tilde, and
-    # A1_tilde is a corner of A, not assembled again
-    (mk.invert_min_degree, M_PAIR, pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
+    # rank-deficient A1 falls back to the SVD of A for existence, and the
+    # reduced block, a corner of A not assembled again, is ranked as A1
+    # is, by the eigvalsh of its reversed form
+    (mk.invert_min_degree, M_PAIR, pin(eigvalsh=2, svd=1, solve=1, eigvals=1)),
     # the SVD of A, then lstsq for the minimum-norm solution
     (mk.next_moment, M_PAIR, pin(eigvalsh=1, svd=1, lstsq=1)),
     # a rank-deficient A1 is not SPD; the minimal solution is still
     # inverted to check that it exists, with invert_min_degree's calls
-    (mk.markov_certificate, M_PAIR, pin(eigvalsh=1, svd=2, solve=1, eigvals=1)),
+    (mk.markov_certificate, M_PAIR, pin(eigvalsh=2, svd=1, solve=1, eigvals=1)),
     # full-rank A1 is solvable without the SVD of A; n_y = 0, so q has no
     # roots and only p's companion matrix is solved
     (mk.invert_min_degree, M_FALLBACK, pin(eigvalsh=1, solve=1, eigvals=1)),
@@ -183,7 +186,7 @@ def test_cli_build_counts(counts, capsys, tmp_path, argv, builds):
     (mk.invert_min_degree, mk.next_moment, M, {}),
     # at full rank the flags are the signs of the kept eigenvalues
     (mk.analyze, mk.markov_certificate, M, {}),
-    # the SVDs that decided existence and the reduced block are kept; the
+    # the decisions on existence and the reduced block are kept; the
     # minimum-norm solution of a rank-deficient A1 is the continuation's own
     (mk.analyze, mk.next_moment, M_PAIR, {"lstsq": 1}),
     # a supplied cbar continues the same kept system: no transform, no build

@@ -622,6 +622,27 @@ def test_commands_that_solve_nothing_take_no_tolerance(capsys, tmp_path, monkeyp
         assert run_cli(capsys, [name, *required, *flag], doc, tmp_path) == (4, {"error": {"kind": "BadInput", "detail": detail}})
 
 
+@pytest.mark.parametrize("name", ["extend", "trig-invert"])
+def test_commands_that_read_only_the_rank_tolerance_take_no_other(capsys, tmp_path, name):
+    required, doc = ROUTE_COMMANDS[name]
+    argv = [name, *required, "--tol-rank", "1e-10"]
+    assert cli._tolerances(cli._parse(argv)) == mk.ToleranceSet(rank=1e-10)
+    code, out = run_cli(capsys, argv + ["--verbose"], doc, tmp_path)
+    assert code == 0 and "error" not in out
+    # both flags were accepted and ignored
+    for flag in (["--tol-zero", "0"], ["--tol-imag", "1e-3"]):
+        detail = f"unrecognized arguments: {' '.join(flag)}"
+        assert run_cli(capsys, [name, *required, *flag], doc, tmp_path) == (4, {"error": {"kind": "BadInput", "detail": detail}})
+
+
+@pytest.mark.parametrize("name", list(ROUTE_COMMANDS))
+def test_every_result_document_leads_with_the_schema(capsys, tmp_path, name):
+    required, doc = ROUTE_COMMANDS[name]
+    code, out = run_cli(capsys, [name, *required], doc, tmp_path)
+    # main stamps the schema once, ahead of the command's own fields
+    assert code == 0 and next(iter(out.items())) == ("schema", "momentkit/1")
+
+
 def _route_argvs(name, required):
     """Command lines for ``name`` that the command's own parser and the
     top-level parser must read alike; FILE is the request's path."""

@@ -1,9 +1,10 @@
 """The package's import layout: every import runs at module load, and the
 package-internal import graph has no cycle.
 
-Imports run one way, transform/errors/tolerances -> structure ->
-inversion -> markov/trig -> cli, so no module needs a lazy import to
-break a cycle.
+Imports run one way, _lapack/transform/errors/tolerances -> structure
+-> inversion/markov/trig -> cli, so no module needs a lazy import to
+break a cycle.  Every entry point takes its decided system from
+``structure``, so the three modules above it import none of each other.
 """
 
 import ast
@@ -78,6 +79,10 @@ def test_internal_import_graph_is_acyclic():
     graph = {name: internal_imports(tree) for name, tree in TREES.items()}
     assert find_cycle(graph) is None
     assert "inversion" not in graph["structure"]
+    # every entry point takes its decided system, existence gate included,
+    # from structure, so these three import none of each other
+    side = {"inversion", "markov", "trig"}
+    assert all(not graph[name] & side for name in side)
 
 
 def test_cycle_finder_sees_a_cycle():

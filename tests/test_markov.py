@@ -90,6 +90,14 @@ def test_factorization_residual_single_branch():
     assert factorization_residual(h, wd) == 0.0
 
 
+def test_factorization_residual_of_the_empty_system():
+    # n_x = 0: A1 and A0 are 0 x 0, so the factorization holds exactly;
+    # the max over no entries raised numpy's bare ValueError
+    m = MomentSequence((-3.0, -5.0), 0, 2)
+    h = build_hankel(exp_transform(m), m.n_x, m.n_y)
+    assert factorization_residual(h, weights((), (1.0, 2.0))) == 0.0
+
+
 def test_factorization_residual_random():
     rng = np.random.default_rng(52)
     for _ in range(30):

@@ -209,6 +209,8 @@ def test_reduced_block_at_every_rank_is_a_corner_of_A():
                 ]
                 assert hr.T.shape == (r, r + 1) and hr.T.tolist() == want
                 assert hr.n_y_tilde == ny_t
+                # full rank is read at the replaced rank, not the decided one
+                assert hr.full_rank == (r == n_x)
                 # an r x (r+1) block is empty only at r = 0
                 assert np.shares_memory(hr.T, h.A) == (r > 0)
 
