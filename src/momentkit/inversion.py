@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _lapack
+
 # NoSolution is raised by structure._factor; it stays bound here, where
 # the entry points that raise it are, as bench/smoke.py reads it
 from .errors import FamilyOverflow, NoSolution  # noqa: F401
@@ -137,10 +139,11 @@ def _continue(m: MomentSequence, tol: ToleranceSet | None, count: int, cbar: Seq
     """m_1..m_{K+count} on the decided system of ``m``, which
     ``structure._factor`` finds solvable, from the checked ``cbar`` or
     else the minimum-norm one: c' at full rank (``structure._cprime``),
-    otherwise ``np.linalg.lstsq(A1, -a0, rcond=None)``."""
+    otherwise the solution of A1 cbar = -a0 by numpy's least-squares
+    driver with its default cutoff (``_lapack.lstsq``)."""
     h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
     if cbar is None:
-        cbar = _cprime(h) if h.full_rank else np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0].tolist()
+        cbar = _cprime(h) if h.full_rank else _lapack.lstsq(h.A1, -h.a0).tolist()
     return _recurrence(m.values, h.a.values, cbar, count)
 
 
@@ -150,7 +153,8 @@ def next_moment(m: MomentSequence, tol: ToleranceSet | None = None, cbar: Sequen
     Any solution cbar of the full (possibly singular) linear system gives
     the same value; by default the minimum-norm solution is used, which is
     deterministic: one LU solve when A1 has full rank, where the solution
-    is unique, and otherwise ``np.linalg.lstsq`` with its default cutoff.
+    is unique, and otherwise numpy's least-squares driver with its
+    default cutoff.
     A particular solution, n_x finite reals, may be supplied through
     ``cbar``; it continues the same decided system.
 

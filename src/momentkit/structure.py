@@ -23,15 +23,16 @@ sides.  d_min is deg p, the count of p's roots that pass it, and d_max
 = d_min + n_x - rank.
 
 Numpy arrays are the inputs and outputs of the factorizations and of
-the convolution that forms q.  eigvalsh, solve and eigvals go through
-``_lapack``, numpy's LAPACK gufuncs without ``np.linalg``'s per-call
-dispatch, and svd through ``np.linalg``; the rank rule, the zero cutoff
-and the root filter work on Python floats in a fixed order, so every
-decision repeats bit for bit.  Two read-only tables are cached on sizes
-alone: where each entry of A sits in the reversed a-sequence, and the
-stacked shift matrices that a copy makes companion matrices.  eigvals
-returns a real stack exactly when every root is real, so only a complex
-stack is split per side.
+the convolution that forms q.  Every factorization of a problem, the
+eigvalsh, svd, solve and eigvals here, goes through ``_lapack``, numpy's
+LAPACK gufuncs without ``np.linalg``'s per-call dispatch; only the
+public ``numeric_rank``, which takes any array, calls ``np.linalg.svd``.
+The rank rule, the zero cutoff and the root filter work on Python floats
+in a fixed order, so every decision repeats bit for bit.  Two read-only
+tables are cached on sizes alone: where each entry of A sits in the
+reversed a-sequence, and the stacked shift matrices that a copy makes
+companion matrices.  eigvals returns a real stack exactly when every
+root is real, so only a complex stack is split per side.
 
 Values are checked once, where they enter: a, the counts and the rank
 tolerance by ``build_hankel``, and c', q and the roots by ``_invert``.
@@ -220,10 +221,11 @@ def solvable(h: HankelSystem) -> bool:
 
     At full rank, rank(A1) = n_x, A1 spans R^n_x and a0 lies in its range:
     a solution exists by the theorem, for the empty system (n_x = 0) too,
-    and no SVD is taken.  Where A1 is rank-deficient the SVD of A
-    decides: ``numeric_rank(A) == rank(A1)``.
+    and no SVD is taken.  Where A1 is rank-deficient the singular values
+    of A decide, by the rank rule at the system's tolerance:
+    ``numeric_rank(A) == rank(A1)``.
     """
-    return h.full_rank or _count_above(np.linalg.svd(h.A, compute_uv=False), h.tol_rank) == h.A1_rank
+    return h.full_rank or _count_above(_lapack.svd(h.A), h.tol_rank) == h.A1_rank
 
 
 def _decided(m: MomentSequence, tol_rank: float) -> tuple[HankelSystem, bool]:

@@ -8,17 +8,19 @@ Vandermonde solve against the first r moments.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from . import _lapack
 from .errors import IllConditionedNodes, RankDeficientSignal
 from .structure import _count_above
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
-from .transform import _as_complex_tuple, _as_count, _as_float_tuple
+from .transform import _as_complex_tuple, _as_count, _as_float_tuple, _unchecked
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,12 @@ def trig_forward(sig: TrigSignal, count: int) -> np.ndarray:
 
 
 @functools.cache
-def _hankel_index(r: int) -> np.ndarray:
-    """Read-only r x r table of i + j: H0 is ``m[_hankel_index(r)]``."""
-    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * r - 1), r)
+def _pencil_index(r: int) -> np.ndarray:
+    """Read-only 2 x r x r table of s + i + j: ``m[_pencil_index(r)]`` is
+    the pencil (H0, H1), H0 = m[i + j] and H1 = m[i + j + 1]."""
+    index = np.arange(2)[:, None, None] + np.arange(r)[:, None] + np.arange(r)
+    index.setflags(write=False)
+    return index
 
 
 def _angular_gap(a: float, b: float) -> float:
@@ -90,7 +95,8 @@ def trig_invert(
     ------
     ValueError
         r is not an integer >= 1, a moment is not finite, or there are
-        not 2r of them.
+        not 2r of them; or the pencil H0^-1 H1 (numpy's ``LinAlgError``)
+        or an amplitude overflows.
     TypeError
         A moment is not a number.
     RankDeficientSignal
@@ -105,13 +111,16 @@ def trig_invert(
     if mv.size != 2 * r:
         raise ValueError(f"need exactly 2r = {2 * r} moments, got {mv.size}")
 
-    idx = _hankel_index(r)
-    H0, H1 = mv[idx], mv[idx + 1]
-    rank = _count_above(np.linalg.svd(H0, compute_uv=False), tol.rank)
+    H0, H1 = mv[_pencil_index(r)]
+    rank = _count_above(_lapack.svd(H0), tol.rank)
     if rank < r:
         raise RankDeficientSignal(f"moment matrix rank {rank} < requested modes {r}")
 
-    eigs = _lapack.eigvals(_lapack.solve(H0, H1))
+    P = _lapack.solve(H0, H1)
+    # H0 is finite and of full rank, but H0^-1 H1 can still overflow
+    if np.count_nonzero(np.isfinite(P)) < P.size:
+        raise LinAlgError("Array must not contain infs or NaNs")
+    eigs = _lapack.eigvals(P)
     freqs = np.angle(eigs)  # (-pi, pi]
     f = freqs.tolist()
     g = sorted(f)
@@ -127,7 +136,12 @@ def trig_invert(
     amps = _lapack.solve(V, mv[:r])
 
     order = np.argsort(freqs)
-    sig = TrigSignal(freqs[order].tolist(), amps[order].tolist())
+    amps = tuple(amps[order].tolist())
+    # the frequencies are angles of finite eigenvalues; the amplitudes of
+    # a nearly singular Vandermonde solve can overflow
+    if not all(map(cmath.isfinite, amps)):
+        raise ValueError("amps must be finite complex numbers")
+    sig = _unchecked(TrigSignal, freqs=tuple(freqs[order].tolist()), amps=amps)
     if full_output:
         info = {
             "eigenvalues": eigs[order].tolist(),

@@ -8,17 +8,18 @@ the only matrix assembled: the reduced block is a corner of it.  Only a
 rank-deficient A1 takes more: the SVD of A for existence, and one more
 ``eigvalsh``, of the reversed reduced block, which ranks it as A1 is
 ranked.  At full rank the Markov certificate is read off the signs of the same
-eigenvalues and factors nothing more, so ``cholesky`` is pinned at 0.  A
-full-rank A1 is solved once by LU, for c' and for the minimum-norm cbar
-alike; only a rank-deficient A1 takes ``lstsq``, and only where the
-continuation asks for it, so no SVD returns vectors.  The roots of p and
-q come from one eigenvalue call when their degrees agree, and the zero
-cutoff is read off the moments with no call at all.  These are counts,
-not times, so they hold on any machine.  Every LAPACK driver that
-momentkit calls is counted, which a scan of the source checks:
-``eigvalsh``, ``solve`` and ``eigvals`` through ``momentkit._lapack``,
-their one route, and ``svd``, ``lstsq`` and ``cholesky`` through
-``np.linalg``.
+eigenvalues and factors nothing more.  A full-rank A1 is solved once by
+LU, for c' and for the minimum-norm cbar alike; only a rank-deficient A1
+takes ``lstsq``, and only where the continuation asks for it.  The roots
+of p and q come from one eigenvalue call when their degrees agree, and
+the zero cutoff is read off the moments with no call at all.
+``trig_invert`` ranks its Hankel block by one SVD and solves twice, for
+the pencil and for the amplitudes.  These are counts, not times, so they
+hold on any machine.  Every LAPACK driver that momentkit calls is
+counted, which a scan of the source checks: ``eigvalsh``, ``svd``,
+``solve``, ``lstsq`` and ``eigvals`` through ``momentkit._lapack``, their
+one route.  ``np.linalg`` serves only the public ``numeric_rank``, whose
+SVD no entry point calls.
 
 A problem object keeps its decided system, c' included, so these pins
 are counted on a fresh object: a cold call.  The warm pins count what a
@@ -52,18 +53,17 @@ M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 # the README's worked instance: y = 0 comes back as a rounding-noise root
 WORKED = mk.MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
 
-COUNTED = ("transform", "build_hankel", "assemble", "eigvalsh", "svd", "svd_uv", "lstsq", "solve", "eigvals", "cholesky")
-KERNELS = ("eigvalsh", "solve", "eigvals")  # momentkit._lapack
-LINALG = ("lstsq", "cholesky")  # np.linalg, with svd
+COUNTED = ("transform", "build_hankel", "assemble", "eigvalsh", "svd", "lstsq", "solve", "eigvals")
+KERNELS = ("eigvalsh", "svd", "solve", "lstsq", "eigvals")  # momentkit._lapack
+LINALG = ("svd",)  # np.linalg: numeric_rank's, which no entry point calls
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of momentkit._lapack.{eigvalsh,solve,eigvals}, of
-    numpy.linalg.{svd,lstsq,cholesky}, and of exp_transform
+    """Calls of momentkit._lapack.{eigvalsh,svd,solve,lstsq,eigvals}, of
+    numpy.linalg.svd, counted with the kernel's SVDs, and of exp_transform
     (``transform``), build_hankel and A's assembler (``assemble``)
-    through every momentkit module that binds them; ``svd_uv`` counts the
-    SVDs that return vectors."""
+    through every momentkit module that binds them."""
     tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -77,13 +77,6 @@ def counts(monkeypatch):
         monkeypatch.setattr(_lapack, name, counting(name, getattr(_lapack, name)))
     for name in LINALG:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    svd = counting("svd", np.linalg.svd)
-
-    def svd_counting_vectors(a, full_matrices=True, compute_uv=True, hermitian=False):
-        tally["svd_uv"] += bool(compute_uv)
-        return svd(a, full_matrices, compute_uv, hermitian)
-
-    monkeypatch.setattr(np.linalg, "svd", svd_counting_vectors)
     for name, key in (
         ("exp_transform", "transform"), ("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble"),
     ):
@@ -141,28 +134,42 @@ def test_call_counts(counts, call, problem, want):
     assert counts == want
 
 
+def test_trig_invert_call_counts(counts):
+    # one SVD ranks H0; one solve forms the pencil H0^-1 H1, whose
+    # eigenvalues are the nodes, and one solves for the amplitudes
+    mk.trig_invert([2, 0, 2, 0], 2)
+    assert counts == {**dict.fromkeys(COUNTED, 0), "svd": 1, "solve": 2, "eigvals": 1}
+
+
 def test_every_linalg_call_is_counted():
     # a LAPACK call outside COUNTED, or a kernel called past
     # momentkit._lapack, would bypass the pins above
     lapack, linalg, gufunc_callers = set(), set(), set()
     for path in Path(mk.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                owner = ast.unparse(node.func.value)
-                if owner in ("np.linalg", "numpy.linalg"):
-                    linalg.add(node.func.attr)
-                elif owner == "_lapack":
-                    lapack.add(node.func.attr)
-                elif owner == "_umath_linalg":
-                    gufunc_callers.add(path.stem)
-            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-                # an exception class and the gufunc module are not calls
-                names = (alias.name for alias in node.names)
-                linalg.update(n for n in names if not isinstance(getattr(np.linalg, n), (type, types.ModuleType)))
+        # each top-level statement, a function or class with all it holds,
+        # is where its calls are made
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(stmt, 'name', '')}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = ast.unparse(node.func.value)
+                    if owner in ("np.linalg", "numpy.linalg"):
+                        linalg.add((where, node.func.attr))
+                    elif owner == "_lapack":
+                        lapack.add(node.func.attr)
+                    elif owner == "_umath_linalg":
+                        gufunc_callers.add(path.stem)
+                elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    # an exception class and the gufunc module are not calls
+                    names = (alias.name for alias in node.names)
+                    linalg.update(
+                        (where, n) for n in names if not isinstance(getattr(np.linalg, n), (type, types.ModuleType))
+                    )
     # the kernels have one route, and only it calls the gufuncs
-    assert lapack == set(KERNELS) and not linalg & lapack
+    assert lapack == set(KERNELS)
     assert gufunc_callers == {"_lapack"}
-    assert linalg <= set(COUNTED)
+    # np.linalg serves only the public numeric_rank, which takes any array
+    assert linalg == {("structure.numeric_rank", "svd")}
 
 
 @pytest.mark.parametrize("argv, builds", [

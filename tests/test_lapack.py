@@ -1,18 +1,24 @@
 """The LAPACK kernels of ``momentkit._lapack`` against ``np.linalg``, bit
 for bit and dtype for dtype, on the arrays momentkit builds: symmetric
-Hankel blocks and their reversed views, real companion stacks with real
-and with complex roots, and trig_invert's complex pencils and
-Vandermonde solves.  Their failures are numpy's: ``LinAlgError`` with
-numpy's message, and no warning.
+Hankel blocks and their reversed views, the rectangular A whose singular
+values decide existence, the rank-deficient A1 of a matched pair and its
+minimum-norm solution, real companion stacks with real and with complex
+roots, and trig_invert's complex Hankel blocks, pencils and Vandermonde
+solves.  Their failures are numpy's: ``LinAlgError`` with numpy's
+message, and no warning.
 """
 
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
+import momentkit as mk
 from momentkit import _lapack, structure, trig
+from instances import separated_values
 
 SIZES = range(1, 11)
 
@@ -35,6 +41,13 @@ def companions(*polys):
     C = structure._shift_stack(len(polys), len(polys[0])).copy()
     C[:, :, 0] = [[-v for v in c] for c in polys]
     return C
+
+
+def trig_moments(rng, r):
+    """m_0..m_{2r-1} of r modes at random frequencies and amplitudes."""
+    freqs = np.sort(rng.uniform(-np.pi, np.pi, r))
+    amps = rng.uniform(0.5, 2.0, r) * np.exp(1j * rng.uniform(0, 2 * np.pi, r))
+    return trig.trig_forward(trig.TrigSignal(freqs.tolist(), amps.tolist()), 2 * r)
 
 
 def real_roots(rng, n):
@@ -70,6 +83,37 @@ def test_eigvals_of_companion_stacks(n, kinds):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_svd_of_hankel_blocks(n):
+    rng = np.random.default_rng(100 + n)
+    A = hankel_block(rng, n)
+    # the rectangular A that solvable ranks, a view of A1, and a contiguous copy
+    for M in (A, A[:, 1:], np.ascontiguousarray(A[:, 1:])):
+        same(_lapack.svd(M), np.linalg.svd(M, compute_uv=False))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_svd_of_trig_hankel_blocks(r):
+    rng = np.random.default_rng(400 + r)
+    H0, _ = trig_moments(rng, r)[trig._pencil_index(r)]
+    # a complex block's singular values come back real, as from np.linalg
+    for M in (H0, np.ascontiguousarray(H0.real)):
+        same(_lapack.svd(M), np.linalg.svd(M, compute_uv=False))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lstsq_of_matched_pair_blocks(n):
+    rng = np.random.default_rng(500 + n)
+    values = separated_values(rng, n + 1)
+    # the first x-value is matched on the y side, so A1 is rank-deficient;
+    # at n = 1 it is the 1 x 1 block [a_2], rounding noise
+    m = mk.forward_moments(values[:n], [values[n], values[0]])
+    h = structure.build_hankel(mk.exp_transform(m), m.n_x, m.n_y)
+    same(_lapack.lstsq(h.A1, -h.a0), np.linalg.lstsq(h.A1, -h.a0, rcond=None)[0])
+    # the cutoff's scale is numpy's rcond=None one
+    assert _lapack._EPS == np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_solve_of_reduced_systems(n):
     rng = np.random.default_rng(200 + n)
     T = hankel_block(rng, n)
@@ -82,11 +126,8 @@ def test_solve_of_reduced_systems(n):
 @pytest.mark.parametrize("r", range(1, 9))
 def test_trig_pencil_and_vandermonde(r):
     rng = np.random.default_rng(300 + r)
-    freqs = np.sort(rng.uniform(-np.pi, np.pi, r))
-    amps = rng.uniform(0.5, 2.0, r) * np.exp(1j * rng.uniform(0, 2 * np.pi, r))
-    mv = trig.trig_forward(trig.TrigSignal(freqs.tolist(), amps.tolist()), 2 * r)
-    idx = trig._hankel_index(r)
-    H0, H1 = mv[idx], mv[idx + 1]
+    mv = trig_moments(rng, r)
+    H0, H1 = mv[trig._pencil_index(r)]
     # the pencil: a 2-D complex right-hand side, then its complex eigenvalues
     P = _lapack.solve(H0, H1)
     same(P, np.linalg.solve(H0, H1))
@@ -110,16 +151,38 @@ def test_an_exactly_singular_solve_raises_numpys_error(dtype, b):
             _lapack.solve(a, b)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)])
-def test_non_finite_eigvals_input_raises_numpys_error(bad):
-    a = np.eye(3, dtype=complex if isinstance(bad, complex) else float)
-    a[1, 2] = bad
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_nan_svd_input_raises_numpys_error(dtype):
+    a = np.eye(3, dtype=dtype)
+    a[1, 2] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(LinAlgError, match="^Array must not contain infs or NaNs$"):
-            np.linalg.eigvals(a)
-        with pytest.raises(LinAlgError, match="^Array must not contain infs or NaNs$"):
-            _lapack.eigvals(a)
+        with pytest.raises(LinAlgError, match="^SVD did not converge$"):
+            np.linalg.svd(a, compute_uv=False)
+        with pytest.raises(LinAlgError, match="^SVD did not converge$"):
+            _lapack.svd(a)
+
+
+def test_each_call_keeps_its_own_error_state_in_every_thread():
+    # one np.errstate instance decorates each kernel; numpy 2.x sets and
+    # resets the state per call, so threads never restore each other's
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+
+    def work(_):
+        before = np.geterr()
+        for _ in range(500):
+            with pytest.raises(LinAlgError, match="^Singular matrix$"):
+                _lapack.solve(singular, np.ones(2))
+            _lapack.eigvalsh(singular)
+        return np.geterr() == before
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(work, range(4), timeout=60)) == [True] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_linalg_error_is_a_value_error():

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from momentkit import (
     IllConditionedNodes,
@@ -99,10 +100,14 @@ def test_fft_grid_cross_check():
         assert abs(a - spectrum[q]) <= 1e-8
 
 
-def test_hankel_index_table_is_read_only():
-    # H0 = m[i + j] for i, j < r; the table is cached on r alone
-    table = trig._hankel_index(3)
-    assert table.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4]] and not table.flags.writeable
+def test_pencil_index_table_is_read_only():
+    # H0 = m[i + j] and H1 = m[i + j + 1] for i, j < r; the table is cached on r alone
+    table = trig._pencil_index(3)
+    assert table.tolist() == [
+        [[0, 1, 2], [1, 2, 3], [2, 3, 4]],
+        [[1, 2, 3], [2, 3, 4], [3, 4, 5]],
+    ] and not table.flags.writeable
+    assert trig._pencil_index(3) is table
     with pytest.raises(ValueError):
         table[...] = 0
 
@@ -179,3 +184,36 @@ def test_non_finite_input_rejected(bad):
     if isinstance(bad, float):
         with pytest.raises(ValueError, match="finite"):
             TrigSignal((bad,), (1.0,))
+
+
+def _overflowing_solve(monkeypatch, ndim, bad):
+    """Make ``_lapack.solve`` put ``bad`` into its result for a right-hand
+    side of ``ndim`` dimensions: the pencil (2) or the amplitudes (1)."""
+    solve = _lapack.solve
+
+    def overflowing(a, b):
+        x = solve(a, b)
+        if b.ndim == ndim:
+            x.flat[-1] = bad
+        return x
+
+    monkeypatch.setattr(_lapack, "solve", overflowing)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)], ids=repr)
+def test_a_non_finite_pencil_raises_numpys_error(monkeypatch, bad):
+    # the moments are finite, but H0^-1 H1 can overflow: numpy's error for
+    # an eigenvalue input with an inf or NaN, before any eigenvalue is taken
+    _overflowing_solve(monkeypatch, 2, bad)
+    monkeypatch.setattr(_lapack, "eigvals", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinAlgError, match="^Array must not contain infs or NaNs$"):
+            trig_invert([2, 0, 2, 0], 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)], ids=repr)
+def test_a_non_finite_amplitude_raises(monkeypatch, bad):
+    _overflowing_solve(monkeypatch, 1, bad)
+    with pytest.raises(ValueError, match="^amps must be finite complex numbers$"):
+        trig_invert([2, 0, 2, 0], 2)
