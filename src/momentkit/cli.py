@@ -23,11 +23,14 @@ text goes to standard error.  ``--help`` exits 0.
 on the first call (``_build_parser``) and reused; a request is parsed by
 its subcommand's own parser, found by name, and only ``--help``, an
 empty command line and an unknown subcommand reach the top-level parser.
-A command takes only the flags it reads.  ``forward``, ``transform`` and
-``trig-forward`` solve nothing: they take ``--input`` only and read no
-``MOMENTKIT_TOL_RANK``.  ``extend`` and ``trig-invert`` read the rank
-tolerance alone, so they take ``--tol-rank`` but not ``--tol-zero`` or
-``--tol-imag``.  A request that gives no tolerance shares
+A command takes only the tolerance flags it reads.  ``forward``,
+``transform`` and ``trig-forward`` solve nothing: they take ``--input``
+only and read no ``MOMENTKIT_TOL_RANK``.  ``extend`` and ``trig-invert``
+read the rank tolerance alone, so they take ``--tol-rank`` but not
+``--tol-zero`` or ``--tol-imag``.  The seven solving commands take
+``--verbose``: ``invert``, ``next``, ``markov-check`` and ``trig-invert``
+attach ``diagnostics`` under it, and ``analyze``, ``extend`` and
+``family`` attach none yet.  A request that gives no tolerance shares
 ``DEFAULT_TOLERANCES``, and every document is written by one JSON
 encoder.
 
@@ -228,12 +231,13 @@ def _cmd_family(doc, args, tol):
 
 
 def _cmd_markov_check(doc, args, tol):
-    result = markov_certificate(_read_moments(doc), tol=tol, full_output=args.verbose)
-    if not args.verbose:
-        return _fields(result)
-    cert, info = result
-    sol = info["minimal_solution"]
-    return {**_fields(cert), "diagnostics": {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}}
+    m = _read_moments(doc)
+    out = _fields(markov_certificate(m, tol=tol))
+    if args.verbose:
+        # read off the system the certificate decided on m
+        sol = invert_min_degree(m, tol=tol)
+        out["diagnostics"] = {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}
+    return out
 
 
 def _cmd_trig_forward(doc, args, tol):

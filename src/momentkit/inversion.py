@@ -87,9 +87,7 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
     value is not a finite real number.
     """
     extras = _as_float_tuple(r_roots, "r_roots")
-    zeros_x = sum(1 for v in minimal.xs if v == 0.0)
-    zeros_y = sum(1 for v in minimal.ys if v == 0.0)
-    capacity = min(zeros_x, zeros_y)
+    capacity = min(minimal.xs.count(0.0), minimal.ys.count(0.0))
     if len(extras) > capacity:
         raise FamilyOverflow(
             f"{len(extras)} matched pairs requested; family admits at most {capacity}"

@@ -7,8 +7,10 @@ block being symmetric positive definite, which in turn characterizes the
 classical interlaced solution when the branch counts are equal.  So at
 every rank the Markov certificate is read off the eigenvalues of the
 data's own block that decided its rank.  The branch values are computed
-only where the solution is asked for or A1 is rank-deficient, and there
-only to check that the minimal solution exists.
+only where A1 is rank-deficient, and there only to check that the
+minimal solution exists; a caller that wants that solution calls
+``invert_min_degree`` on the same object, which reuses its decided
+system.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class MarkovCertificate:
     interlacing_applicable: bool
 
 
-def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_output: bool = False):
+def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> MarkovCertificate:
     """Certificates: SPD of the reversed block, interlacing, extended-matrix
     singularity and weight positivity of ``m``, read off one ``spd`` flag.
 
@@ -130,8 +132,8 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     sum to 0, and two zero xs are not distinct.  So ``interlaced = spd
     and applicable`` and ``weights_positive = spd`` at every rank.
 
-    With ``full_output`` also returns ``{"minimal_solution": sol}``, the
-    minimal ``BranchSolution`` of ``m``, as ``(MarkovCertificate, dict)``.
+    The minimal solution itself is ``invert_min_degree(m, tol=tol)``,
+    which reads it off the system decided here.
 
     Raises
     ------
@@ -139,7 +141,7 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
         Propagated from the existence decision on ``m``.
     NonRealSolution, SingularReducedSystem, ValueError
         Propagated from the inversion of ``m``, which runs only where A1
-        is rank-deficient or ``full_output`` asks for the solution.
+        is rank-deficient, to check that the minimal solution exists.
     NoPositiveBranches
         When n_x = 0; the Hankel system is empty and there is no block
         to certify.  This is the one entry point that raises it.
@@ -152,15 +154,15 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None, full_
     spd = h.full_rank and h.eigs[0].item() > 0.0
     # at rank deficiency the inversion only checks that the minimal
     # solution exists; it stays until the rank is decided by witness
-    sol = None if h.full_rank and not full_output else _invert(m, h, tol)[0]
-    cert = MarkovCertificate(
+    if not h.full_rank:
+        _invert(m, h, tol)
+    return MarkovCertificate(
         spd=spd,
         interlaced=spd and applicable,
         extended_singular=True,
         weights_positive=spd,
         interlacing_applicable=applicable,
     )
-    return (cert, {"minimal_solution": sol}) if full_output else cert
 
 
 def density_eval(sol: BranchSolution, x: float) -> float:
@@ -177,11 +179,10 @@ def density_eval(sol: BranchSolution, x: float) -> float:
         return 1.0 if t > 0.0 else 0.0
 
     (x,) = _as_float_tuple((x,), "x")
+    # each term is +-1.0 or 0.0, so the sum is exact, and a float with no terms
     total = 0.0
-    for v in sol.xs:
-        if v != 0.0:
-            total += math.copysign(1.0, v) * (step(x) - step(x - abs(v)))
-    for v in sol.ys:
-        if v != 0.0:
-            total -= math.copysign(1.0, v) * (step(x) - step(x - abs(v)))
+    for side, values in ((1.0, sol.xs), (-1.0, sol.ys)):
+        for v in values:
+            if v != 0.0:
+                total += side * math.copysign(1.0, v) * (step(x) - step(x - abs(v)))
     return total

@@ -27,12 +27,14 @@ the convolution that forms q.  Every factorization of a problem, the
 eigvalsh, svd, solve and eigvals here, goes through ``_lapack``, numpy's
 LAPACK gufuncs without ``np.linalg``'s per-call dispatch; only the
 public ``numeric_rank``, which takes any array, calls ``np.linalg.svd``.
-The rank rule, the zero cutoff and the root filter work on Python floats
-in a fixed order, so every decision repeats bit for bit.  Two read-only
-tables are cached on sizes alone: where each entry of A sits in the
-reversed a-sequence, and the stacked shift matrices that a copy makes
-companion matrices.  eigvals returns a real stack exactly when every
-root is real, so only a complex stack is split per side.
+The rank rule ``_count_above`` and the zero cutoff both come from
+``tolerances``, beside their thresholds; they and the root filter work
+on Python floats in a fixed order, so every decision repeats bit for
+bit.  Two read-only tables are cached on sizes alone: where each entry
+of A sits in the reversed a-sequence, and the stacked shift matrices
+that a copy makes companion matrices.  eigvals returns a real stack
+exactly when every root is real, so only a complex stack is split per
+side.
 
 Values are checked once, where they enter: a, the counts and the rank
 tolerance by ``build_hankel``, and c', q and the roots by ``_invert``.
@@ -58,7 +60,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import NonRealSolution, NoSolution, SingularReducedSystem
-from .tolerances import DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet, _check_rank
+from .tolerances import DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet, _check_rank, _count_above
 from .transform import (
     BranchSolution,
     ExpCoefficients,
@@ -68,15 +70,6 @@ from .transform import (
     _unchecked,
     exp_transform,
 )
-
-
-def _count_above(values: np.ndarray, tol_rel: float) -> int:
-    """Number of ``values``, in any order and sign, whose modulus exceeds
-    ``tol_rel`` times the largest: the rank rule of every rank decision.
-    0 when ``values`` is empty or all zero."""
-    s = list(map(abs, values.tolist()))
-    top = max(s, default=0.0)
-    return sum(map((tol_rel * top).__lt__, s)) if top else 0
 
 
 def numeric_rank(matrix, tol_rel: float = DEFAULT_RANK) -> int:
@@ -195,7 +188,7 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     a_0..a_{n_x+n_y}.
 
     The eigenvalues of the symmetric fliplr(A1) are kept on the system;
-    rank(A1) is read off their moduli by the rule of ``numeric_rank``,
+    rank(A1) is read off their moduli by the rank rule of ``tolerances``,
     and the reduced block T is the corner of A that rank selects.  With
     n_x = 0 this is the empty system: A is 0 x 1, rank(A1) is 0 and T is
     all of A, so p = 1 and every decision on it is made without a

@@ -1,4 +1,13 @@
-"""Numerical thresholds shared across the pipeline."""
+"""Numerical thresholds shared across the pipeline, and the two rules
+that decide with them.
+
+The rank rule ``_count_above`` decides every numeric rank: of A1, of A
+where A1 is rank-deficient, of the reduced block, of ``numeric_rank``'s
+matrix and of the trigonometric H0.  ``ToleranceSet.zero_cutoff`` decides
+which roots of p and q are structural zeros, on both sides.  Both work
+on Python floats in a fixed order, so every decision repeats bit for
+bit.
+"""
 
 from __future__ import annotations
 
@@ -16,11 +25,20 @@ DEFAULT_IMAG = 1e-8
 
 def _check_rank(rank: float) -> float:
     """``rank`` where ``0 < rank < 1``, NaN excluded, and ValueError
-    otherwise: the rank rule of ``ToleranceSet``, ``numeric_rank`` and
-    ``build_hankel``."""
+    otherwise: the rank tolerance check of ``ToleranceSet``,
+    ``numeric_rank`` and ``build_hankel``."""
     if not 0.0 < rank < 1.0:  # false for NaN
         raise ValueError(f"rank tolerance must lie in (0, 1), got {rank!r}")
     return rank
+
+
+def _count_above(values, tol_rel: float) -> int:
+    """Number of ``values``, a numpy array in any order and sign, whose
+    modulus exceeds ``tol_rel`` times the largest: the rank rule of every
+    rank decision.  0 when ``values`` is empty or all zero."""
+    s = list(map(abs, values.tolist()))
+    top = max(s, default=0.0)
+    return sum(map((tol_rel * top).__lt__, s)) if top else 0
 
 
 @dataclass(frozen=True)

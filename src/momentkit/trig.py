@@ -3,7 +3,9 @@
 Given 2r equispaced complex moments of a sum of r complex exponentials,
 the eigenvalues of the shifted-versus-unshifted Hankel pencil are the
 unit-circle nodes exp(i lambda_j); the amplitudes follow from one
-Vandermonde solve against the first r moments.
+Vandermonde solve against the first r moments.  H0 is ranked by the
+rank rule of ``tolerances``, the rule of every Hankel rank decision, so
+this module takes nothing from ``structure``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from numpy.linalg import LinAlgError
 
 from . import _lapack
 from .errors import IllConditionedNodes, RankDeficientSignal
-from .structure import _count_above
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import DEFAULT_TOLERANCES, ToleranceSet, _count_above
 from .transform import _as_complex_tuple, _as_count, _as_float_tuple, _unchecked
 
 

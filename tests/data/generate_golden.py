@@ -42,9 +42,11 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outcomes.json"
 
 def markov_with_solution(m):
-    """The certificate's flags with the minimal solution they were computed from."""
-    cert, info = mk.markov_certificate(m, full_output=True)
-    return {**dataclasses.asdict(cert), "minimal_solution": dataclasses.asdict(info["minimal_solution"])}
+    """The certificate's flags, read off the eigenvalues that decided
+    rank(A1), beside the minimal solution of the same object, as
+    ``markov-check --verbose`` reports them."""
+    cert = mk.markov_certificate(m)
+    return {**dataclasses.asdict(cert), "minimal_solution": dataclasses.asdict(mk.invert_min_degree(m))}
 
 
 CALLS = (

@@ -188,6 +188,20 @@ def test_cli_build_counts(counts, capsys, tmp_path, argv, builds):
     assert counts["build_hankel"] == counts["assemble"] == builds
 
 
+def test_markov_check_verbose_builds_one_system(counts, capsys, tmp_path):
+    # a matched pair (0.5, 0.5) makes A1 rank-deficient: the certificate
+    # inverts to check that the minimal solution exists, and --verbose
+    # inverts again for the answer, on the same decided system and c'
+    m = mk.forward_moments([1.0, 3.0, 0.5], [0.25, 2.0, 0.5])
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"moments": list(m.values), "n_x": m.n_x, "n_y": m.n_y}))
+    assert cli.main(["markov-check", "--verbose", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert counts == pin(eigvalsh=2, svd=1, solve=1, eigvals=2)
+    sol = mk.invert_min_degree(dataclasses.replace(m))
+    assert out["diagnostics"]["minimal_solution"] == {"xs": list(sol.xs), "ys": list(sol.ys)}
+
+
 @pytest.mark.parametrize("first, then, problem, added", [
     # rank, existence and c' are read off the kept system: the recursion is all that runs
     (mk.invert_min_degree, mk.next_moment, M, {}),

@@ -85,8 +85,8 @@ def test_analyze_golden(capsys, tmp_path):
 
 
 def _markov_check_verbose(m):
-    cert, info = mk.markov_certificate(m, full_output=True)
-    sol = info["minimal_solution"]
+    cert = mk.markov_certificate(m)
+    sol = mk.invert_min_degree(m)
     return {**dataclasses.asdict(cert), "diagnostics": {"minimal_solution": {"xs": sol.xs, "ys": sol.ys}}}
 
 

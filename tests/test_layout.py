@@ -2,9 +2,12 @@
 package-internal import graph has no cycle.
 
 Imports run one way, _lapack/transform/errors/tolerances -> structure
--> inversion/markov/trig -> cli, so no module needs a lazy import to
-break a cycle.  Every entry point takes its decided system from
-``structure``, so the three modules above it import none of each other.
+-> inversion/markov -> cli, and _lapack/transform/errors/tolerances ->
+trig -> cli, so no module needs a lazy import to break a cycle.  Every
+moment-problem entry point takes its decided system from ``structure``,
+and ``trig`` needs only the rank rule, which lives in ``tolerances``
+beside the zero rule, so inversion, markov and trig import none of each
+other.
 """
 
 import ast
@@ -83,6 +86,19 @@ def test_internal_import_graph_is_acyclic():
     # from structure, so these three import none of each other
     side = {"inversion", "markov", "trig"}
     assert all(not graph[name] & side for name in side)
+
+
+def test_each_decision_rule_has_one_home():
+    # the rank rule sits in tolerances beside the zero cutoff, so trig
+    # ranks H0 without structure
+    assert internal_imports(TREES["trig"]) == {"_lapack", "errors", "tolerances", "transform"}
+    defined = {
+        name
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_count_above"
+    }
+    assert defined == {"tolerances"}
 
 
 def test_cycle_finder_sees_a_cycle():

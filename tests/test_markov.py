@@ -1,3 +1,4 @@
+import inspect
 import warnings
 from dataclasses import astuple
 
@@ -18,6 +19,7 @@ from momentkit import (
     exp_transform,
     factorization_residual,
     forward_moments,
+    invert_min_degree,
     markov_certificate,
     weights,
 )
@@ -173,8 +175,9 @@ def test_certificate_of_non_real_data_needs_no_solution():
     # so every flag is decided without the inversion that raises
     m = MomentSequence((0.0, -2.0), 2, 0)
     assert astuple(markov_certificate(m)) == (False, False, True, False, False)
+    # the minimal solution of the same object, which no flag reads, is not real
     with pytest.raises(NonRealSolution):
-        markov_certificate(m, full_output=True)
+        invert_min_degree(m)
 
 
 def test_certificate_at_rank_deficiency_checks_the_solution_exists():
@@ -190,11 +193,16 @@ def test_certificate_of_a_matched_pair_holds_no_flag():
     # xs (1, 3) interlace with ys (0.25, 2), but the pair x = y = 0.5 makes
     # A1 rank-deficient: the minimal solution pads each side with 0.0
     m = forward_moments([1.0, 3.0, 0.5], [0.25, 2.0, 0.5])
-    cert, info = markov_certificate(m, full_output=True)
+    cert = markov_certificate(m)
     assert astuple(cert) == (False, False, True, False, True)
+    sol = invert_min_degree(m)
     assert markov_certificate(m) == cert
-    sol = info["minimal_solution"]
     assert (sol.degree, sol.xs[-1], sol.ys[-1]) == (2, 0.0, 0.0)
+
+
+def test_certificate_takes_the_moments_and_a_tolerance_set_only():
+    # the minimal solution has one public route, invert_min_degree
+    assert list(inspect.signature(markov_certificate).parameters) == ["m", "tol"]
 
 
 def test_certificate_rejects_empty_positive_side():
