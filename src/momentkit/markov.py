@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NoPositiveBranches, RepeatedRoots
 from .structure import HankelSystem, _factor, _invert
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
-from .transform import BranchSolution, MomentSequence, _as_float_tuple
+from .transform import BranchSolution, MomentSequence, _as_float_tuple, _unchecked
 
 _SEPARATION_FACTOR = 1e-8
 
@@ -156,7 +156,8 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> Ma
     # solution exists; it stays until the rank is decided by witness
     if not h.full_rank:
         _invert(m, h, tol)
-    return MarkovCertificate(
+    return _unchecked(
+        MarkovCertificate,
         spd=spd,
         interlaced=spd and applicable,
         extended_singular=True,

@@ -66,7 +66,6 @@ from .transform import (
     ExpCoefficients,
     MomentSequence,
     _as_count,
-    _as_float_tuple,
     _unchecked,
     exp_transform,
 )
@@ -392,8 +391,12 @@ def _invert(m: MomentSequence, h: HankelSystem, tol: ToleranceSet):
         exc = NonRealSolution("retained roots have significant imaginary parts")
         exc._degree = rank - info_x["zeros_filtered"]
         raise exc
-    # both sides are in canonical order already; an overflowing root raises here
-    xs, ys = _as_float_tuple(xs, "xs"), _as_float_tuple(ys, "ys")
+    # both sides are floats in canonical order already; an overflowing root
+    # raises here, with the message of BranchSolution's own check
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("xs must be finite real numbers")
+    if not all(map(math.isfinite, ys)):
+        raise ValueError("ys must be finite real numbers")
     return _unchecked(BranchSolution, xs=xs, ys=ys, degree=len(xs) - xs.count(0.0)), {"x": info_x, "y": info_y}
 
 
@@ -450,7 +453,8 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
             d_min = exc._degree
         except (SingularReducedSystem, ValueError):
             pass
-    return SolvabilityReport(
+    return _unchecked(
+        SolvabilityReport,
         exists=exists,
         rank_A1=h.A1_rank,
         d_min=d_min,

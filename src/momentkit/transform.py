@@ -8,7 +8,7 @@ sequence all Hankel machinery is built from.  Values are checked once,
 where they enter, by one rule per kind: ``_as_float_tuple``,
 ``_as_complex_tuple`` and ``_as_count`` are the entry checks of every
 public function and constructor, and ``exp_transform`` checks its
-coefficients in its loop, then builds its result unchecked.
+coefficients once, after its loop, then builds its result unchecked.
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ def _as_count(value, name: str, least: int = 0) -> int:
 
 def _unchecked(cls, **fields):
     """``cls(**fields)`` for fields already in the form its ``__post_init__``
-    checks, without running ``__init__``, and so without those checks."""
+    checks, without running ``__init__``: without those checks, and for a
+    frozen class without setting each field through ``object.__setattr__``.
+    Pass the fields in declaration order, the order ``__init__`` stores
+    them in, so the object pickles to the same bytes."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -221,6 +224,9 @@ def exp_transform(m) -> ExpCoefficients:
         for j in range(1, k):
             s += values[j - 1] * a[k - j]
         a[k] = s / k
-        if not math.isfinite(a[k]):
-            raise ValueError(f"a_{k} is not finite ({a[k]!r}): the exponential transform overflows")
+    # float arithmetic carries an overflow on as inf or nan, so one check
+    # after the loop finds the first non-finite coefficient
+    if not all(map(math.isfinite, a)):
+        k = next(k for k, v in enumerate(a) if not math.isfinite(v))
+        raise ValueError(f"a_{k} is not finite ({a[k]!r}): the exponential transform overflows")
     return _unchecked(ExpCoefficients, values=tuple(a))

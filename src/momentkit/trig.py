@@ -122,27 +122,27 @@ def trig_invert(
     if np.count_nonzero(np.isfinite(P)) < P.size:
         raise LinAlgError("Array must not contain infs or NaNs")
     eigs = _lapack.eigvals(P)
-    freqs = np.angle(eigs)  # (-pi, pi]
-    f = freqs.tolist()
-    g = sorted(f)
+    # np.angle's own formula, in (-pi, pi], without its wrapper
+    freqs = np.arctan2(eigs.imag, eigs.real)
+    # one sort serves the separation check, the result's order and the
+    # amplitudes'; stable, as sorted() is, so ties keep the pencil's order
+    order = freqs.argsort(kind="stable")
+    g = freqs[order].tolist()
     # the closest pair on the circle is adjacent in angular order: sorted
     # neighbours, or the last and the first across +-pi
     for pair in zip(g, g[1:] + g[:1]) if r > 1 else ():
         if _angular_gap(*pair) < tol.separation:
-            a, b = sorted(pair, key=f.index)  # in the order the pencil gave them
+            a, b = sorted(pair, key=freqs.tolist().index)  # in the order the pencil gave them
             raise IllConditionedNodes(f"frequencies {a} and {b} closer than {tol.separation}")
 
     nodes = np.exp(1j * freqs)  # moduli forced to one
     V = nodes[None, :] ** np.arange(r)[:, None]
-    amps = _lapack.solve(V, mv[:r])
-
-    order = np.argsort(freqs)
-    amps = tuple(amps[order].tolist())
+    amps = tuple(_lapack.solve(V, mv[:r])[order].tolist())
     # the frequencies are angles of finite eigenvalues; the amplitudes of
     # a nearly singular Vandermonde solve can overflow
     if not all(map(cmath.isfinite, amps)):
         raise ValueError("amps must be finite complex numbers")
-    sig = _unchecked(TrigSignal, freqs=tuple(freqs[order].tolist()), amps=amps)
+    sig = _unchecked(TrigSignal, freqs=tuple(g), amps=amps)
     if full_output:
         info = {
             "eigenvalues": eigs[order].tolist(),

@@ -10,9 +10,11 @@ its instance (``golden.classify``), and no outcome recorded as right may
 become anything else, whether or not the file is regenerated.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -133,18 +135,29 @@ def test_warm_calls_equal_cold_calls_bit_for_bit():
             assert warm == [cold[call] for call in order], case["label"]
 
 
+def assert_same_record(got):
+    """``got`` is the object its class builds from its fields: equal, with
+    the same hash, repr and pickle, and the same after a round trip
+    through pickle and through ``dataclasses.replace``."""
+    want = type(got)(**{f.name: getattr(got, f.name) for f in dataclasses.fields(got)})
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert pickle.loads(pickle.dumps(got)) == want
+    assert dataclasses.replace(got) == want
+
+
 @pytest.mark.parametrize("case", CASES, ids=[case["label"] for case in CASES])
 def test_unchecked_results_are_what_the_checked_constructors_make(case):
-    # exp_transform and the minimal solution skip the constructors' checks;
-    # their results must equal, bit for bit and degree included, what the
-    # checked constructors make of the same values
+    # exp_transform, the minimal solution, analyze's report and the Markov
+    # certificate skip the constructors; each must be, bit for bit and
+    # degree included, what the constructor makes of the same values
     m = mk.MomentSequence(tuple(case["moments"]), case["n_x"], case["n_y"])
-    a = mk.exp_transform(m)
-    assert a == mk.ExpCoefficients(a.values) and repr(a) == repr(mk.ExpCoefficients(a.values))
-    solutions = [mk.analyze(m).minimal_solution]
-    try:
-        solutions.append(mk.invert_min_degree(m))
-    except (mk.MomentProblemError, ValueError):
-        pass
-    for sol in filter(None, solutions):
-        assert sol == mk.BranchSolution(sol.xs, sol.ys) and repr(sol) == repr(mk.BranchSolution(sol.xs, sol.ys))
+    report = mk.analyze(m)
+    records = [mk.exp_transform(m), report, report.minimal_solution]
+    for call in (mk.invert_min_degree, mk.markov_certificate):
+        try:
+            records.append(call(m))
+        except (mk.MomentProblemError, ValueError):
+            pass
+    for record in filter(None, records):
+        assert_same_record(record)

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.linalg import LinAlgError
+from numpy.linalg import LinAlgError, _umath_linalg
 
 import momentkit as mk
 from momentkit import _lapack, structure, trig
@@ -163,9 +163,75 @@ def test_a_nan_svd_input_raises_numpys_error(dtype):
             _lapack.svd(a)
 
 
+# each kernel, the gufunc it calls, its arguments and LinAlgError message,
+# and the same call through np.linalg
+SPD = np.array([[2.0, 1.0], [1.0, 2.0]])
+KERNEL_CALLS = [
+    ("eigvalsh", "eigvalsh_lo", (SPD,), "Eigenvalues did not converge", lambda: np.linalg.eigvalsh(SPD)),
+    ("svd", "svd", (SPD,), "SVD did not converge", lambda: np.linalg.svd(SPD, compute_uv=False)),
+    ("solve", "solve1", (SPD, np.ones(2)), "Singular matrix", lambda: np.linalg.solve(SPD, np.ones(2))),
+    ("solve", "solve", (SPD, np.ones((2, 1))), "Singular matrix", lambda: np.linalg.solve(SPD, np.ones((2, 1)))),
+    (
+        "lstsq",
+        "lstsq",
+        (SPD, np.ones(2)),
+        "SVD did not converge in Linear Least Squares",
+        lambda: np.linalg.lstsq(SPD, np.ones(2), rcond=None),
+    ),
+    ("eigvals", "eigvals", (SPD,), "Eigenvalues did not converge", lambda: np.linalg.eigvals(SPD)),
+]
+KERNEL_IDS = [f"{kernel}-{gufunc}" for kernel, gufunc, *_ in KERNEL_CALLS]
+
+
+def spy_on(monkeypatch, gufunc, fail=False):
+    """Replace ``_umath_linalg.<gufunc>`` by a spy that records the error
+    state it runs under, and the message of the LinAlgError that the
+    state's handler raises; with ``fail`` the spy then lets the handler
+    raise, as LAPACK does on a failure."""
+    real = getattr(_umath_linalg, gufunc)
+    seen = []
+
+    def spy(*args, **kwargs):
+        handler = np.geterrcall()
+        try:
+            handler("invalid", 8)
+        except LinAlgError as exc:
+            seen.append((np.geterr(), str(exc)))
+        if fail:
+            handler("invalid", 8)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_umath_linalg, gufunc, spy)
+    return seen
+
+
+@pytest.mark.parametrize("kernel, gufunc, args, message, through_numpy", KERNEL_CALLS, ids=KERNEL_IDS)
+def test_each_kernel_runs_under_numpys_error_state(monkeypatch, kernel, gufunc, args, message, through_numpy):
+    seen = spy_on(monkeypatch, gufunc)
+    getattr(_lapack, kernel)(*args)
+    through_numpy()
+    ours, numpys = seen
+    assert ours == ({"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"}, message)
+    assert ours == numpys
+
+
+@pytest.mark.parametrize("kernel, gufunc, args, message, through_numpy", KERNEL_CALLS, ids=KERNEL_IDS)
+def test_each_kernel_restores_the_callers_error_state(monkeypatch, kernel, gufunc, args, message, through_numpy):
+    for caller in ({}, {"all": "raise"}):
+        with np.errstate(**caller):
+            before = np.geterr(), np.geterrcall()
+            getattr(_lapack, kernel)(*args)
+            assert (np.geterr(), np.geterrcall()) == before
+            with monkeypatch.context() as patch:
+                spy_on(patch, gufunc, fail=True)
+                with pytest.raises(LinAlgError, match=f"^{message}$"):
+                    getattr(_lapack, kernel)(*args)
+            assert (np.geterr(), np.geterrcall()) == before
+
+
 def test_each_call_keeps_its_own_error_state_in_every_thread():
-    # one np.errstate instance decorates each kernel; numpy 2.x sets and
-    # resets the state per call, so threads never restore each other's
+    # each kernel sets its prebuilt state in numpy's context variable and
+    # resets it per call, so threads never restore each other's
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
 
     def work(_):

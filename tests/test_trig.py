@@ -13,6 +13,7 @@ from momentkit import (
     trig_invert,
 )
 from momentkit import _lapack, trig
+from momentkit.tolerances import DEFAULT_TOLERANCES, _count_above
 
 
 def _random_signal(rng, r, sep=0.3):
@@ -119,8 +120,79 @@ def test_rank_deficient_signal_rejected():
         trig_invert(m, 2)
 
 
+def _reference_trig_invert(m, r, tol):
+    """``trig_invert(m, r, tol=tol, full_output=True)`` on finite moments
+    with the tail that sorted twice: the angles by ``np.angle``, the
+    separation check on ``sorted``, the result's order by ``np.argsort``."""
+    mv = np.array(m, dtype=complex)
+    H0, H1 = mv[trig._pencil_index(r)]
+    rank = _count_above(_lapack.svd(H0), tol.rank)
+    if rank < r:
+        raise RankDeficientSignal(f"moment matrix rank {rank} < requested modes {r}")
+    eigs = _lapack.eigvals(_lapack.solve(H0, H1))
+    freqs = np.angle(eigs)
+    f = freqs.tolist()
+    g = sorted(f)
+    for pair in zip(g, g[1:] + g[:1]) if r > 1 else ():
+        if trig._angular_gap(*pair) < tol.separation:
+            a, b = sorted(pair, key=f.index)
+            raise IllConditionedNodes(f"frequencies {a} and {b} closer than {tol.separation}")
+    nodes = np.exp(1j * freqs)
+    V = nodes[None, :] ** np.arange(r)[:, None]
+    amps = _lapack.solve(V, mv[:r])
+    order = np.argsort(freqs)
+    sig = TrigSignal(tuple(freqs[order].tolist()), tuple(amps[order].tolist()))
+    info = {
+        "eigenvalues": eigs[order].tolist(),
+        "unit_circle_deviation": np.abs(np.abs(eigs[order]) - 1.0).tolist(),
+    }
+    return sig, info
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (IllConditionedNodes, RankDeficientSignal) as exc:
+        return exc
+
+
+def _bits(outcome):
+    """A trig_invert outcome with every float as its bytes."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    sig, info = outcome
+    return tuple(np.array(v).tobytes() for v in (sig.freqs, sig.amps, info["eigenvalues"], info["unit_circle_deviation"]))
+
+
+def test_the_tail_matches_the_two_sort_reference_bit_for_bit():
+    rng = np.random.default_rng(64)
+    # the wide separation rejects some signals, which names a pair
+    tols = (DEFAULT_TOLERANCES, ToleranceSet(separation=0.3))
+    kinds = []
+    for r in range(1, 9):
+        for _ in range(25):
+            m = trig_forward(_random_signal(rng, r, sep=0.1), 2 * r)
+            for tol in tols:
+                got = _bits(_outcome(lambda: trig_invert(m, r, tol=tol, full_output=True)))
+                assert got == _bits(_outcome(lambda: _reference_trig_invert(m, r, tol)))
+                kinds.append(got[0] if isinstance(got[0], type) else "ok")
+    assert {"ok", IllConditionedNodes} <= set(kinds)
+
+
+def _close_pair_message(w, tol):
+    """The IllConditionedNodes message for pencil eigenvalues ``w`` with
+    one pair of angles within ``tol.separation``: the pair in the order
+    ``w`` holds them."""
+    f = np.angle(w).tolist()
+    [(a, b)] = [(a, b) for i, a in enumerate(f) for b in f[i + 1:] if trig._angular_gap(a, b) < tol.separation]
+    return f"frequencies {a} and {b} closer than {tol.separation}"
+
+
 def test_close_nodes_rejected(monkeypatch):
     tol = ToleranceSet(separation=1e-2)
+    seen = []
+    eigvals = _lapack.eigvals
+    monkeypatch.setattr(_lapack, "eigvals", lambda M: seen.append(eigvals(M)) or seen[-1])
     for freqs in (
         (0.4, 0.4 + 1e-3),
         # 2e-3 apart on the circle, across +-pi, and 2 pi - 2e-3 apart as numbers
@@ -129,21 +201,27 @@ def test_close_nodes_rejected(monkeypatch):
         (0.4, -2.0, 2.0, 0.4 + 1e-3),
     ):
         m = trig_forward(TrigSignal(freqs, (1.0,) * len(freqs)), 2 * len(freqs))
-        with pytest.raises(IllConditionedNodes):
+        with pytest.raises(IllConditionedNodes) as raised:
             trig_invert(m, len(freqs), tol=tol)
+        assert str(raised.value) == _close_pair_message(seen[-1], tol)
         # the same signal passes where the separation asked for is below its gap
         assert len(trig_invert(m, len(freqs), tol=ToleranceSet(separation=1e-4)).freqs) == len(freqs)
     # the pencil's eigenvalues come in no set order: returned with the close
-    # pair apart, -2.0 between 0.4 and 0.401, they are still rejected
-    eigvals = _lapack.eigvals
+    # pair apart, -2.0 between 0.4 and 0.401, they are still rejected, and
+    # the pair is named in the order returned, either way round
+    for permutation, first in (([1, 0, 2, 3], 0), ([2, 0, 1, 3], 1)):
 
-    def apart(M):
-        w = eigvals(M)
-        return w[np.argsort(np.angle(w))[[1, 0, 2, 3]]]
+        def apart(M, permutation=permutation):
+            w = eigvals(M)
+            seen.append(w[np.argsort(np.angle(w))[permutation]])
+            return seen[-1]
 
-    monkeypatch.setattr(_lapack, "eigvals", apart)
-    with pytest.raises(IllConditionedNodes):
-        trig_invert(m, 4, tol=tol)
+        monkeypatch.setattr(_lapack, "eigvals", apart)
+        with pytest.raises(IllConditionedNodes) as raised:
+            trig_invert(m, 4, tol=tol)
+        pair = sorted(np.angle(seen[-1]).tolist())[1:3]  # near 0.4 and 0.401
+        a, b = pair[first], pair[1 - first]
+        assert str(raised.value) == f"frequencies {a} and {b} closer than {tol.separation}"
 
 
 def test_moment_count_validated():
