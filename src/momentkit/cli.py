@@ -29,17 +29,17 @@ only and read no ``MOMENTKIT_TOL_RANK``.  ``extend`` and ``trig-invert``
 read the rank tolerance alone, so they take ``--tol-rank`` but not
 ``--tol-zero`` or ``--tol-imag``.  The seven solving commands take
 ``--verbose``: ``invert``, ``next``, ``markov-check`` and ``trig-invert``
-attach ``diagnostics`` under it, and ``analyze``, ``extend`` and
-``family`` attach none yet.  A request that gives no tolerance shares
-``DEFAULT_TOLERANCES``, and every document is written by one JSON
-encoder.
+attach ``diagnostics`` under it (``invert`` asks the library for them
+only then), and ``analyze``, ``extend`` and ``family`` attach none yet.
+A request that gives no tolerance shares ``DEFAULT_TOLERANCES``, and
+every document is written by one JSON encoder.
 
 A handler returns the fields of its result, and ``main`` puts
 ``"schema": "momentkit/1"`` in front of them, once for every command.
 Result fields are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
-``MarkovCertificate``), so a field added to one of them becomes an
-additive ``momentkit/1`` output field.
+``MarkovCertificate``), their names read once per class, so a field
+added to one of them becomes an additive ``momentkit/1`` output field.
 """
 
 from __future__ import annotations
@@ -150,10 +150,16 @@ def _read_branches(doc) -> tuple[list[float], list[float]]:
 # ---------------------------------------------------------------------------
 # output builders
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The field names of a result dataclass, in order, read once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _fields(result) -> dict:
     """The fields of a result dataclass, in order; a shallow walk, since
     ``dataclasses.asdict`` deep-copies every value."""
-    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    return {name: getattr(result, name) for name in _field_names(type(result))}
 
 
 def _moment_doc(m: MomentSequence) -> dict:
@@ -178,16 +184,18 @@ def _cmd_analyze(doc, args, tol):
 
 
 def _cmd_invert(doc, args, tol):
-    sol, info = invert_min_degree(_read_moments(doc), method=args.method, tol=tol, full_output=True)
+    m = _read_moments(doc)
+    if not args.verbose:
+        return _fields(invert_min_degree(m, method=args.method, tol=tol))
+    sol, info = invert_min_degree(m, method=args.method, tol=tol, full_output=True)
     out = _fields(sol)
-    if args.verbose:
-        out["diagnostics"] = {
-            "method": info["method"],
-            "eigenvalues_x": [_complex_pair(z) for z in info["x"]["eigenvalues"]],
-            "eigenvalues_y": [_complex_pair(z) for z in info["y"]["eigenvalues"]],
-            "zeros_filtered_x": info["x"]["zeros_filtered"],
-            "zeros_filtered_y": info["y"]["zeros_filtered"],
-        }
+    out["diagnostics"] = {
+        "method": info["method"],
+        "eigenvalues_x": [_complex_pair(z) for z in info["x"]["eigenvalues"]],
+        "eigenvalues_y": [_complex_pair(z) for z in info["y"]["eigenvalues"]],
+        "zeros_filtered_x": info["x"]["zeros_filtered"],
+        "zeros_filtered_y": info["y"]["zeros_filtered"],
+    }
     return out
 
 

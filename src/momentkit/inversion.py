@@ -3,12 +3,17 @@
 ``invert_min_degree`` returns the minimal-degree solution that
 ``structure`` reads off the decided Hankel system, as ``analyze`` does;
 ``companion_coefficients`` is bound here too.
-``next_moment`` and ``extend_moments`` continue the same decided system
-(``_continue``), a supplied cbar included.  The coefficient recursion
-propagates higher moments without ever forming branch values, which is
-the numerically preferred route when only the next moments are wanted.
-It runs on Python floats with each sum accumulated left to right, so the
-continued moments are the same bits on every run and Python version.
+``next_moment`` and ``extend_moments`` continue the same decided system,
+a supplied cbar included.  The coefficient recursion propagates higher
+moments without ever forming branch values, which is the numerically
+preferred route when only the next moments are wanted.  It runs on
+Python floats with each sum accumulated left to right, so the continued
+moments are the same bits on every run and Python version.  Its step is
+written once, as ``_next_a`` and ``_next_m``: ``extend_moments`` loops
+over them on lists (``_recurrence``), and ``next_moment`` takes its one
+step on the tuples the problem keeps, so a warm ``next_moment`` at a
+full-rank A1, whose c' is kept too, builds no list and allocates
+nothing it does not return.
 """
 
 from __future__ import annotations
@@ -99,50 +104,54 @@ def family_member(minimal: BranchSolution, r_roots: Sequence[float]) -> BranchSo
     return BranchSolution.from_branches(xs, ys)
 
 
-def _recurrence(m: Sequence[float], a: Sequence[float], cbar: Sequence[float], count: int) -> list:
-    """m_1..m_{K+count} continued from m_1..m_K, a_0..a_K and cbar.
-
-    Each new a_k comes from the coefficient recursion a_k = -sum_j
+def _next_a(a: Sequence[float], cbar: Sequence[float], k: int) -> float:
+    """a_k from a_0..a_{k-1} by the coefficient recursion a_k = -sum_j
     cbar_j a_{k-j}, valid for any solution cbar of the full system (the
-    value is the same for all of them), and each new m_k from the
-    triangular row of the exponential transform, k a_k = m_k + sum_{j<k}
-    m_j a_{k-j}.  On Python floats an overflow gives inf or NaN without
-    a warning; the first m_k that is not finite raises ValueError naming
-    it, before any later moment is formed.
+    value is the same for all of them)."""
+    s = 0
+    for j in range(1, len(cbar) + 1):
+        s += cbar[j - 1] * a[k - j]
+    return -s
 
-    Each sum runs left to right in j, one rounding per term, from an
-    integer 0 as ``sum`` starts (an empty sum, n_x = 0, stays 0).  The
-    order is fixed so the results are bit-reproducible across runs and
-    Python versions; ``sum`` itself compensates float sums from
-    Python 3.12 on.
+
+def _next_m(m: Sequence[float], a: Sequence[float], a_k: float, k: int) -> float:
+    """m_k from m_1..m_{k-1}, a_1..a_{k-1} and a_k by the triangular row
+    of the exponential transform, k a_k = m_k + sum_{j<k} m_j a_{k-j}.
+    On Python floats an overflow gives inf or NaN without a warning; an
+    m_k that is not finite raises ValueError naming it."""
+    s = 0
+    for j in range(1, k):
+        s += m[j - 1] * a[k - j]
+    m_k = k * a_k - s
+    if not math.isfinite(m_k):
+        raise ValueError(f"m_{k} is not finite ({m_k!r}): the continued moments overflow")
+    return m_k
+
+
+def _recurrence(m: Sequence[float], a: Sequence[float], cbar: Sequence[float], count: int) -> list:
+    """m_1..m_{K+count} continued from m_1..m_K, a_0..a_K and cbar, one
+    ``_next_a`` and one ``_next_m`` per new moment; the first m_k that is
+    not finite raises before any later moment is formed.
+
+    Each sum of the two steps runs left to right in j, one rounding per
+    term, from an integer 0 as ``sum`` starts (an empty sum, n_x = 0,
+    stays 0).  The order is fixed so the results are bit-reproducible
+    across runs and Python versions; ``sum`` itself compensates float
+    sums from Python 3.12 on.
     """
     avals, mvals = list(a), list(m)
     for k in range(len(m) + 1, len(m) + count + 1):
-        s = 0
-        for j in range(1, len(cbar) + 1):
-            s += cbar[j - 1] * avals[k - j]
-        a_k = -s
+        a_k = _next_a(avals, cbar, k)
         avals.append(a_k)
-        s = 0
-        for j in range(1, k):
-            s += mvals[j - 1] * avals[k - j]
-        m_k = k * a_k - s
-        if not math.isfinite(m_k):
-            raise ValueError(f"m_{k} is not finite ({m_k!r}): the continued moments overflow")
-        mvals.append(m_k)
+        mvals.append(_next_m(mvals, avals, a_k, k))
     return mvals
 
 
-def _continue(m: MomentSequence, tol: ToleranceSet | None, count: int, cbar: Sequence[float] | None = None) -> list:
-    """m_1..m_{K+count} on the decided system of ``m``, which
-    ``structure._factor`` finds solvable, from the checked ``cbar`` or
-    else the minimum-norm one: c' at full rank (``structure._cprime``),
-    otherwise the solution of A1 cbar = -a0 by numpy's least-squares
-    driver with its default cutoff (``_lapack.lstsq``)."""
-    h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
-    if cbar is None:
-        cbar = _cprime(h) if h.full_rank else _lapack.lstsq(h.A1, -h.a0).tolist()
-    return _recurrence(m.values, h.a.values, cbar, count)
+def _cbar(h) -> list:
+    """The minimum-norm solution of A1 cbar = -a0 on the solvable system
+    ``h``: c' at full rank (``structure._cprime``), otherwise numpy's
+    least-squares driver with its default cutoff (``_lapack.lstsq``)."""
+    return _cprime(h) if h.full_rank else _lapack.lstsq(h.A1, -h.a0).tolist()
 
 
 def next_moment(m: MomentSequence, tol: ToleranceSet | None = None, cbar: Sequence[float] | None = None) -> float:
@@ -168,7 +177,10 @@ def next_moment(m: MomentSequence, tol: ToleranceSet | None = None, cbar: Sequen
         if np.shape(cbar) != (m.n_x,):
             raise ValueError(f"cbar must have length n_x = {m.n_x}")
         cbar = _as_float_tuple(cbar, "cbar")
-    return _continue(m, tol, 1, cbar)[-1]
+    h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
+    # one step of _recurrence on the kept tuples, without its lists
+    k, a = len(m.values) + 1, h.a.values
+    return _next_m(m.values, a, _next_a(a, _cbar(h) if cbar is None else cbar, k), k)
 
 
 def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = None) -> tuple[float, ...]:
@@ -185,4 +197,6 @@ def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = Non
     when ``count`` is not an integer >= 1 or naming the first moment that
     overflows to a non-finite value.
     """
-    return tuple(_continue(m, tol, _as_count(count, "count", 1)))
+    count = _as_count(count, "count", 1)
+    h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
+    return tuple(_recurrence(m.values, h.a.values, _cbar(h), count))

@@ -23,23 +23,28 @@ sides.  d_min is deg p, the count of p's roots that pass it, and d_max
 = d_min + n_x - rank.
 
 Numpy arrays are the inputs and outputs of the factorizations and of
-the convolution that forms q.  Every factorization of a problem, the
+the one ``np.correlate`` that forms q, with the operands in the order
+``np.convolve`` gives them.  Every factorization of a problem, the
 eigvalsh, svd, solve and eigvals here, goes through ``_lapack``, numpy's
 LAPACK gufuncs without ``np.linalg``'s per-call dispatch; only the
 public ``numeric_rank``, which takes any array, calls ``np.linalg.svd``.
 The rank rule ``_count_above`` and the zero cutoff both come from
 ``tolerances``, beside their thresholds; they and the root filter work
 on Python floats in a fixed order, so every decision repeats bit for
-bit.  Two read-only tables are cached on sizes alone: where each entry
-of A sits in the reversed a-sequence, and the stacked shift matrices
-that a copy makes companion matrices.  eigvals returns a real stack
-exactly when every root is real, so only a complex stack is split per
-side.
+bit.  Two read-only index tables are cached on sizes alone, so one
+gather builds each new array: where each entry of A sits in the
+reversed a-sequence, and where each entry of the stacked companion
+matrices sits among their polynomials' negated coefficients.  eigvals
+returns a real stack exactly when every root is real, so only a
+complex stack is split per side.
 
-Values are checked once, where they enter: a, the counts and the rank
-tolerance by ``build_hankel``, and c', q and the roots by ``_invert``.
-So the rank decisions factor without ``numeric_rank``'s checks, and the
-Hankel system and the solution are built unchecked.
+Values are checked once, where they enter: the moments and the counts
+by ``MomentSequence``, the rank tolerance by ``ToleranceSet``, a by
+``exp_transform``, and c', q and the roots by ``_invert``.  So
+``_decided`` builds its system with ``_build_hankel``, without the
+checks the public ``build_hankel`` makes on its own arguments, the rank
+decisions factor without ``numeric_rank``'s checks, and the Hankel
+system and the solution are built unchecked.
 
 A problem is decided once per object: ``_decided`` keeps the system and
 existence verdict of a ``MomentSequence`` on it, and ``_cprime`` keeps
@@ -200,12 +205,18 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
         raise ValueError(
             f"need coefficients a_0..a_{n_x + n_y}, got a_0..a_{coeffs.order}"
         )
-    A = _toeplitz_slice(coeffs.values, n_x)
+    return _build_hankel(coeffs, n_x, tol_rank)
+
+
+def _build_hankel(a: ExpCoefficients, n_x: int, tol_rank: float) -> HankelSystem:
+    """``build_hankel`` of values it has checked, or that ``MomentSequence``
+    and ``ToleranceSet`` checked where they entered: the build alone."""
+    A = _toeplitz_slice(a.values, n_x)
     A.setflags(write=False)
     # A[:, :0:-1] is fliplr(A1), a Hankel matrix: symmetric bit for bit
     eigs = _lapack.eigvalsh(A[:, :0:-1]) if n_x else np.zeros(0)
     eigs.setflags(write=False)
-    return _unchecked(HankelSystem, a=coeffs, A=A, eigs=eigs, A1_rank=_count_above(eigs, tol_rank), tol_rank=tol_rank)
+    return _unchecked(HankelSystem, a=a, A=A, eigs=eigs, A1_rank=_count_above(eigs, tol_rank), tol_rank=tol_rank)
 
 
 def solvable(h: HankelSystem) -> bool:
@@ -230,7 +241,9 @@ def _decided(m: MomentSequence, tol_rank: float) -> tuple[HankelSystem, bool]:
     reading ``m.__dict__`` would build a dict for every problem."""
     d = getattr(m, "_decided", None)
     if d is None or d[0].tol_rank != tol_rank:
-        h = build_hankel(exp_transform(m), m.n_x, m.n_y, tol_rank)
+        # the counts and tol_rank were checked by the constructors of m
+        # and of its ToleranceSet, and exp_transform checks a
+        h = _build_hankel(exp_transform(m), m.n_x, tol_rank)
         d = (h, solvable(h))
         object.__setattr__(m, "_decided", d)
     return d
@@ -298,9 +311,17 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
 
 
 @functools.cache
-def _shift_stack(count: int, n: int) -> np.ndarray:
-    """Read-only stack of ``count`` n x n matrices with ones on the superdiagonal."""
-    return np.broadcast_to(np.eye(n, k=1), (count, n, n))
+def _companion_index(count: int, n: int) -> np.ndarray:
+    """Read-only table of ``count`` stacked n x n companion matrices in
+    the sequence (0.0, 1.0, -c_1, -c_2, ...) of their polynomials'
+    negated coefficients, one polynomial after another: 1 on the
+    superdiagonal, the k-th polynomial's in column 0 of matrix k, and 0
+    elsewhere."""
+    index = np.zeros((count, n, n), dtype=np.intp)
+    index[:, :, 0] = np.arange(2, 2 + count * n).reshape(count, n)
+    index[:, range(n - 1), range(1, n)] = 1
+    index.setflags(write=False)
+    return index
 
 
 def _monic_roots(*polys: Sequence[float]) -> list:
@@ -310,19 +331,20 @@ def _monic_roots(*polys: Sequence[float]) -> list:
     numbers otherwise.
 
     Polynomials of one degree share one eigenvalue call on their stacked
-    companion matrices, which yields each matrix's eigenvalues bit for
-    bit as a call of its own.  That call returns a real array exactly
-    when every root in the stack is real, read back with one ``tolist``;
-    a complex stack gives each polynomial that is real on its own real
-    roots, as its own call would.
+    companion matrices, gathered by one indexing of the coefficients
+    through ``_companion_index``, which yields each matrix's eigenvalues
+    bit for bit as a call of its own.  That call returns a real array
+    exactly when every root in the stack is real, read back with one
+    ``tolist``; a complex stack gives each polynomial that is real on its
+    own real roots, as its own call would.
     """
     n = len(polys[0])
     if len(set(map(len, polys))) > 1:
         return [_monic_roots(c)[0] for c in polys]
     if n == 0:
         return [[] for _ in polys]
-    C = _shift_stack(len(polys), n).copy()
-    C[:, :, 0] = [[-v for v in c] for c in polys]
+    # negated in Python, so the zeros of the table stay +0.0
+    C = np.array((0.0, 1.0, *[-v for c in polys for v in c]))[_companion_index(len(polys), n)]
     roots = _lapack.eigvals(C)
     if roots.dtype.kind == "f":
         return roots.tolist()
@@ -380,7 +402,12 @@ def _invert(m: MomentSequence, h: HankelSystem, tol: ToleranceSet):
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # _cprime has raised SingularReducedSystem
     n = n_y_tilde + 1
-    d = np.convolve([1.0, *cprime][:n], h.a.values[:n])[1:n].tolist()  # orders 1..n_y_tilde of p*a
+    # orders 1..n_y_tilde of p*a, by the correlation np.convolve(p, a)
+    # makes: the longer operand first, the shorter reversed, p first on a
+    # tie.  The other order sums each coefficient in another order.
+    p, a = [1.0, *cprime][:n], h.a.values[:n]
+    pa = np.correlate(a, p[::-1], "full") if len(p) < n else np.correlate(p, a[::-1], "full")
+    d = pa[1:n].tolist()
     if not all(map(math.isfinite, cprime + d)):
         raise ValueError("the companion coefficients of p or q are not finite: the minimal solution overflows")
     roots_x, roots_y = _monic_roots(cprime, d)

@@ -11,6 +11,7 @@ bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,7 +97,13 @@ class ToleranceSet:
         default ``1e-8 * max_k |m_k|**(1/k)``."""
         if self.zero is not None:
             return self.zero
-        return 1e-8 * max(map(pow, map(abs, moments), map((1.0).__truediv__, range(1, len(moments) + 1))))
+        return 1e-8 * max(map(pow, map(abs, moments), _inverse_orders(len(moments))))
+
+
+@functools.cache
+def _inverse_orders(K: int) -> tuple[float, ...]:
+    """The exponents 1/k, k = 1..K, of ``zero_cutoff``, kept per K."""
+    return tuple(map((1.0).__truediv__, range(1, K + 1)))
 
 
 # the defaults, shared by every entry point called without ``tol``

@@ -30,6 +30,7 @@ A different rank tolerance decides the object again.
 
 import ast
 import dataclasses
+import gc
 import json
 import sys
 import types
@@ -62,8 +63,10 @@ LINALG = ("svd",)  # np.linalg: numeric_rank's, which no entry point calls
 def counts(monkeypatch):
     """Calls of momentkit._lapack.{eigvalsh,svd,solve,lstsq,eigvals}, of
     numpy.linalg.svd, counted with the kernel's SVDs, and of exp_transform
-    (``transform``), build_hankel and A's assembler (``assemble``)
-    through every momentkit module that binds them."""
+    (``transform``), the Hankel build (``build_hankel``: the internal
+    ``_build_hankel``, which the public ``build_hankel`` calls after its
+    checks) and A's assembler (``assemble``) through every momentkit
+    module that binds them."""
     tally = dict.fromkeys(COUNTED, 0)
 
     def counting(name, fn):
@@ -78,7 +81,7 @@ def counts(monkeypatch):
     for name in LINALG:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     for name, key in (
-        ("exp_transform", "transform"), ("build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble"),
+        ("exp_transform", "transform"), ("_build_hankel", "build_hankel"), ("_toeplitz_slice", "assemble"),
     ):
         original = getattr(structure, name)
         wrapped = counting(key, original)
@@ -232,3 +235,31 @@ def test_another_rank_tolerance_decides_again(counts):
     # one system is kept per object: the default tolerance decides again
     mk.next_moment(m)
     assert counts["transform"] == counts["build_hankel"] == counts["assemble"] == counts["eigvalsh"] == 3
+
+
+def test_a_warm_next_moment_starts_no_collector_pass():
+    # a warm next_moment reads its system and c' off the object and takes
+    # one recurrence step on the kept tuples, so it allocates no container
+    # that the collector counts: at a gen-0 threshold of 1 even two live
+    # at once would start a pass
+    m = dataclasses.replace(M)
+    mk.next_moment(m)
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(count)
+    try:
+        gc.set_threshold(1)
+        for _ in range(50):  # warm-up round
+            mk.next_moment(m)
+        passes.clear()
+        for _ in range(50):
+            mk.next_moment(m)
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(count)
+    assert passes == []

@@ -38,9 +38,8 @@ def hankel_block(rng, n):
 
 def companions(*polys):
     """The stacked companion matrices of monic polynomials of one degree, as _monic_roots builds them."""
-    C = structure._shift_stack(len(polys), len(polys[0])).copy()
-    C[:, :, 0] = [[-v for v in c] for c in polys]
-    return C
+    coeffs = np.array((0.0, 1.0, *[-v for c in polys for v in c]))
+    return coeffs[structure._companion_index(len(polys), len(polys[0]))]
 
 
 def trig_moments(rng, r):

@@ -69,9 +69,9 @@ def test_build_hankel_arrays_are_read_only():
 
 
 def test_size_tables_are_read_only_and_hold_no_data():
-    # the index table of A and the stacked shift matrices are cached on
-    # sizes alone: writing them raises, and every build makes a new A
-    for table in (structure._entry_index(3), structure._shift_stack(2, 3)):
+    # the index tables of A and of the stacked companion matrices are
+    # cached on sizes alone: writing them raises, and every build makes a new A
+    for table in (structure._entry_index(3), structure._companion_index(2, 3)):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[...] = 0
@@ -82,9 +82,12 @@ def test_size_tables_are_read_only_and_hold_no_data():
     for h, g in ((first, again), (first, other), (again, other)):
         assert not np.shares_memory(h.A, g.A)
     assert not any(np.shares_memory(h.A, structure._entry_index(3)) for h in (first, again, other))
-    # solving on the stacked companion matrices leaves the shift stack as it was
+    # solving on the stacked companion matrices leaves their table as it was:
+    # 1 on the superdiagonal, each polynomial's coefficients in column 0
     invert_min_degree(forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4]))
-    assert np.array_equal(structure._shift_stack(2, 3), [np.eye(3, k=1)] * 2)
+    want = np.broadcast_to(np.eye(3, k=1, dtype=np.intp), (2, 3, 3)).copy()
+    want[:, :, 0] = [[2, 3, 4], [5, 6, 7]]
+    assert np.array_equal(structure._companion_index(2, 3), want)
 
 
 def test_reduced_pencil_shares_its_inner_columns():
