@@ -20,8 +20,15 @@ malformed input: its detail is argparse's message, and argparse's usage
 text goes to standard error.  ``--help`` exits 0.
 
 ``main`` may be called many times in one process.  Its parsers are built
-on the first call (``_build_parser``) and reused; a request is parsed by
-its subcommand's own parser, found by name, and only ``--help``, an
+on the first call (``_build_parser``) and reused, each subcommand's with
+an option table read off the actions it declares.  A canonical command
+line (exact option strings, each valued option followed by its own
+value, every value valid and every required option given) is read by
+one walk over its subcommand's table (``_read_canonical``), into the
+namespace argparse would make of it.  Any other command line of a known
+subcommand is parsed by that subcommand's own parser, found by name:
+``-h``, an abbreviation, ``--opt=value``, a value that starts with
+``-``, ``--``, a positional and every usage error.  Only ``--help``, an
 empty command line and an unknown subcommand reach the top-level parser.
 A command takes only the tolerance flags it reads.  ``forward``,
 ``transform`` and ``trig-forward`` solve nothing: they take ``--input``
@@ -113,9 +120,17 @@ def _number(v, where: str) -> int | float:
     return v
 
 
+# the number types JSON decodes to; it also yields bool, str, None, list
+# and dict, and ``type`` tells a bool from an int
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _number_list(v, where: str) -> list[int | float]:
     if not isinstance(v, list):
         raise ValueError(f"{where} must be an array of numbers")
+    if _NUMBER_TYPES.issuperset(map(type, v)):
+        return v
+    # anything else is checked entry by entry, for _number's message
     return [_number(x, where) for x in v]
 
 
@@ -261,7 +276,9 @@ def _cmd_trig_forward(doc, args, tol):
 def _cmd_trig_invert(doc, args, tol):
     _check_fields(doc, {"moments"}, set())
     moments = _complex_list(doc["moments"], "moments")
-    sig, info = trig_invert(moments, args.modes, tol=tol, full_output=True)
+    # the diagnostics are asked for only when they are attached
+    result = trig_invert(moments, args.modes, tol=tol, full_output=args.verbose)
+    sig, info = result if args.verbose else (result, None)
     out = {"freqs": list(sig.freqs), "amps": [_complex_pair(a) for a in sig.amps]}
     if args.verbose:
         out["diagnostics"] = {
@@ -290,9 +307,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level argument parser and each subcommand's own parser by
-    name, built on the first ``main`` call and reused.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level argument parser, and by name each subcommand's own
+    parser with its option table (``_option_table``), built on the first
+    ``main`` call and reused.
 
     Reuse is safe: ``parse_args`` returns a fresh ``Namespace`` on every
     call and never mutates a parser, and nothing calls ``add_argument``
@@ -302,8 +320,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     Each subcommand is declared here once: its parser binds its handler
     as ``args.run`` and is entered in the table that ``main`` dispatches
-    on.  The top-level parser declares the same subcommands for
-    ``--help`` and for its usage errors.
+    on, and its option table is read off the actions it declares.  The
+    top-level parser declares the same subcommands for ``--help`` and
+    for its usage errors.
     """
     # forward, transform and trig-forward take --input only; extend and
     # trig-invert read the rank tolerance alone
@@ -344,19 +363,97 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--count", type=int, required=True, help="number of moments")
     p = command("trig-invert", _cmd_trig_invert, "complex moments -> trig signal", rank)
     p.add_argument("--modes", type=int, required=True, help="number of modes r (input has 2r moments)")
-    return parser, commands
+    return parser, {name: (p, _option_table(p)) for name, p in commands.items()}
+
+
+def _option_table(parser: argparse.ArgumentParser) -> tuple | None:
+    """What ``_read_canonical`` needs of ``parser``, read off the actions
+    it declares: the action of each option string, the namespace's
+    defaults in argparse's order (the actions', then the parser's own)
+    and the destinations of the required options.
+
+    None where ``parser`` declares what the walk does not stand in for,
+    which leaves every request to argparse.  The walk knows a flag (a
+    ``store_const`` action, as ``store_true`` is) and an option that
+    stores one value; not a positional, ``nargs``, ``append`` and the
+    like, a mutually exclusive group, or a string default that argparse
+    would convert by the action's type.  ``-h``/``--help`` has no entry,
+    so it always reaches argparse."""
+    if parser._mutually_exclusive_groups:
+        return None
+    options, defaults = {}, {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = isinstance(action, argparse._StoreConstAction)
+        store = type(action) is argparse._StoreAction and action.nargs is None
+        if not (action.option_strings and (flag or store)):
+            return None
+        if store and action.type is not None and isinstance(action.default, str):
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+    for dest, default in parser._defaults.items():
+        defaults.setdefault(dest, default)
+    return options, defaults, frozenset(action.dest for action in options.values() if action.required)
+
+
+def _read_canonical(table, args) -> argparse.Namespace | None:
+    """The namespace argparse makes of ``args``, the command line after
+    the subcommand's name, when it is canonical; None when it is not.
+
+    Canonical means: every token is an exact option string of the
+    table, each valued option is followed by its own value, which does
+    not start with ``-``, converts by the action's ``type`` and lies in
+    its ``choices``, and every required option is given.  A repeated
+    option keeps its last value, as in argparse.  Anything else, from an
+    abbreviation or ``--opt=value`` to a usage error, is argparse's to
+    parse or to report."""
+    options, defaults, required = table
+    given = {}
+    tokens = iter(args)
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            given[action.dest] = action.const
+            continue
+        text = next(tokens, "-")  # a missing value is not canonical
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if not required.issubset(given):
+        return None
+    # filled through its __dict__, as Namespace(**kwargs) costs a Python
+    # loop of setattr calls
+    parsed = argparse.Namespace()
+    vars(parsed).update(defaults, **given)
+    return parsed
 
 
 def _parse(argv) -> argparse.Namespace:
-    """``argv`` parsed by its command's own parser, which gives the
-    namespace of the top-level parser without its ``command`` entry at a
-    fraction of the cost; ``--help``, an empty argv and an unknown
+    """``argv`` read by its command's option table when it is canonical,
+    and otherwise parsed by the command's own parser; either gives the
+    namespace of the top-level parser without its ``command`` entry, at a
+    fraction of the cost.  ``--help``, an empty argv and an unknown
     command go to the top-level parser."""
     parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    own = commands.get(argv[0]) if argv else None
-    return own.parse_args(argv[1:]) if own else parser.parse_args(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    own, table = commands[argv[0]]
+    args = argv[1:]
+    parsed = _read_canonical(table, args) if table is not None else None
+    return parsed if parsed is not None else own.parse_args(args)
 
 
 def _tolerances(args) -> ToleranceSet:

@@ -348,7 +348,7 @@ def _monic_roots(*polys: Sequence[float]) -> list:
     roots = _lapack.eigvals(C)
     if roots.dtype.kind == "f":
         return roots.tolist()
-    return [(w if w.imag.any() else w.real).tolist() for w in roots]
+    return [(w if np.count_nonzero(w.imag) else w.real).tolist() for w in roots]
 
 
 def _branch_values(roots: list, count: int, cutoff: float, tol: ToleranceSet, rank: int):

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -687,12 +688,188 @@ def test_the_command_table_route_parses_as_the_top_level_parser(capsys, tmp_path
         assert top == {"command": argv[0], **own}
     else:
         assert own == top
+    if argv and argv[0] in ROUTE_COMMANDS:
+        # where the option table reads the command line, it reads it as
+        # the command's own parser does
+        parser, table = cli._build_parser()[1][argv[0]]
+        read = cli._read_canonical(table, argv[1:])
+        assert read is None or vars(read) == _parsed(parser.parse_args, argv[1:])
     capsys.readouterr()
     # the same exit code and stdout through main, by either route
     outcomes = [(main(argv), capsys.readouterr().out)]
     monkeypatch.setattr(cli, "_parse", top_level)
     outcomes.append((main(argv), capsys.readouterr().out))
     assert outcomes[0] == outcomes[1]
+
+
+def _argparse_only(argv):
+    """``argv`` parsed by argparse alone: by its command's own parser,
+    found by name, or by the top-level parser."""
+    parser, commands = cli._build_parser()
+    own = commands.get(argv[0]) if argv else None
+    return own[0].parse_args(argv[1:]) if own else parser.parse_args(argv)
+
+
+def _accepted(action):
+    """Tokens that ``action``'s option takes as its value."""
+    if action.choices is not None:
+        return list(action.choices)
+    if action.type is int:
+        return ["1", "2", "3"]
+    if action.type is float:
+        return ["1e-6", "0.5", "0"]
+    return ["FILE"] if action.dest == "input" else ["0.5", "", "0.5,0.25"]
+
+
+def _rejected(action):
+    """A token that ``action``'s option rejects as its value, or None."""
+    if action.choices is not None:
+        return "foo"
+    return {int: "x", float: "abc"}.get(action.type)
+
+
+def _negative(action):
+    return {int: "-2", float: "-1e-3"}.get(action.type, "-1,2" if action.dest == "r_roots" else "-")
+
+
+# a change to a canonical command line, made in place: whether the line
+# stays canonical, or None where the change does not apply to it
+def _mutate(kind, groups, options, rng):
+    pick = lambda seq: seq[rng.integers(len(seq))]  # noqa: E731
+    known = [g for g in groups if g[0] in options]  # not changed yet
+    valued = [g for g in known if len(g) == 2]
+    at = int(rng.integers(len(groups) + 1))
+    if kind == "equals" and valued:
+        g = pick(valued)
+        g[:] = [f"{g[0]}={g[1]}"]
+    elif kind == "abbreviation" and known:
+        g = pick(known)
+        g[0] = g[0][:int(rng.integers(3, len(g[0])))]
+    elif kind == "repeat" and known:
+        g = pick(known)
+        groups.insert(at, [g[0], pick(_accepted(options[g[0]]))] if len(g) == 2 else [g[0]])
+    elif kind == "negative" and valued:
+        g = pick(valued)
+        g[1] = _negative(options[g[0]])
+    elif kind == "option-as-value" and valued:
+        g = pick(valued)
+        g[1] = "--verbose" if "--verbose" in options else "--input"
+    elif kind == "rejected" and any(_rejected(options[g[0]]) for g in valued):
+        g = pick([g for g in valued if _rejected(options[g[0]])])
+        g[1] = _rejected(options[g[0]])
+    elif kind == "empty" and valued:
+        g = pick(valued)
+        g[1] = ""
+        # canonical where the option converts nothing
+        return options[g[0]].type is None and options[g[0]].choices is None
+    elif kind == "missing-value" and valued:
+        g = pick(valued)
+        groups.remove(g)
+        groups.append([g[0]])
+    elif kind == "missing-required" and any(options[g[0]].required for g in known):
+        dropped = pick([g for g in known if options[g[0]].required])[0]
+        groups[:] = [g for g in groups if g[0] != dropped]
+    elif kind in ("--", "extra", "-h", "--help", "--bogus"):
+        groups.insert(at, [kind])
+    else:
+        return None
+    return kind == "repeat"
+
+
+MUTATIONS = [
+    "equals", "abbreviation", "repeat", "negative", "option-as-value", "rejected", "empty",
+    "missing-value", "missing-required", "--", "extra", "-h", "--help", "--bogus",
+]
+
+
+# the forms the table route hands to argparse or takes, named one by one
+NAMED_LINES = [
+    (["analyze", "--tol-rank", "-1e-3"], False),
+    (["family", "--r-roots", "-1,2"], False),
+    (["invert", "--input", "--verbose"], False),
+    (["extend", "--count", "x"], False),
+    (["extend", "--count", ""], False),
+    (["invert", "--method", "foo"], False),
+    (["extend", "--count=3"], False),
+    (["extend", "--cou", "3"], False),
+    (["invert", "--verb"], False),
+    (["invert", "--", "--verbose"], False),
+    (["invert", "--verbose", "extra"], False),
+    (["trig-invert", "--tol-rank", "1e-6"], False),
+    (["family", "--r-roots", ""], True),
+    (["invert", "--input", ""], True),
+    (["extend", "--count", "2", "--verbose", "--count", "3", "--verbose"], True),
+    (["invert", "--method", "geneig", "--method", "companion"], True),
+]
+
+
+def _corpus(name, seed, size=42):
+    """Command lines for ``name``, each with whether it is canonical: the
+    named ones, then seeded ones, every third one as generated and the
+    rest changed by one mutation in turn and, for one in two, by a second
+    one at random."""
+    yield from ((argv, canonical) for argv, canonical in NAMED_LINES if argv[0] == name)
+    parser, _ = cli._build_parser()[1][name]
+    options = {s: a for a in parser._actions if a.option_strings and a.dest != "help" for s in a.option_strings}
+    rng = np.random.default_rng(seed)
+    for i in range(size):
+        groups = []
+        for opt, action in options.items():
+            if action.required or rng.random() < 0.4:
+                accepted = _accepted(action) if action.nargs != 0 else None
+                groups.append([opt, accepted[rng.integers(len(accepted))]] if accepted else [opt])
+        groups = [groups[j] for j in rng.permutation(len(groups))]
+        canonical = True
+        if i % 3:
+            kinds = [MUTATIONS[i % len(MUTATIONS)]] + ([MUTATIONS[rng.integers(len(MUTATIONS))]] if i % 2 else [])
+            for kind in kinds:
+                if _mutate(kind, groups, options, rng) is False:
+                    canonical = False
+        yield [name, *(token for g in groups for token in g)], canonical
+
+
+@pytest.mark.parametrize("seed, name", list(enumerate(ROUTE_COMMANDS, start=3200)), ids=list(ROUTE_COMMANDS))
+def test_the_option_table_reads_what_argparse_reads(capsys, tmp_path, monkeypatch, seed, name):
+    doc = json.dumps(ROUTE_COMMANDS[name][1])
+    path = tmp_path / "request.json"
+    path.write_text(doc)
+    parser, table = cli._build_parser()[1][name]
+    read = []
+    for argv, canonical in _corpus(name, seed):
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        # the table takes the canonical command lines and only them, and
+        # reads each as the command's own parser does
+        got = cli._read_canonical(table, argv[1:])
+        assert (got is not None) == canonical, argv
+        if got is not None:
+            assert vars(got) == _parsed(parser.parse_args, argv[1:]), argv
+            read.append(argv)
+        capsys.readouterr()
+        # the same exit code, stdout and stderr through main, by either route
+        outcomes = []
+        for parse in (cli._parse, _argparse_only):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse", parse)
+                m.setattr("sys.stdin", io.StringIO(doc))
+                outcomes.append((main(argv), *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+    assert len(read) >= 14
+
+
+@pytest.mark.parametrize("declare", [
+    lambda p: p.add_argument("path"),
+    lambda p: p.add_argument("--pair", nargs=2),
+    lambda p: p.add_argument("--many", action="append"),
+    lambda p: p.add_argument("--scale", type=float, default="1.5"),
+    lambda p: p.add_mutually_exclusive_group().add_argument("--quiet", action="store_true"),
+], ids=["positional", "nargs", "append", "string-default", "exclusive-group"])
+def test_a_declaration_the_walk_does_not_know_leaves_the_command_to_argparse(declare):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--input")
+    parser.add_argument("--verbose", action="store_true")
+    assert cli._option_table(parser) is not None
+    declare(parser)
+    assert cli._option_table(parser) is None
 
 
 def test_parser_built_once_per_process(tmp_path, monkeypatch):
@@ -718,6 +895,34 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     for argv in (["invert", "--verbose"], ["analyze"], ["next"], ["extend", "--count", "3"], ["extend"]) * 2:
         module.main([*argv, "--input", str(path)])
     assert built == []
+
+
+def test_canonical_requests_reach_no_argparse_parse(capsys, tmp_path, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for name, (required, doc) in ROUTE_COMMANDS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([name, *required, "--input", str(path)]) == 0
+    assert calls == []
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(README_INSTANCE))
+    for argv, code in [
+        (["extend", "--help"], 0),
+        (["invert", "--verb", "--input", str(path)], 0),
+        (["extend", "--count=3", "--input", str(path)], 0),
+        (["extend", "--count", "x", "--input", str(path)], 4),
+    ]:
+        assert main(argv) == code
+        assert calls == [f"momentkit {argv[0]}"], argv
+        calls.clear()
+    capsys.readouterr()
 
 
 def test_help_is_plain_text_for_users(capsys):
