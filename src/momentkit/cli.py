@@ -25,10 +25,12 @@ an option table read off the actions it declares.  A canonical command
 line (exact option strings, each valued option followed by its own
 value, every value valid and every required option given) is read by
 one walk over its subcommand's table (``_read_canonical``), into the
-namespace argparse would make of it.  Any other command line of a known
-subcommand is parsed by that subcommand's own parser, found by name:
-``-h``, an abbreviation, ``--opt=value``, a value that starts with
-``-``, ``--``, a positional and every usage error.  Only ``--help``, an
+namespace argparse would make of it.  The walk knows the flags and the
+options storing one value that the subcommands declare, and a test in
+``tests/test_cli.py`` fails on any other declaration.  Any other command
+line of a known subcommand is parsed by that subcommand's own parser,
+found by name: ``-h``, an abbreviation, ``--opt=value``, a value that
+starts with ``-``, ``--``, a positional and every usage error.  Only ``--help``, an
 empty command line and an unknown subcommand reach the top-level parser.
 A command takes only the tolerance flags it reads.  ``forward``,
 ``transform`` and ``trig-forward`` solve nothing: they take ``--input``
@@ -63,7 +65,7 @@ from .inversion import _METHODS, extend_moments, family_member, invert_min_degre
 from .markov import markov_certificate
 from .structure import analyze
 from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet
-from .transform import MomentSequence, _as_complex_tuple, _as_count, _power_sum, exp_transform, forward_moments
+from .transform import MomentSequence, _as_count, _as_float_tuple, _power_sum, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
 SCHEMA = "momentkit/1"
@@ -144,7 +146,7 @@ def _complex_list(v, where: str) -> tuple[complex, ...]:
             _number(part, where)
     # each pair made complex inside the field's own check, so a part
     # beyond the float range overflows there and has the field's message
-    return _as_complex_tuple((complex(re, im) for re, im in v), where)
+    return _as_float_tuple((complex(re, im) for re, im in v), where, complex)
 
 
 def _read_moments(doc) -> MomentSequence:
@@ -320,7 +322,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 
     Each subcommand is declared here once: its parser binds its handler
     as ``args.run`` and is entered in the table that ``main`` dispatches
-    on, and its option table is read off the actions it declares.  The
+    on, and its option table is read off the actions it declares, in the
+    vocabulary that ``_option_table`` names and a test holds.  The
     top-level parser declares the same subcommands for ``--help`` and
     for its usage errors.
     """
@@ -366,34 +369,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     return parser, {name: (p, _option_table(p)) for name, p in commands.items()}
 
 
-def _option_table(parser: argparse.ArgumentParser) -> tuple | None:
+def _option_table(parser: argparse.ArgumentParser) -> tuple:
     """What ``_read_canonical`` needs of ``parser``, read off the actions
     it declares: the action of each option string, the namespace's
     defaults in argparse's order (the actions', then the parser's own)
-    and the destinations of the required options.
+    and the destinations of the required options.  ``-h``/``--help`` has
+    no entry, so it always reaches argparse.
 
-    None where ``parser`` declares what the walk does not stand in for,
-    which leaves every request to argparse.  The walk knows a flag (a
-    ``store_const`` action, as ``store_true`` is) and an option that
-    stores one value; not a positional, ``nargs``, ``append`` and the
-    like, a mutually exclusive group, or a string default that argparse
-    would convert by the action's type.  ``-h``/``--help`` has no entry,
-    so it always reaches argparse."""
-    if parser._mutually_exclusive_groups:
-        return None
-    options, defaults = {}, {}
-    for action in parser._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        flag = isinstance(action, argparse._StoreConstAction)
-        store = type(action) is argparse._StoreAction and action.nargs is None
-        if not (action.option_strings and (flag or store)):
-            return None
-        if store and action.type is not None and isinstance(action.default, str):
-            return None
-        options.update(dict.fromkeys(action.option_strings, action))
-        if action.default is not argparse.SUPPRESS:
-            defaults[action.dest] = action.default
+    The walk stands in for a flag (``store_true``) and an option that
+    stores one value, converted by no type, ``int`` or ``float``; no
+    subcommand declares a positional, ``nargs``, ``append`` and the like,
+    a mutually exclusive group, or a string default that argparse would
+    convert by the action's type.
+    ``test_every_subcommand_declares_only_what_the_walk_reads`` holds
+    that vocabulary."""
+    options = {s: a for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings}
+    defaults = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
     for dest, default in parser._defaults.items():
         defaults.setdefault(dest, default)
     return options, defaults, frozenset(action.dest for action in options.values() if action.required)
@@ -452,7 +443,7 @@ def _parse(argv) -> argparse.Namespace:
         return parser.parse_args(argv)
     own, table = commands[argv[0]]
     args = argv[1:]
-    parsed = _read_canonical(table, args) if table is not None else None
+    parsed = _read_canonical(table, args)
     return parsed if parsed is not None else own.parse_args(args)
 
 

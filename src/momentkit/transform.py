@@ -5,10 +5,10 @@ result is checked against.  The exponential transform turns a moment
 sequence into the Taylor coefficients of q(z)/p(z), where p and q carry
 the positive and negative branch values as reciprocal roots; it is the
 sequence all Hankel machinery is built from.  Values are checked once,
-where they enter, by one rule per kind: ``_as_float_tuple``,
-``_as_complex_tuple`` and ``_as_count`` are the entry checks of every
-public function and constructor, and ``exp_transform`` checks its
-coefficients once, after its loop, then builds its result unchecked.
+where they enter: ``_as_float_tuple``, one rule for real and complex
+values, and ``_as_count`` are the entry checks of every public function
+and constructor, and ``exp_transform`` checks its coefficients once,
+after its loop, then builds its result unchecked.
 """
 
 from __future__ import annotations
@@ -20,29 +20,17 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 
-def _as_float_tuple(values, name: str) -> tuple[float, ...]:
-    """``values`` as a tuple of finite floats.  ValueError says that one
-    is infinite, NaN or an integer beyond the float range; TypeError that
-    one is not a number."""
+def _as_float_tuple(values, name: str, kind: type = float) -> tuple:
+    """``values`` as a tuple of finite numbers of ``kind``, ``float`` or
+    ``complex``.  ValueError says that one is infinite, NaN or an integer
+    beyond the float range; TypeError that one is not a number."""
     try:
-        out = tuple(map(float, values))
-        if all(map(math.isfinite, out)):
+        out = tuple(map(kind, values))
+        if all(map(math.isfinite if kind is float else cmath.isfinite, out)):
             return out
     except OverflowError:
         pass
-    raise ValueError(f"{name} must be finite real numbers")
-
-
-def _as_complex_tuple(values, name: str) -> tuple[complex, ...]:
-    """``values`` as a tuple of finite complex numbers, by the rule of
-    ``_as_float_tuple``."""
-    try:
-        out = tuple(map(complex, values))
-        if all(map(cmath.isfinite, out)):
-            return out
-    except OverflowError:
-        pass
-    raise ValueError(f"{name} must be finite complex numbers")
+    raise ValueError(f"{name} must be finite {'real' if kind is float else 'complex'} numbers")
 
 
 def _as_count(value, name: str, least: int = 0) -> int:

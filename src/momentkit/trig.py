@@ -21,7 +21,7 @@ from numpy.linalg import LinAlgError
 from . import _lapack
 from .errors import IllConditionedNodes, RankDeficientSignal
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet, _count_above
-from .transform import _as_complex_tuple, _as_count, _as_float_tuple, _unchecked
+from .transform import _as_count, _as_float_tuple, _unchecked
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class TrigSignal:
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", _as_float_tuple(self.freqs, "freqs"))
-        object.__setattr__(self, "amps", _as_complex_tuple(self.amps, "amps"))
+        object.__setattr__(self, "amps", _as_float_tuple(self.amps, "amps", complex))
         if len(self.freqs) != len(self.amps):
             raise ValueError("freqs and amps must have the same length")
 
@@ -108,7 +108,7 @@ def trig_invert(
     """
     tol = tol or DEFAULT_TOLERANCES
     r = _as_count(r, "mode count", 1)
-    mv = np.array(_as_complex_tuple(m, "moments"))
+    mv = np.array(_as_float_tuple(m, "moments", complex))
     if mv.size != 2 * r:
         raise ValueError(f"need exactly 2r = {2 * r} moments, got {mv.size}")
 

@@ -11,6 +11,7 @@ other.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "momentkit"
@@ -93,12 +94,13 @@ def test_each_decision_rule_has_one_home():
     # ranks H0 without structure
     assert internal_imports(TREES["trig"]) == {"_lapack", "errors", "tolerances", "transform"}
     defined = {
-        name
+        (name, node.name)
         for name, tree in TREES.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_count_above"
+        if isinstance(node, ast.FunctionDef) and re.fullmatch(r"_count_above|_as_\w+_tuple", node.name)
     }
-    assert defined == {"tolerances"}
+    # one finite-value check for real and complex tuples alike
+    assert defined == {("tolerances", "_count_above"), ("transform", "_as_float_tuple")}
 
 
 def test_cycle_finder_sees_a_cycle():
