@@ -1,10 +1,10 @@
 """Branch-value recovery and moment continuation from moments.
 
 ``invert_min_degree`` returns the minimal-degree solution that
-``structure`` reads off the decided Hankel system, as ``analyze`` does;
-``companion_coefficients`` is bound here too.
-``next_moment`` and ``extend_moments`` continue the same decided system,
-a supplied cbar included.  The coefficient recursion propagates higher
+``structure`` reads off a problem's decision record, as ``analyze``
+does; ``companion_coefficients`` is bound here too.
+``next_moment`` and ``extend_moments`` continue the system of the same
+record, a supplied cbar included.  The coefficient recursion propagates higher
 moments without ever forming branch values, which is the numerically
 preferred route when only the next moments are wanted.  It runs on
 Python floats with each sum accumulated left to right, so the continued
@@ -12,8 +12,8 @@ moments are the same bits on every run and Python version.  Its step is
 written once, as ``_next_a`` and ``_next_m``: ``extend_moments`` loops
 over them on lists (``_recurrence``), and ``next_moment`` takes its one
 step on the tuples the problem keeps, so a warm ``next_moment`` at a
-full-rank A1, whose c' is kept too, builds no list and allocates
-nothing it does not return.
+full-rank A1, whose c' the record keeps too, builds no list and
+allocates nothing it does not return.
 """
 
 from __future__ import annotations
@@ -147,11 +147,13 @@ def _recurrence(m: Sequence[float], a: Sequence[float], cbar: Sequence[float], c
     return mvals
 
 
-def _cbar(h) -> list:
+def _cbar(rec) -> list:
     """The minimum-norm solution of A1 cbar = -a0 on the solvable system
-    ``h``: c' at full rank (``structure._cprime``), otherwise numpy's
-    least-squares driver with its default cutoff (``_lapack.lstsq``)."""
-    return _cprime(h) if h.full_rank else _lapack.lstsq(h.A1, -h.a0).tolist()
+    of the decision record ``rec``: c' at full rank, kept on the record
+    (``structure._cprime``), otherwise numpy's least-squares driver with
+    its default cutoff (``_lapack.lstsq``), which nothing keeps."""
+    h = rec.system
+    return _cprime(rec) if h.full_rank else _lapack.lstsq(h.A1, -h.a0).tolist()
 
 
 def next_moment(m: MomentSequence, tol: ToleranceSet | None = None, cbar: Sequence[float] | None = None) -> float:
@@ -177,10 +179,10 @@ def next_moment(m: MomentSequence, tol: ToleranceSet | None = None, cbar: Sequen
         if np.shape(cbar) != (m.n_x,):
             raise ValueError(f"cbar must have length n_x = {m.n_x}")
         cbar = _as_float_tuple(cbar, "cbar")
-    h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
+    rec = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
     # one step of _recurrence on the kept tuples, without its lists
-    k, a = len(m.values) + 1, h.a.values
-    return _next_m(m.values, a, _next_a(a, _cbar(h) if cbar is None else cbar, k), k)
+    k, a = len(m.values) + 1, rec.system.a.values
+    return _next_m(m.values, a, _next_a(a, _cbar(rec) if cbar is None else cbar, k), k)
 
 
 def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = None) -> tuple[float, ...]:
@@ -198,5 +200,5 @@ def extend_moments(m: MomentSequence, count: int, tol: ToleranceSet | None = Non
     overflows to a non-finite value.
     """
     count = _as_count(count, "count", 1)
-    h = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
-    return tuple(_recurrence(m.values, h.a.values, _cbar(h), count))
+    rec = _factor(m, (tol or DEFAULT_TOLERANCES).rank)
+    return tuple(_recurrence(m.values, rec.system.a.values, _cbar(rec), count))

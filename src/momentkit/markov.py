@@ -6,11 +6,11 @@ weights together with distinctness is equivalent to the reversed Hankel
 block being symmetric positive definite, which in turn characterizes the
 classical interlaced solution when the branch counts are equal.  So at
 every rank the Markov certificate is read off the eigenvalues of the
-data's own block that decided its rank.  The branch values are computed
-only where A1 is rank-deficient, and there only to check that the
-minimal solution exists; a caller that wants that solution calls
-``invert_min_degree`` on the same object, which reuses its decided
-system.
+data's own block that decided its rank, which the problem's decision
+record keeps with its system.  The branch values are computed only where
+A1 is rank-deficient, and there only to check that the minimal solution
+exists; a caller that wants that solution calls ``invert_min_degree`` on
+the same object, which reuses the record, its c' included.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> Ma
     and applicable`` and ``weights_positive = spd`` at every rank.
 
     The minimal solution itself is ``invert_min_degree(m, tol=tol)``,
-    which reads it off the system decided here.
+    which reads it off the record decided here.
 
     Raises
     ------
@@ -149,13 +149,13 @@ def markov_certificate(m: MomentSequence, tol: ToleranceSet | None = None) -> Ma
     if m.n_x == 0:
         raise NoPositiveBranches("n_x = 0: no positive-branch system to build")
     tol = tol or DEFAULT_TOLERANCES
-    h = _factor(m, tol.rank)
-    applicable = m.n_x == m.n_y
+    rec = _factor(m, tol.rank)
+    h, applicable = rec.system, m.n_x == m.n_y
     spd = h.full_rank and h.eigs[0].item() > 0.0
     # at rank deficiency the inversion only checks that the minimal
     # solution exists; it stays until the rank is decided by witness
     if not h.full_rank:
-        _invert(m, h, tol)
+        _invert(m, rec, tol)
     return _unchecked(
         MarkovCertificate,
         spd=spd,

@@ -46,12 +46,15 @@ checks the public ``build_hankel`` makes on its own arguments, the rank
 decisions factor without ``numeric_rank``'s checks, and the Hankel
 system and the solution are built unchecked.
 
-A problem is decided once per object: ``_decided`` keeps the system and
-existence verdict of a ``MomentSequence`` on it, and ``_cprime`` keeps
-c' on the system, so each entry point after the first on one object
-does only its own step.  ``_factor`` is the existence gate of every
-entry point but ``analyze``, which reports existence instead of raising
-``NoSolution``.  Errors and results are never kept.
+A problem is decided once per object, into one private record: a
+``_Decision`` holds the system, the existence verdict and, once solved,
+c'.  ``_decided`` keeps it on the ``MomentSequence``, and every entry
+point reads it, so each entry point after the first on one object does
+only its own step.  No call writes to a ``HankelSystem``: the public
+``companion_coefficients`` solves on a record of its own that nothing
+keeps.  ``_factor`` is the existence gate of every entry point but
+``analyze``, which reports existence instead of raising ``NoSolution``.
+Errors and results are never kept.
 """
 
 from __future__ import annotations
@@ -134,9 +137,8 @@ class HankelSystem:
     at A1_rank, so ``dataclasses.replace(h, A1_rank=r)`` is the system
     at any candidate rank r <= n_x with nothing rebuilt.
 
-    Every array is read-only, since the views share their data.  c' is
-    solved on first use and kept (``_cprime``); a replaced system solves
-    its own.
+    Every array is read-only, since the views share their data, and
+    nothing is written to a system after it is built.
     """
 
     a: ExpCoefficients
@@ -231,28 +233,46 @@ def solvable(h: HankelSystem) -> bool:
     return h.full_rank or _count_above(_lapack.svd(h.A), h.tol_rank) == h.A1_rank
 
 
-def _decided(m: MomentSequence, tol_rank: float) -> tuple[HankelSystem, bool]:
-    """``build_hankel`` and ``solvable`` of ``m`` at ``tol_rank``, run
-    once per object and kept on it beside the fields, which equality,
-    hash, repr and pickles ignore; another tolerance replaces them.  Kept
-    per object, not per value: equal moments need not be the same bits
-    (0.0 == -0.0).  A build that raises keeps nothing.  Set through
-    ``object.__setattr__``, as ``__post_init__`` sets fields, since
-    reading ``m.__dict__`` would build a dict for every problem."""
-    d = getattr(m, "_decided", None)
-    if d is None or d[0].tol_rank != tol_rank:
+class _Decision:
+    """What a problem has decided at one rank tolerance: its Hankel
+    ``system``, whether a solution ``exists``, and ``cprime``, c' as a
+    list of floats once ``_cprime`` has solved it and None before.
+
+    Only ``cprime`` is written after the record is made, once, with the
+    same bits by any thread that solves it.  A plain ``__slots__`` class:
+    one is built on every cold call and lives as long as its problem, so
+    it carries no dict.
+    """
+
+    __slots__ = ("system", "exists", "cprime")
+
+    def __init__(self, system: HankelSystem, exists: bool, cprime: list | None):
+        self.system, self.exists, self.cprime = system, exists, cprime
+
+
+def _decided(m: MomentSequence, tol_rank: float) -> _Decision:
+    """The decision record of ``m`` at ``tol_rank``: ``build_hankel`` and
+    ``solvable`` run once per object, kept on it beside the fields, which
+    equality, hash, repr and pickles ignore; another tolerance replaces
+    the record, and a thread still holding the old one reads it
+    unchanged.  Kept per object, not per value: equal moments need not be
+    the same bits (0.0 == -0.0).  A build that raises keeps nothing.  Set
+    through ``object.__setattr__``, as ``__post_init__`` sets fields,
+    since reading ``m.__dict__`` would build a dict for every problem."""
+    rec = getattr(m, "_decided", None)
+    if rec is None or rec.system.tol_rank != tol_rank:
         # the counts and tol_rank were checked by the constructors of m
         # and of its ToleranceSet, and exp_transform checks a
         h = _build_hankel(exp_transform(m), m.n_x, tol_rank)
-        d = (h, solvable(h))
-        object.__setattr__(m, "_decided", d)
-    return d
+        rec = _Decision(h, solvable(h), None)
+        object.__setattr__(m, "_decided", rec)
+    return rec
 
 
-def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
-    """The decided Hankel system of ``m``, where a solution exists.
+def _factor(m: MomentSequence, tol_rank: float) -> _Decision:
+    """The decision record of ``m``, where a solution exists.
 
-    Every entry point but ``analyze`` takes its system from here, and
+    Every entry point but ``analyze`` takes its record from here, and
     ``analyze`` from ``_decided`` as this does, so a problem object gets
     one Hankel build and one existence decision per rank tolerance,
     however many entry points are called on it; the y-side is read off
@@ -264,19 +284,19 @@ def _factor(m: MomentSequence, tol_rank: float) -> HankelSystem:
     NoSolution
         When a0 is outside range(A1), on every call.
     """
-    h, exists = _decided(m, tol_rank)
-    if not exists:
+    rec = _decided(m, tol_rank)
+    if not rec.exists:
         raise NoSolution("first Hankel column is outside the range of the Hankel block")
-    return h
+    return rec
 
 
-def _cprime(h: HankelSystem) -> list:
-    """c' of ``companion_coefficients`` as a list of floats, solved once
-    per system, kept on it as ``_decided`` keeps a system, and only read
-    after.  A singular reduced system stores nothing and raises on every
-    call."""
-    c = getattr(h, "_cprime", None)
+def _cprime(rec: _Decision) -> list:
+    """c' of ``companion_coefficients`` on the record's system as a list
+    of floats, solved once per record, kept on it and only read after.  A
+    singular reduced system keeps nothing and raises on every call."""
+    c = rec.cprime
     if c is None:
+        h = rec.system
         # at full rank T is all of A, and A1_tilde is A1, decided nonsingular
         r, T = h.A1_rank, h.A
         if not h.full_rank:
@@ -285,8 +305,7 @@ def _cprime(h: HankelSystem) -> list:
             # fliplr(A1): ranked by the rule that ranked A1
             if r and _count_above(_lapack.eigvalsh(T[:, :0:-1]), h.tol_rank) < r:
                 raise SingularReducedSystem("reduced matrix is numerically singular")
-        c = _lapack.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
-        object.__setattr__(h, "_cprime", c)
+        c = rec.cprime = _lapack.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
     return c
 
 
@@ -296,7 +315,9 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
     Solves ``A1_tilde c' = -a0_tilde`` where a0_tilde is the first column
     of A0_tilde.  The monic polynomial z^r + c_1 z^{r-1} + ... + c_r then
     carries the minimal solution's x-values (plus zeros) as roots.  The
-    solve runs once per system, and each call returns a new array.
+    solve runs once per call, on a decision record of its own that nothing
+    keeps, so ``h`` stays the value that was built; each call returns a
+    new array.
 
     Raises
     ------
@@ -307,7 +328,7 @@ def companion_coefficients(h: HankelSystem) -> np.ndarray:
         rank A1_tilde is A1, whose rank ``build_hankel`` decided at the
         same tolerance, so only a reduced system is decided again.
     """
-    return np.array(_cprime(h))
+    return np.array(_cprime(_Decision(h, True, None)))
 
 
 @functools.cache
@@ -374,13 +395,13 @@ def _branch_values(roots: list, count: int, cutoff: float, tol: ToleranceSet, ra
     return (*kept, *(0.0,) * (count - len(kept))), info
 
 
-def _invert(m: MomentSequence, h: HankelSystem, tol: ToleranceSet):
-    """``invert_min_degree(m, tol=tol, full_output=True)`` on the solvable
-    Hankel system ``h`` of ``m``, built with ``tol.rank``, without the
-    ``method`` entry of the diagnostics.
+def _invert(m: MomentSequence, rec: _Decision, tol: ToleranceSet):
+    """``invert_min_degree(m, tol=tol, full_output=True)`` on the decision
+    record ``rec`` of ``m`` at ``tol.rank``, whose system is solvable,
+    without the ``method`` entry of the diagnostics.
 
     The x-values are the eigenvalues of the reduced pencil, which is the
-    companion matrix of c', solved once per system (``_cprime``).  The
+    companion matrix of c', solved once per record (``_cprime``).  The
     y-values come from the same system: with p = (1, c') the reduced
     x-polynomial, q = p*a truncated at degree n_y_tilde has the y-values
     as reciprocal roots, so they are the roots of z^n_y_tilde + d_1
@@ -396,16 +417,16 @@ def _invert(m: MomentSequence, h: HankelSystem, tol: ToleranceSet):
     that c', q or a root overflows: the solution lies beyond the float
     range.  The solution is built unchecked from the roots checked here.
     """
-    rank = h.A1_rank
+    rank = rec.system.A1_rank
     n_y_tilde = m.n_y - m.n_x + rank
-    cprime = _cprime(h)
+    cprime = _cprime(rec)
     # n_y_tilde >= 0 here: below 0 the first row of A1_tilde is zero, and
     # _cprime has raised SingularReducedSystem
     n = n_y_tilde + 1
     # orders 1..n_y_tilde of p*a, by the correlation np.convolve(p, a)
     # makes: the longer operand first, the shorter reversed, p first on a
     # tie.  The other order sums each coefficient in another order.
-    p, a = [1.0, *cprime][:n], h.a.values[:n]
+    p, a = [1.0, *cprime][:n], rec.system.a.values[:n]
     pa = np.correlate(a, p[::-1], "full") if len(p) < n else np.correlate(p, a[::-1], "full")
     d = pa[1:n].tolist()
     if not all(map(math.isfinite, cprime + d)):
@@ -463,18 +484,19 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
     the analysis and of the minimal solution; the report records
     ``tol.rank``.
 
-    The Hankel system and its existence come from ``_decided``, also
-    for n_x = 0, where it is the empty system and p = 1: built once per
-    object and tolerance, and shared with every other entry point called
-    on ``m``.  The minimal solution, both sides of it, is read off that
-    decided system alone, and is the one ``invert_min_degree`` returns.
+    The Hankel system and its existence come from the record of
+    ``_decided``, also for n_x = 0, where it is the empty system and p =
+    1: decided once per object and tolerance, and shared with every other
+    entry point called on ``m``.  The minimal solution, both sides of it,
+    is read off that record alone, and is the one ``invert_min_degree``
+    returns.
     """
     tol = tol or DEFAULT_TOLERANCES
-    h, exists = _decided(m, tol.rank)
-    d_min, minimal = 0, None
-    if exists:
+    rec = _decided(m, tol.rank)
+    h, d_min, minimal = rec.system, 0, None
+    if rec.exists:
         try:
-            minimal, _ = _invert(m, h, tol)
+            minimal, _ = _invert(m, rec, tol)
             d_min = minimal.degree
         except NonRealSolution as exc:
             d_min = exc._degree
@@ -482,7 +504,7 @@ def analyze(m: MomentSequence, tol: ToleranceSet | None = None) -> SolvabilityRe
             pass
     return _unchecked(
         SolvabilityReport,
-        exists=exists,
+        exists=rec.exists,
         rank_A1=h.A1_rank,
         d_min=d_min,
         d_max=d_min + h.n_x - h.A1_rank,

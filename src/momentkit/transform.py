@@ -23,13 +23,22 @@ from typing import Sequence
 def _as_float_tuple(values, name: str, kind: type = float) -> tuple:
     """``values`` as a tuple of finite numbers of ``kind``, ``float`` or
     ``complex``.  ValueError says that one is infinite, NaN or an integer
-    beyond the float range; TypeError that one is not a number."""
+    beyond the float range; TypeError, naming ``name``, that one is not a
+    number.
+
+    The finiteness test runs on the entries before they are converted:
+    ``math.isfinite`` and ``cmath.isfinite`` read a number as ``float()``
+    and ``complex()`` do, but take no text, so a ``str``, ``bytes`` or
+    ``bytearray`` entry, which those constructors would parse, is a
+    TypeError too."""
     try:
-        out = tuple(map(kind, values))
-        if all(map(math.isfinite if kind is float else cmath.isfinite, out)):
-            return out
+        values = tuple(values)
+        if all(map(math.isfinite if kind is float else cmath.isfinite, values)):
+            return tuple(map(kind, values))
     except OverflowError:
         pass
+    except TypeError:
+        raise TypeError(f"{name} must be {'real' if kind is float else 'complex'} numbers") from None
     raise ValueError(f"{name} must be finite {'real' if kind is float else 'complex'} numbers")
 
 
@@ -81,8 +90,9 @@ class MomentSequence:
             raise ValueError("at least one moment is required")
 
     def __getstate__(self):
-        # the fields only: a decided system that ``structure`` keeps beside
-        # them stays in this process, and copies and pickles decide anew
+        # the fields only: the decision record that ``structure._decided``
+        # keeps beside them (system, existence, c') stays in this process,
+        # and copies and pickles decide anew
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property

@@ -214,7 +214,7 @@ def test_markov_check_verbose_builds_one_system(counts, capsys, tmp_path):
     # minimum-norm solution of a rank-deficient A1 is the continuation's own
     (mk.analyze, mk.next_moment, M_PAIR, {"lstsq": 1}),
     # a supplied cbar continues the same kept system: no transform, no build
-    (mk.invert_min_degree, lambda m: mk.next_moment(m, cbar=structure._cprime(m._decided[0])), M, {}),
+    (mk.invert_min_degree, lambda m: mk.next_moment(m, cbar=structure._cprime(m._decided)), M, {}),
 ], ids=["next_after_invert", "markov_after_analyze", "next_after_analyze_matched_pair", "next_cbar_after_invert"])
 def test_warm_call_counts(counts, first, then, problem, added):
     m = dataclasses.replace(problem)

@@ -113,12 +113,13 @@ def test_q_from_correlate_is_q_from_convolve(monkeypatch):
     shapes = {"shorter": 0, "as long": 0, "n_y_tilde = 0": 0}
     for _ in range(400):
         m = _problem(rng)
-        h, exists = structure._decided(m, DEFAULT.rank)
-        if not exists:
+        d = structure._decided(m, DEFAULT.rank)
+        if not d.exists:
             continue
+        h = d.system
         calls.clear()
         try:
-            structure._invert(m, h, DEFAULT)
+            structure._invert(m, d, DEFAULT)
         except (mk.SingularReducedSystem, mk.NonRealSolution):
             pass
         if not calls:  # a singular reduced system forms no q
@@ -155,7 +156,7 @@ def test_the_internal_build_is_build_hankel():
         a = mk.exp_transform(m)
         for tol_rank in (DEFAULT.rank, 1e-6):
             want = mk.build_hankel(a, m.n_x, m.n_y, tol_rank)
-            for got in (structure._build_hankel(a, m.n_x, tol_rank), structure._decided(dataclasses.replace(m), tol_rank)[0]):
+            for got in (structure._build_hankel(a, m.n_x, tol_rank), structure._decided(dataclasses.replace(m), tol_rank).system):
                 assert got.a == want.a and got.A1_rank == want.A1_rank and got.tol_rank == want.tol_rank
                 for name in ("A", "eigs"):
                     x, y = getattr(got, name), getattr(want, name)
@@ -193,5 +194,5 @@ def test_a_warm_next_moment_is_the_one_step_continuation():
         assert mk.next_moment(cold).hex() == want.hex()
         # a supplied cbar takes the same step as the recurrence's lists
         cbar = rng.uniform(-2.0, 2.0, m.n_x).tolist()
-        a = cold._decided[0].a.values
+        a = cold._decided.system.a.values
         assert mk.next_moment(cold, cbar=cbar).hex() == _recurrence(m.values, a, cbar, 1)[-1].hex()

@@ -587,11 +587,11 @@ def test_a_used_problem_is_the_same_value():
 
 def test_negated_and_replaced_problems_share_no_decided_system():
     m = forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4])
-    h, _ = structure._decided(m, 1e-12)
+    d = structure._decided(m, 1e-12)
     for other in (m.negated(), m.negated().negated(), replace(m), replace(m, n_x=2, n_y=4)):
-        assert structure._decided(other, 1e-12)[0] is not h
+        assert structure._decided(other, 1e-12) is not d
         assert _outcomes(other) == _outcomes(MomentSequence(other.values, other.n_x, other.n_y))
-    assert structure._decided(m, 1e-12)[0] is h
+    assert structure._decided(m, 1e-12) is d
 
 
 def test_equal_problems_of_other_bits_keep_their_own_answers():
@@ -602,7 +602,10 @@ def test_equal_problems_of_other_bits_keep_their_own_answers():
     minus = MomentSequence((-0.0, -1.0, -0.0, -1.0), 2, 2)
     assert plus == minus and hash(plus) == hash(minus)
     # each answer read off a system built here, outside any object
-    want = [repr(structure._invert(m, build_hankel(exp_transform(m), 2, 2), ToleranceSet())[0]) for m in (plus, minus)]
+    want = [
+        repr(structure._invert(m, structure._Decision(build_hankel(exp_transform(m), 2, 2), True, None), ToleranceSet())[0])
+        for m in (plus, minus)
+    ]
     assert want[0] != want[1]
     for m, sol in zip((plus, minus), want):
         assert repr(invert_min_degree(m)) == repr(analyze(m).minimal_solution) == sol
@@ -622,6 +625,34 @@ def test_a_copied_or_pickled_problem_gives_the_same_answers(duplicate):
     assert pickle.dumps(m) == pickle.dumps(replace(m))
 
 
+def _as_built(h):
+    """What a HankelSystem holds: its attribute names and its pickle."""
+    return sorted(vars(h)), pickle.dumps(h)
+
+
+def test_companion_coefficients_writes_nothing_to_the_system():
+    h = build_hankel(ExpCoefficients((1.0, 3.0, 7.0)), 2, 0)
+    built = _as_built(h)
+    first = companion_coefficients(h).tolist()
+    assert companion_coefficients(h).tolist() == first
+    assert _as_built(h) == built
+    assert _as_built(copy.copy(h)) == built
+
+
+def test_the_decided_system_stays_the_value_that_was_built():
+    m = forward_moments([0.3, 1.5, 2.7], [0.1, 1.2, 2.4])
+    markov_certificate(m)
+    h = m._decided.system
+    assert h.full_rank
+    built = _as_built(h)
+    invert_min_degree(m)
+    next_moment(m)
+    analyze(m)
+    # the same record, its c' kept on it and not on the system
+    assert m._decided.system is h and m._decided.cprime is not None
+    assert _as_built(h) == built
+
+
 def test_companion_coefficients_returns_a_new_array_each_call():
     h = build_hankel(ExpCoefficients((1.0, 3.0, 7.0)), 2, 0)
     first = companion_coefficients(h)
@@ -635,7 +666,7 @@ def test_companion_coefficients_returns_a_new_array_each_call():
 
 def test_a_singular_reduced_system_raises_on_every_call():
     m = forward_moments([1000.0, 2000.0, 3000.0], [])
-    h, _ = structure._decided(m, 1e-12)
+    h = structure._decided(m, 1e-12).system
     for _ in range(2):
         with pytest.raises(SingularReducedSystem):
             companion_coefficients(h)

@@ -217,6 +217,31 @@ def test_a_value_of_the_wrong_type_is_still_a_type_error():
     ):
         with pytest.raises(TypeError):
             make()
+    # text is not a number, though float() and complex() would parse it:
+    # the TypeError names the field
+    README = MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
+    for make, field in (
+        (lambda: MomentSequence(("2", "6"), 1, 1), "moments"),
+        (lambda: MomentSequence(("abc", 6), 1, 1), "moments"),
+        (lambda: MomentSequence((b"2", 6.0), 1, 1), "moments"),
+        (lambda: MomentSequence((2.0, bytearray(b"6")), 1, 1), "moments"),
+        (lambda: MomentSequence((np.str_("2"), 6.0), 1, 1), "moments"),
+        (lambda: MomentSequence("26", 1, 1), "moments"),
+        (lambda: TrigSignal(("0.5",), ("1+2j",)), "freqs"),
+        (lambda: TrigSignal((0.5,), ("1+2j",)), "amps"),
+        (lambda: forward_moments(["1"], ["3"]), "xs"),
+        (lambda: forward_moments([1.0], ["3"]), "ys"),
+        (lambda: next_moment(README, cbar=["1", "2"]), "cbar"),
+        (lambda: weights(["1"], [0.5]), "xs"),
+        (lambda: weights([1.0], [b"0.5"]), "ys"),
+        (lambda: density_eval(BranchSolution((1.0,), ()), "0.5"), "x"),
+        (lambda: family_member(invert_min_degree(forward_moments([1.0, 3.0, 0.5], [0.25, 2.0, 0.5])), ["0.5"]),
+         "r_roots"),
+        (lambda: trig_invert(["1", "0"], 1), "moments"),
+        (lambda: trig_invert(np.array(["1", "0"]), 1), "moments"),
+    ):
+        with pytest.raises(TypeError, match=f"^{field} must be (real|complex) numbers$"):
+            make()
 
 
 def test_round_trip_random():
