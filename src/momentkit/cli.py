@@ -40,8 +40,20 @@ read the rank tolerance alone, so they take ``--tol-rank`` but not
 ``--verbose``: ``invert``, ``next``, ``markov-check`` and ``trig-invert``
 attach ``diagnostics`` under it (``invert`` asks the library for them
 only then), and ``analyze``, ``extend`` and ``family`` attach none yet.
-A request that gives no tolerance shares ``DEFAULT_TOLERANCES``, and
-every document is written by one JSON encoder.
+A request that gives no tolerance shares ``DEFAULT_TOLERANCES``.
+
+Past its command line, a request costs its library call, its JSON text
+(json's C scanner and C encoder) and little else.  Like the parsers,
+the JSON decoder and encoder are built on the first call and reused.
+The request text is read by one ``raw_decode`` (``_read_json``).  A
+document of exactly its required fields passes ``_check_fields`` by one
+comparison of key sets, and a list of numbers or of [re, im] pairs is
+checked by type passes over the whole list.  The tolerances are the
+shared defaults unless a flag or ``MOMENTKIT_TOL_RANK``, read on every
+request, gives one.  The reply is encoded by a C encoder built once,
+without the markers that ``JSONEncoder.encode`` builds for every
+document to find a cycle, and written by one ``write`` (``_write``).
+Nothing kept between requests grows with the requests made.
 
 A handler returns the fields of its result, and ``main`` puts
 ``"schema": "momentkit/1"`` in front of them, once for every command.
@@ -56,6 +68,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -78,17 +91,49 @@ EXIT_BAD_INPUT = 4
 
 
 # ---------------------------------------------------------------------------
-# JSON emission: result dataclasses as objects, floats in shortest
-# round-trip form; a non-finite float raises ValueError
+# JSON reading and writing: result dataclasses as objects, floats in
+# shortest round-trip form; a non-finite float raises ValueError
 
 @functools.cache
-def _encoder() -> json.JSONEncoder:
-    """One encoder for every request, made on the first ``_emit``."""
-    return json.JSONEncoder(default=_fields, allow_nan=False)
+def _encoder():
+    """The encoder of every document, built on the first request and
+    reused.  ``json.JSONEncoder(default=_fields, allow_nan=False).encode``
+    builds a C encoder and a dict of circular-reference markers anew for
+    every document; this is the same C encoder, built once and without
+    markers, since a document made for one request holds no cycle.
+    ``_encoder()(doc, 0)`` gives the document's text in chunks."""
+    encoder = json.JSONEncoder(default=_fields, allow_nan=False, check_circular=False)
+    make = json.encoder.c_make_encoder
+    if make is None:  # an interpreter without json's C accelerator
+        return encoder.iterencode
+    return make(
+        None, encoder.default, json.encoder.encode_basestring_ascii, encoder.indent,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+    )
 
 
-def _emit(obj) -> str:
-    return _encoder().encode(obj)
+@functools.cache
+def _decoder() -> json.JSONDecoder:
+    """The decoder of every request, built on the first one."""
+    return json.JSONDecoder()
+
+
+def _read_json(text: str):
+    """``json.loads(text)``.  A text that holds one JSON value from its
+    first character on, followed by JSON whitespace only, is read by one
+    ``raw_decode``, without the two Python calls and two whitespace
+    matches that json.loads wraps it in; json.loads reads any other
+    text, or raises its own error for it."""
+    try:
+        doc, end = _decoder().raw_decode(text)
+    except (json.JSONDecodeError, RecursionError):
+        return json.loads(text)
+    return json.loads(text) if text[end:].strip(" \t\n\r") else doc
+
+
+def _write(doc) -> None:
+    """``doc`` as one line of JSON text on standard output, in one write."""
+    sys.stdout.write("".join(_encoder()(doc, 0)) + "\n")
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -98,7 +143,18 @@ def _complex_pair(z: complex) -> list[float]:
 # ---------------------------------------------------------------------------
 # strict input readers
 
-def _check_fields(doc, required: set[str], optional: set[str]):
+# the required fields of each request document; every one may carry
+# "schema", and a branch document "degree"
+_MOMENT_FIELDS = frozenset(("moments", "n_x", "n_y"))
+_BRANCH_FIELDS = frozenset(("xs", "ys"))
+_SIGNAL_FIELDS = frozenset(("freqs", "amps"))
+_TRIG_MOMENT_FIELDS = frozenset(("moments",))
+
+
+def _check_fields(doc, required: frozenset[str], optional: set[str] | frozenset[str] = frozenset()):
+    # a document of exactly the required fields needs no other test
+    if type(doc) is dict and doc.keys() == required:
+        return
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
     allowed = required | optional | {"schema"}
@@ -125,6 +181,8 @@ def _number(v, where: str) -> int | float:
 # the number types JSON decodes to; it also yields bool, str, None, list
 # and dict, and ``type`` tells a bool from an int
 _NUMBER_TYPES = frozenset((int, float))
+_LIST_TYPE = frozenset((list,))
+_PAIR_LENGTH = frozenset((2,))
 
 
 def _number_list(v, where: str) -> list[int | float]:
@@ -139,24 +197,28 @@ def _number_list(v, where: str) -> list[int | float]:
 def _complex_list(v, where: str) -> tuple[complex, ...]:
     if not isinstance(v, list):
         raise ValueError(f"{where} must be an array of [re, im] pairs")
-    for x in v:
-        if not (isinstance(x, list) and len(x) == 2):
-            raise ValueError(f"{where} entries must be [re, im] pairs")
-        for part in x:
-            _number(part, where)
+    # a list of two-number lists passes three type passes; anything else
+    # is checked entry by entry, for the first bad entry's message
+    if not (_LIST_TYPE.issuperset(map(type, v)) and _PAIR_LENGTH.issuperset(map(len, v))
+            and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(v)))):
+        for x in v:
+            if not (isinstance(x, list) and len(x) == 2):
+                raise ValueError(f"{where} entries must be [re, im] pairs")
+            for part in x:
+                _number(part, where)
     # each pair made complex inside the field's own check, so a part
     # beyond the float range overflows there and has the field's message
-    return _as_float_tuple((complex(re, im) for re, im in v), where, complex)
+    return _as_float_tuple(itertools.starmap(complex, v), where, complex)
 
 
 def _read_moments(doc) -> MomentSequence:
-    _check_fields(doc, {"moments", "n_x", "n_y"}, set())
+    _check_fields(doc, _MOMENT_FIELDS)
     # the constructor checks that the branch counts are integers
     return MomentSequence(tuple(_number_list(doc["moments"], "moments")), doc["n_x"], doc["n_y"])
 
 
 def _read_branches(doc) -> tuple[list[float], list[float]]:
-    _check_fields(doc, {"xs", "ys"}, {"degree"})
+    _check_fields(doc, _BRANCH_FIELDS, {"degree"})
     xs = _number_list(doc["xs"], "xs")
     ys = _number_list(doc["ys"], "ys")
     if "degree" in doc:
@@ -266,7 +328,7 @@ def _cmd_markov_check(doc, args, tol):
 
 
 def _cmd_trig_forward(doc, args, tol):
-    _check_fields(doc, {"freqs", "amps"}, set())
+    _check_fields(doc, _SIGNAL_FIELDS)
     sig = TrigSignal(
         tuple(_number_list(doc["freqs"], "freqs")),
         _complex_list(doc["amps"], "amps"),
@@ -276,7 +338,7 @@ def _cmd_trig_forward(doc, args, tol):
 
 
 def _cmd_trig_invert(doc, args, tol):
-    _check_fields(doc, {"moments"}, set())
+    _check_fields(doc, _TRIG_MOMENT_FIELDS)
     moments = _complex_list(doc["moments"], "moments")
     # the diagnostics are asked for only when they are attached
     result = trig_invert(moments, args.modes, tol=tol, full_output=args.verbose)
@@ -360,7 +422,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     p = command("extend", _cmd_extend, "moments -> extended moment sequence", rank)
     p.add_argument("--count", type=int, required=True, help="number of additional moments")
     p = command("family", _cmd_family, "moments -> family member with matched pairs appended")
-    p.add_argument("--r-roots", default="", help="comma-separated matched-pair values")
+    p.add_argument("--r-roots", default="", help="comma-separated matched-pair values; write --r-roots=t1,t2 when the first is negative")
     command("markov-check", _cmd_markov_check, "moments -> Markov certificates")
     p = command("trig-forward", _cmd_trig_forward, "trig signal -> complex moments", io)
     p.add_argument("--count", type=int, required=True, help="number of moments")
@@ -423,10 +485,12 @@ def _read_canonical(table, args) -> argparse.Namespace | None:
         given[action.dest] = value
     if not required.issubset(given):
         return None
-    # filled through its __dict__, as Namespace(**kwargs) costs a Python
-    # loop of setattr calls
-    parsed = argparse.Namespace()
-    vars(parsed).update(defaults, **given)
+    # made without Namespace.__init__, a Python loop of setattr calls, and
+    # filled through its __dict__
+    parsed = argparse.Namespace.__new__(argparse.Namespace)
+    values = parsed.__dict__
+    values.update(defaults)
+    values.update(given)
     return parsed
 
 
@@ -448,9 +512,10 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _tolerances(args) -> ToleranceSet:
-    if "tol_rank" not in args:  # a command that solves nothing
+    given = vars(args)
+    if "tol_rank" not in given:  # a command that solves nothing
         return DEFAULT_TOLERANCES
-    rank = args.tol_rank
+    rank = given["tol_rank"]
     if rank is None:
         env = os.environ.get("MOMENTKIT_TOL_RANK")
         if env is not None:
@@ -459,14 +524,14 @@ def _tolerances(args) -> ToleranceSet:
             except ValueError as exc:
                 raise ValueError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
     # extend and trig-invert take no --tol-zero or --tol-imag
-    given = {"rank": rank, "zero": getattr(args, "tol_zero", None), "imag": getattr(args, "tol_imag", None)}
-    given = {name: v for name, v in given.items() if v is not None}
-    # the shared defaults, unless a threshold is given
-    return ToleranceSet(**given) if given else DEFAULT_TOLERANCES
+    zero, imag = given.get("tol_zero"), given.get("tol_imag")
+    if rank is None and zero is None and imag is None:
+        return DEFAULT_TOLERANCES  # shared by every request that gives none
+    return ToleranceSet(DEFAULT_RANK if rank is None else rank, zero, DEFAULT_IMAG if imag is None else imag)
 
 
 def _fail(kind: str, detail: str, code: int) -> int:
-    print(_emit({"error": {"kind": kind, "detail": detail}}))
+    _write({"error": {"kind": kind, "detail": detail}})
     return code
 
 
@@ -485,10 +550,10 @@ def main(argv=None) -> int:
         else:
             text = sys.stdin.read()
         try:
-            doc = json.loads(text)
+            doc = _read_json(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ValueError(f"invalid JSON: {exc}") from exc
-        print(_emit({"schema": SCHEMA, **args.run(doc, args, tol)}))
+        _write({"schema": SCHEMA, **args.run(doc, args, tol)})
         return EXIT_OK
     except OSError as exc:
         return _fail("BadInput", f"cannot read input: {exc}", EXIT_BAD_INPUT)

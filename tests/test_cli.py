@@ -322,6 +322,23 @@ def test_malformed_requests_are_bad_input(capsys, tmp_path, argv, doc, detail):
     assert detail in out["error"]["detail"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"moments": [1, 2.5, -3e-300], "n_x": 2, "n_y": 1}', '{"a": 1}\n', '{"a": 1} \t\r\n ', ' {"a": 1}',
+    '\ufeff{"a": 1}', '{"a": 1} x', '{"a": 1}{}', '{"a": 1}\x0b', '{"a": 1}\u00a0', '', '   ', '{', '[1, 2',
+    '{"a": NaN, "b": -Infinity}', '"text"', '7', 'null', '[' * 3000 + ']' * 3000,
+], ids=lambda text: repr(text[:24]))
+def test_the_request_text_reads_as_json_loads_reads_it(text):
+    def read(loads):
+        try:
+            return "ok", loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            return type(exc).__name__, str(exc)
+
+    got, want = read(cli._read_json), read(json.loads)
+    # NaN is not equal to itself; its repr is
+    assert repr(got) == repr(want)
+
+
 def test_json_nested_too_deeply_is_bad_input(capsys, tmp_path):
     # the decoder's RecursionError was an InternalError with exit 1
     code, out = run_cli(capsys, ["invert"], "[" * 100_000 + "]" * 100_000, tmp_path)
@@ -358,6 +375,16 @@ def test_family_without_r_roots_is_the_minimal_solution(capsys, tmp_path):
     code, minimal = run_cli(capsys, ["invert"], README_INSTANCE, tmp_path)
     assert code == 0
     assert family == minimal
+
+
+def test_a_negative_first_r_root_is_given_after_an_equals_sign(capsys, tmp_path):
+    # "--r-roots -1,2" is a usage error, as argparse reads "-1,2" as an
+    # option string; the --help text names this form
+    doc = {"moments": [1, 1, 1, 1, 1], "n_x": 3, "n_y": 2}
+    code, out = run_cli(capsys, ["family", "--r-roots=-1,2"], doc, tmp_path)
+    assert (code, out) == (0, {"schema": "momentkit/1", "xs": [-1.0, 1.0, 2.0], "ys": [-1.0, 2.0], "degree": 3})
+    assert main(["family", "--help"]) == 0
+    assert "--r-roots=t1,t2" in " ".join(capsys.readouterr().out.split())
 
 
 def test_exit_code_malformed_json(capsys, tmp_path):
@@ -483,6 +510,87 @@ def test_float_serialization_is_faithful(capsys, tmp_path):
     assert code == 0
     assert out["moments"] == [2.0, 8.0]
     assert all(type(v) is float for v in out["moments"])
+
+
+# the whole standard output of a request: key order, spacing, float form
+# and the one trailing newline, which json.loads in run_cli does not see
+EXACT_TEXT = [
+    (["analyze"], {"moments": [1, 1, 1], "n_x": 2, "n_y": 1}, 0,
+     '{"schema": "momentkit/1", "exists": true, "rank_A1": 1, "d_min": 1, "d_max": 2, "unique": false, '
+     '"minimal_solution": {"xs": [1.0, 0.0], "ys": [0.0], "degree": 1}, "tol_rank": 1e-12}\n'),
+    (["invert", "--verbose"], {"moments": [2, 0], "n_x": 1, "n_y": 1}, 0,
+     '{"schema": "momentkit/1", "xs": [1.0], "ys": [-1.0], "degree": 1, "diagnostics": {"method": "companion", '
+     '"eigenvalues_x": [[1.0, 0.0]], "eigenvalues_y": [[-1.0, 0.0]], "zeros_filtered_x": 0, "zeros_filtered_y": 0}}\n'),
+    (["trig-invert", "--modes", "1", "--verbose"], {"moments": [[2, 0], [0, 2]]}, 0,
+     '{"schema": "momentkit/1", "freqs": [1.5707963267948966], "amps": [[2.0, 0.0]], '
+     '"diagnostics": {"eigenvalues": [[0.0, 1.0]], "unit_circle_deviation": [0.0]}}\n'),
+    (["invert"], {"moments": [1, 2], "n_x": 1}, 4,
+     '{"error": {"kind": "BadInput", "detail": "missing fields: [\'n_y\']"}}\n'),
+    (["invert"], {"moments": [1, 2, 3], "n_x": 1, "n_y": 1}, 4,
+     '{"error": {"kind": "BadInput", "detail": "n_x + n_y = 2 must equal the number of moments (3)"}}\n'),
+    (["invert"], {"moments": [0, 1], "n_x": 1, "n_y": 1}, 2,
+     '{"error": {"kind": "NoSolution", "detail": "first Hankel column is outside the range of the Hankel block"}}\n'),
+    (["invert"], {"moments": [0, -2], "n_x": 2, "n_y": 0}, 3,
+     '{"error": {"kind": "NonRealSolution", "detail": "retained roots have significant imaginary parts"}}\n'),
+    (["invert", "--bogus"], README_INSTANCE, 4,
+     '{"error": {"kind": "BadInput", "detail": "unrecognized arguments: --bogus"}}\n'),
+]
+
+
+def _fresh_cli():
+    """A fresh copy of the cli module, with nothing built yet."""
+    spec = importlib.util.spec_from_file_location("momentkit._cli_copy", cli.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("accelerated", [True, False], ids=["c-encoder", "python-encoder"])
+@pytest.mark.parametrize("argv, doc, code, text", EXACT_TEXT, ids=[
+    "analyze", "invert-verbose", "trig-invert-verbose", "cli-bad-input", "library-value-error",
+    "no-solution", "non-real", "usage-error",
+])
+def test_output_text_is_pinned(capsys, monkeypatch, argv, doc, code, text, accelerated):
+    if not accelerated:
+        # an interpreter without json's C accelerator writes the same text
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    module = _fresh_cli()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert module.main(argv) == code
+    assert capsys.readouterr().out == text
+
+
+def test_a_non_finite_result_is_bad_input_and_nothing_else_is_written(capsys, monkeypatch):
+    # allow_nan=False is the last check of a result document
+    monkeypatch.setattr(cli, "next_moment", lambda m, tol: float("inf"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_INSTANCE)))
+    assert main(["next"]) == 4
+    out = capsys.readouterr().out
+    # one line: no part of the result document was written before it failed
+    assert out.count("\n") == 1 and out.endswith("\n")
+    error = json.loads(out)["error"]
+    assert error["kind"] == "BadInput"
+    assert error["detail"].startswith("Out of range float values are not JSON compliant")
+
+
+def test_encoder_built_once_per_process(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(README_INSTANCE))
+    built = []
+    make = json.encoder.c_make_encoder
+
+    def counting(*args):
+        built.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
+    module = _fresh_cli()
+    assert built == []  # importing builds no encoder
+    # result documents and error documents alike
+    for argv in (["invert"], ["invert", "--verbose"], ["analyze"], ["next"], ["extend", "--count", "3"], ["extend"]) * 3:
+        module.main([*argv, "--input", str(path)])
+    capsys.readouterr()
+    assert built == [1]
 
 
 def test_verbose_diagnostics(capsys, tmp_path):
@@ -886,9 +994,7 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     # a fresh copy of the module, so earlier tests' requests do not count
-    spec = importlib.util.spec_from_file_location("momentkit._cli_copy", cli.__file__)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _fresh_cli()
     assert built == []  # importing builds no parser
 
     path = tmp_path / "request.json"
