@@ -43,17 +43,15 @@ only then), and ``analyze``, ``extend`` and ``family`` attach none yet.
 A request that gives no tolerance shares ``DEFAULT_TOLERANCES``.
 
 Past its command line, a request costs its library call, its JSON text
-(json's C scanner and C encoder) and little else.  Like the parsers,
-the JSON decoder and encoder are built on the first call and reused.
-The request text is read by one ``raw_decode`` (``_read_json``).  A
-document of exactly its required fields passes ``_check_fields`` by one
-comparison of key sets, and a list of numbers or of [re, im] pairs is
-checked by type passes over the whole list.  The tolerances are the
-shared defaults unless a flag or ``MOMENTKIT_TOL_RANK``, read on every
-request, gives one.  The reply is encoded by a C encoder built once,
-without the markers that ``JSONEncoder.encode`` builds for every
-document to find a cycle, and written by one ``write`` (``_write``).
-Nothing kept between requests grows with the requests made.
+(json's C scanner and C encoder) and little else.  The request text is
+read by ``json.loads``.  A document of exactly its required fields
+passes ``_check_fields`` by one comparison of key sets.  The tolerances
+are the shared defaults unless a flag or ``MOMENTKIT_TOL_RANK``, read on
+every request, gives one.  The reply is encoded by a C encoder that,
+like the parsers, is built on the first request and reused, without the
+markers that ``JSONEncoder.encode`` builds for every document to find a
+cycle, and written by one ``write`` (``_write``).  Nothing kept between
+requests grows with the requests made.
 
 A handler returns the fields of its result, and ``main`` puts
 ``"schema": "momentkit/1"`` in front of them, once for every command.
@@ -106,29 +104,13 @@ def _encoder():
     make = json.encoder.c_make_encoder
     if make is None:  # an interpreter without json's C accelerator
         return encoder.iterencode
+    # the arguments of the c_make_encoder call in CPython's
+    # json.encoder.JSONEncoder.iterencode (markers None, as there when
+    # check_circular is false); tests/test_cli.py pins the text it gives
     return make(
         None, encoder.default, json.encoder.encode_basestring_ascii, encoder.indent,
         encoder.key_separator, encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
     )
-
-
-@functools.cache
-def _decoder() -> json.JSONDecoder:
-    """The decoder of every request, built on the first one."""
-    return json.JSONDecoder()
-
-
-def _read_json(text: str):
-    """``json.loads(text)``.  A text that holds one JSON value from its
-    first character on, followed by JSON whitespace only, is read by one
-    ``raw_decode``, without the two Python calls and two whitespace
-    matches that json.loads wraps it in; json.loads reads any other
-    text, or raises its own error for it."""
-    try:
-        doc, end = _decoder().raw_decode(text)
-    except (json.JSONDecodeError, RecursionError):
-        return json.loads(text)
-    return json.loads(text) if text[end:].strip(" \t\n\r") else doc
 
 
 def _write(doc) -> None:
@@ -181,8 +163,6 @@ def _number(v, where: str) -> int | float:
 # the number types JSON decodes to; it also yields bool, str, None, list
 # and dict, and ``type`` tells a bool from an int
 _NUMBER_TYPES = frozenset((int, float))
-_LIST_TYPE = frozenset((list,))
-_PAIR_LENGTH = frozenset((2,))
 
 
 def _number_list(v, where: str) -> list[int | float]:
@@ -197,15 +177,11 @@ def _number_list(v, where: str) -> list[int | float]:
 def _complex_list(v, where: str) -> tuple[complex, ...]:
     if not isinstance(v, list):
         raise ValueError(f"{where} must be an array of [re, im] pairs")
-    # a list of two-number lists passes three type passes; anything else
-    # is checked entry by entry, for the first bad entry's message
-    if not (_LIST_TYPE.issuperset(map(type, v)) and _PAIR_LENGTH.issuperset(map(len, v))
-            and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(v)))):
-        for x in v:
-            if not (isinstance(x, list) and len(x) == 2):
-                raise ValueError(f"{where} entries must be [re, im] pairs")
-            for part in x:
-                _number(part, where)
+    for x in v:
+        if not (isinstance(x, list) and len(x) == 2):
+            raise ValueError(f"{where} entries must be [re, im] pairs")
+        for part in x:
+            _number(part, where)
     # each pair made complex inside the field's own check, so a part
     # beyond the float range overflows there and has the field's message
     return _as_float_tuple(itertools.starmap(complex, v), where, complex)
@@ -512,10 +488,10 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _tolerances(args) -> ToleranceSet:
-    given = vars(args)
-    if "tol_rank" not in given:  # a command that solves nothing
+    values = vars(args)
+    if "tol_rank" not in values:  # a command that solves nothing
         return DEFAULT_TOLERANCES
-    rank = given["tol_rank"]
+    rank = values["tol_rank"]
     if rank is None:
         env = os.environ.get("MOMENTKIT_TOL_RANK")
         if env is not None:
@@ -524,10 +500,11 @@ def _tolerances(args) -> ToleranceSet:
             except ValueError as exc:
                 raise ValueError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
     # extend and trig-invert take no --tol-zero or --tol-imag
-    zero, imag = given.get("tol_zero"), given.get("tol_imag")
+    zero, imag = values.get("tol_zero"), values.get("tol_imag")
     if rank is None and zero is None and imag is None:
         return DEFAULT_TOLERANCES  # shared by every request that gives none
-    return ToleranceSet(DEFAULT_RANK if rank is None else rank, zero, DEFAULT_IMAG if imag is None else imag)
+    given = {"rank": rank, "zero": zero, "imag": imag}
+    return ToleranceSet(**{name: v for name, v in given.items() if v is not None})
 
 
 def _fail(kind: str, detail: str, code: int) -> int:
@@ -550,7 +527,7 @@ def main(argv=None) -> int:
         else:
             text = sys.stdin.read()
         try:
-            doc = _read_json(text)
+            doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
             raise ValueError(f"invalid JSON: {exc}") from exc
         _write({"schema": SCHEMA, **args.run(doc, args, tol)})
