@@ -34,24 +34,22 @@ starts with ``-``, ``--``, a positional and every usage error.  Only ``--help``,
 empty command line and an unknown subcommand reach the top-level parser.
 A command takes only the tolerance flags it reads.  ``forward``,
 ``transform`` and ``trig-forward`` solve nothing: they take ``--input``
-only and read no ``MOMENTKIT_TOL_RANK``.  ``extend`` and ``trig-invert``
-read the rank tolerance alone, so they take ``--tol-rank`` but not
-``--tol-zero`` or ``--tol-imag``.  The seven solving commands take
-``--verbose``: ``invert``, ``next``, ``markov-check`` and ``trig-invert``
-attach ``diagnostics`` under it (``invert`` asks the library for them
-only then), and ``analyze``, ``extend`` and ``family`` attach none yet.
-A request that gives no tolerance shares ``DEFAULT_TOLERANCES``.
+only.  ``extend`` and ``trig-invert`` read the rank tolerance alone, so
+they take ``--tol-rank`` but not ``--tol-zero`` or ``--tol-imag``.  The
+seven solving commands take ``--verbose``: ``invert``, ``next``,
+``markov-check`` and ``trig-invert`` attach ``diagnostics`` under it
+(``invert`` asks the library for them only then), and ``analyze``,
+``extend`` and ``family`` attach none yet.  Each tolerance has one
+source, its ``--tol-*`` flag, and a request that gives none shares
+``DEFAULT_TOLERANCES``.
 
 Past its command line, a request costs its library call, its JSON text
-(json's C scanner and C encoder) and little else.  The request text is
-read by ``json.loads``.  A document of exactly its required fields
-passes ``_check_fields`` by one comparison of key sets.  The tolerances
-are the shared defaults unless a flag or ``MOMENTKIT_TOL_RANK``, read on
-every request, gives one.  The reply is encoded by a C encoder that,
-like the parsers, is built on the first request and reused, without the
-markers that ``JSONEncoder.encode`` builds for every document to find a
-cycle, and written by one ``write`` (``_write``).  Nothing kept between
-requests grows with the requests made.
+and little else.  The request text is read by ``json.loads``.  A
+document of exactly its required fields passes ``_check_fields`` by one
+comparison of key sets.  The reply is encoded by one ``json.JSONEncoder``
+kept for the process, which checks for no cycle (a document made for
+one request holds none), and written by one ``write`` (``_write``).
+Nothing kept between requests grows with the requests made.
 
 A handler returns the fields of its result, and ``main`` puts
 ``"schema": "momentkit/1"`` in front of them, once for every command.
@@ -68,7 +66,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 
 from .errors import FamilyOverflow, MomentProblemError, NonRealSolution, NoPositiveBranches
@@ -93,29 +90,25 @@ EXIT_BAD_INPUT = 4
 # shortest round-trip form; a non-finite float raises ValueError
 
 @functools.cache
-def _encoder():
-    """The encoder of every document, built on the first request and
-    reused.  ``json.JSONEncoder(default=_fields, allow_nan=False).encode``
-    builds a C encoder and a dict of circular-reference markers anew for
-    every document; this is the same C encoder, built once and without
-    markers, since a document made for one request holds no cycle.
-    ``_encoder()(doc, 0)`` gives the document's text in chunks."""
-    encoder = json.JSONEncoder(default=_fields, allow_nan=False, check_circular=False)
-    make = json.encoder.c_make_encoder
-    if make is None:  # an interpreter without json's C accelerator
-        return encoder.iterencode
-    # the arguments of the c_make_encoder call in CPython's
-    # json.encoder.JSONEncoder.iterencode (markers None, as there when
-    # check_circular is false); tests/test_cli.py pins the text it gives
-    return make(
-        None, encoder.default, json.encoder.encode_basestring_ascii, encoder.indent,
-        encoder.key_separator, encoder.item_separator, encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
-    )
+def _field_names(cls) -> tuple[str, ...]:
+    """The field names of a result dataclass, in order, read once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _fields(result) -> dict:
+    """The fields of a result dataclass, in order; a shallow walk, since
+    ``dataclasses.asdict`` deep-copies every value."""
+    return {name: getattr(result, name) for name in _field_names(type(result))}
+
+
+# the encoder of every reply, kept for the process; a document made for
+# one request holds no cycle, so it is encoded without cycle checks
+_ENCODER = json.JSONEncoder(default=_fields, allow_nan=False, check_circular=False)
 
 
 def _write(doc) -> None:
     """``doc`` as one line of JSON text on standard output, in one write."""
-    sys.stdout.write("".join(_encoder()(doc, 0)) + "\n")
+    sys.stdout.write(_ENCODER.encode(doc) + "\n")
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -204,18 +197,6 @@ def _read_branches(doc) -> tuple[list[float], list[float]]:
 
 # ---------------------------------------------------------------------------
 # output builders
-
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    """The field names of a result dataclass, in order, read once per class."""
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _fields(result) -> dict:
-    """The fields of a result dataclass, in order; a shallow walk, since
-    ``dataclasses.asdict`` deep-copies every value."""
-    return {name: getattr(result, name) for name in _field_names(type(result))}
-
 
 def _moment_doc(m: MomentSequence) -> dict:
     return {"moments": list(m.values), "n_x": m.n_x, "n_y": m.n_y}
@@ -370,7 +351,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     io = _Parser(add_help=False)
     io.add_argument("--input", metavar="FILE", help="read the JSON request from FILE instead of stdin")
     rank = _Parser(add_help=False, parents=[io])
-    rank.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g}; env MOMENTKIT_TOL_RANK)")
+    rank.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g})")
     common = _Parser(add_help=False, parents=[rank])
     common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots of both sides (default 1e-8 * max_k |m_k|^(1/k))")
     common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
@@ -487,24 +468,17 @@ def _parse(argv) -> argparse.Namespace:
     return parsed if parsed is not None else own.parse_args(args)
 
 
+# each ToleranceSet field and the destination of its flag
+_TOLERANCE_DESTS = (("rank", "tol_rank"), ("zero", "tol_zero"), ("imag", "tol_imag"))
+
+
 def _tolerances(args) -> ToleranceSet:
+    """The tolerances given by the ``--tol-*`` flags of ``args``, of
+    those its command declares; ``DEFAULT_TOLERANCES``, shared by every
+    request, when it gives none."""
     values = vars(args)
-    if "tol_rank" not in values:  # a command that solves nothing
-        return DEFAULT_TOLERANCES
-    rank = values["tol_rank"]
-    if rank is None:
-        env = os.environ.get("MOMENTKIT_TOL_RANK")
-        if env is not None:
-            try:
-                rank = float(env)
-            except ValueError as exc:
-                raise ValueError(f"bad MOMENTKIT_TOL_RANK value {env!r}") from exc
-    # extend and trig-invert take no --tol-zero or --tol-imag
-    zero, imag = values.get("tol_zero"), values.get("tol_imag")
-    if rank is None and zero is None and imag is None:
-        return DEFAULT_TOLERANCES  # shared by every request that gives none
-    given = {"rank": rank, "zero": zero, "imag": imag}
-    return ToleranceSet(**{name: v for name, v in given.items() if v is not None})
+    given = {name: values[dest] for name, dest in _TOLERANCE_DESTS if values.get(dest) is not None}
+    return ToleranceSet(**given) if given else DEFAULT_TOLERANCES
 
 
 def _fail(kind: str, detail: str, code: int) -> int:

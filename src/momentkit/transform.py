@@ -155,10 +155,13 @@ class BranchSolution:
         object.__setattr__(self, "xs", _as_float_tuple(self.xs, "xs"))
         object.__setattr__(self, "ys", _as_float_tuple(self.ys, "ys"))
         nz = len(self.xs) - self.xs.count(0.0)
-        if self.degree == -1:
-            object.__setattr__(self, "degree", nz)
-        elif self.degree != nz:
-            raise ValueError(f"degree {self.degree} != count of nonzero xs ({nz})")
+        if self.degree == -1 and type(self.degree) is int:  # the default
+            degree = nz
+        else:
+            degree = _as_count(self.degree, "degree")
+            if degree != nz:
+                raise ValueError(f"degree {degree} != count of nonzero xs ({nz})")
+        object.__setattr__(self, "degree", degree)
 
     @classmethod
     def from_branches(cls, xs, ys) -> "BranchSolution":

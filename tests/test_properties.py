@@ -231,3 +231,31 @@ def test_analyze_is_right_at_every_power_of_two_scale(j):
         )
         wrong += not right
     assert wrong == 0
+
+
+# At x = +-s i the pair is real by the rule |Im z| > tol.imag * (1 + |Re z|)
+# once s falls under tol.imag: the rule's floor of 1 does not scale with
+# the data, so from s = 2^-27 on the pair reads as the double zero.
+SCALE_DEPENDENT_REALNESS = "realness is decided against an absolute floor of 1, not the data's scale (ROADMAP item 19)"
+
+
+def _answer_class(m):
+    """The class of ``invert_min_degree``'s answer, beside ``analyze``'s d_min."""
+    try:
+        invert_min_degree(m)
+        answer = "solution"
+    except MomentProblemError as exc:
+        answer = type(exc).__name__
+    return answer, analyze(m).d_min
+
+
+@pytest.mark.parametrize("j", [
+    pytest.param(j, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=SCALE_DEPENDENT_REALNESS))
+    if j <= -27 else j
+    for j in (-40, -32, -27, -26, -16, -8, 8, 16, 32, 40)
+])
+def test_a_non_real_pair_keeps_its_answer_at_every_power_of_two_scale(j):
+    # (0, -2 s^2) at s = 2^j are exactly the moments of x = +-s i
+    unscaled = _answer_class(MomentSequence((0.0, -2.0), 2, 0))
+    assert unscaled == ("NonRealSolution", 2)
+    assert _answer_class(MomentSequence((0.0, -2.0 * 4.0**j), 2, 0)) == unscaled

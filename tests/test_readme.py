@@ -74,5 +74,6 @@ def test_quick_start_results_match_their_comments():
             target = namespace[stmt.targets[0].id]
             for name, value in re.findall(r"(\w+) = (.+?)(?:,\s*(?=\w+ = )|$)", comment):
                 assert _matches(getattr(target, name), _literal(value)), (code, name, comment)
-    # the invert, analyze, next, extend, certificate and trig results
-    assert checked == 6
+    # the invert, analyze, next, extend, certificate, trig, factorization
+    # residual and density results
+    assert checked == 8

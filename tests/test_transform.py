@@ -314,3 +314,10 @@ def test_branch_solution_canonical_order_and_degree():
     assert BranchSolution((-0.0, 1.0), ()).degree == 1
     with pytest.raises(ValueError, match="degree"):
         BranchSolution((-0.0, 1.0), (), degree=2)
+    # an explicit degree is a count, as MomentSequence's counts are: a
+    # numpy integer is stored as an int, a bool or a float is rejected
+    degree = BranchSolution((-0.0, 1.0), (), degree=np.int64(1)).degree
+    assert degree == 1 and type(degree) is int
+    for bad in (True, 1.0, -1.0, np.int64(-1)):
+        with pytest.raises(ValueError, match="degree"):
+            BranchSolution((-0.0, 1.0), (), degree=bad)
