@@ -17,14 +17,25 @@ share the columns T[:, 1:r], so A1_tilde^-1 A0_tilde is [-c' | shifted
 identity], the companion matrix of the LU solution c' of A1_tilde c' =
 -a0_tilde.  The y-values are the reciprocal roots of q = p*a on the
 same system; when both polynomials have one degree, one eigenvalue call
-reads the roots of both companion matrices.  One zero cutoff, read off
-the moments by ``ToleranceSet.zero_cutoff``, filters the roots of both
-sides.  d_min is deg p, the count of p's roots that pass it, and d_max
-= d_min + n_x - rank.
+reads the roots of both companion matrices.
+
+A block of size 1 is its own factorization, read off its entries with
+no LAPACK call: a 1 x 1 A1 or A1_tilde is its own eigenvalue, ranked by
+the same rule; at n_x = 1 and rank 0 the row A = [a0, 0] has the one
+singular value |a0|, so a0 is ranked; at r = 1, c' is the quotient
+-T[0, 0] / T[0, 1]; and z + c has the root -c.  Each read returns the
+bits, or decides as, the LAPACK call would, but one: dgeev rescales a
+1 x 1 matrix whose entry's modulus lies outside about [6.7e-139,
+1.5e138], and there it can return the root an ulp or two off, where -c
+is exact.  Every block of size 2 or more goes to LAPACK.
+
+One zero cutoff, read off the moments by ``ToleranceSet.zero_cutoff``,
+filters the roots of both sides.  d_min is deg p, the count of p's
+roots that pass it, and d_max = d_min + n_x - rank.
 
 Numpy arrays are the inputs and outputs of the factorizations and of
 the one ``np.correlate`` that forms q, with the operands in the order
-``np.convolve`` gives them.  Every factorization of a problem, the
+``np.convolve`` gives them.  Every LAPACK factorization of a problem, the
 eigvalsh, svd, solve and eigvals here, goes through ``_lapack``, numpy's
 LAPACK gufuncs without ``np.linalg``'s per-call dispatch; only the
 public ``numeric_rank``, which takes any array, calls ``np.linalg.svd``.
@@ -130,10 +141,10 @@ class HankelSystem:
     A and T are 0 x 1 and r = 0, so p = 1 as in any rank-0 system.
 
     eigs holds the ascending eigenvalues of the symmetric fliplr(A1),
-    without vectors, empty for the empty system.  Their moduli are A1's
-    singular values: A1_rank is read off them, and sigma_n / sigma_1 is
-    min|eigs| / max|eigs|.  fliplr(A1) is SPD exactly when A1_rank = n_x
-    and eigs[0] > 0.  T, and with it the reduced pencil, is read off A
+    without vectors: empty for the empty system, and at n_x = 1 A1's one
+    entry, a view of A.  Their moduli are A1's singular values: A1_rank
+    is read off them, and sigma_n / sigma_1 is min|eigs| / max|eigs|.
+    fliplr(A1) is SPD exactly when A1_rank = n_x and eigs[0] > 0.  T, and with it the reduced pencil, is read off A
     at A1_rank, so ``dataclasses.replace(h, A1_rank=r)`` is the system
     at any candidate rank r <= n_x with nothing rebuilt.
 
@@ -210,13 +221,21 @@ def build_hankel(a, n_x: int, n_y: int, tol_rank: float = DEFAULT_RANK) -> Hanke
     return _build_hankel(coeffs, n_x, tol_rank)
 
 
+def _reversed_eigs(B: np.ndarray) -> np.ndarray:
+    """The eigenvalues of fliplr(B[:, 1:]), a symmetric Hankel matrix, as
+    ``eigvalsh`` gives them, for a Hankel block B of k >= 1 rows and k + 1
+    columns: A, or the reduced block T.  At k = 1 the matrix is B's last
+    entry, which is its own eigenvalue, read off B without a call."""
+    # B[:, :0:-1] is fliplr(B[:, 1:]), a Hankel matrix: symmetric bit for bit
+    return B[0, 1:] if len(B) == 1 else _lapack.eigvalsh(B[:, :0:-1])
+
+
 def _build_hankel(a: ExpCoefficients, n_x: int, tol_rank: float) -> HankelSystem:
     """``build_hankel`` of values it has checked, or that ``MomentSequence``
     and ``ToleranceSet`` checked where they entered: the build alone."""
     A = _toeplitz_slice(a.values, n_x)
     A.setflags(write=False)
-    # A[:, :0:-1] is fliplr(A1), a Hankel matrix: symmetric bit for bit
-    eigs = _lapack.eigvalsh(A[:, :0:-1]) if n_x else np.zeros(0)
+    eigs = _reversed_eigs(A) if n_x else np.zeros(0)
     eigs.setflags(write=False)
     return _unchecked(HankelSystem, a=a, A=A, eigs=eigs, A1_rank=_count_above(eigs, tol_rank), tol_rank=tol_rank)
 
@@ -228,9 +247,16 @@ def solvable(h: HankelSystem) -> bool:
     a solution exists by the theorem, for the empty system (n_x = 0) too,
     and no SVD is taken.  Where A1 is rank-deficient the singular values
     of A decide, by the rank rule at the system's tolerance:
-    ``numeric_rank(A) == rank(A1)``.
+    ``numeric_rank(A) == rank(A1)``.  Where A is the row [a0, 0], at n_x
+    = 1 with a zero A1, its one singular value is |a0|, and a0 is ranked
+    without an SVD.
     """
-    return h.full_rank or _count_above(_lapack.svd(h.A), h.tol_rank) == h.A1_rank
+    if h.full_rank:
+        return True
+    # the SVD gives |a0| an ulp off at most, only where a0 is normal and so
+    # ranked nonzero either way; a subnormal or zero a0 it gives exactly
+    s = h.A[0, :1] if len(h.A) == 1 and not h.eigs[0] else _lapack.svd(h.A)
+    return _count_above(s, h.tol_rank) == h.A1_rank
 
 
 class _Decision:
@@ -301,11 +327,18 @@ def _cprime(rec: _Decision) -> list:
         r, T = h.A1_rank, h.A
         if not h.full_rank:
             T = h.T
-            # T[:, :0:-1] is fliplr(A1_tilde), the leading r x r block of
-            # fliplr(A1): ranked by the rule that ranked A1
-            if r and _count_above(_lapack.eigvalsh(T[:, :0:-1]), h.tol_rank) < r:
+            # fliplr(A1_tilde) is the leading r x r block of fliplr(A1):
+            # ranked by the rule that ranked A1
+            if r and _count_above(_reversed_eigs(T), h.tol_rank) < r:
                 raise SingularReducedSystem("reduced matrix is numerically singular")
-        c = rec.cprime = _lapack.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
+        if r == 1 and (t := T[0].tolist())[1]:
+            # the 1 x 1 system T[0, 1] c_1 = -T[0, 0]: the quotient is the
+            # bits LU gives, an overflow to inf included.  A zero T[0, 1],
+            # only on a system replaced to rank 1, raises LU's LinAlgError
+            c = [-t[0] / t[1]]
+        else:
+            c = _lapack.solve(T[:, 1:], -T[:, 0]).tolist() if r else []
+        rec.cprime = c
     return c
 
 
@@ -351,19 +384,21 @@ def _monic_roots(*polys: Sequence[float]) -> list:
     floats where a call of its own returns a real array and complex
     numbers otherwise.
 
-    Polynomials of one degree share one eigenvalue call on their stacked
-    companion matrices, gathered by one indexing of the coefficients
-    through ``_companion_index``, which yields each matrix's eigenvalues
-    bit for bit as a call of its own.  That call returns a real array
-    exactly when every root in the stack is real, read back with one
-    ``tolist``; a complex stack gives each polynomial that is real on its
-    own real roots, as its own call would.
+    A polynomial of degree 1, z + c, has the root -c, its companion
+    matrix's one entry, read without a call and as a Python float for a
+    numpy coefficient too.  Polynomials of one degree above 1 share one
+    eigenvalue call on their stacked companion matrices, gathered by one
+    indexing of the coefficients through ``_companion_index``, which
+    yields each matrix's eigenvalues bit for bit as a call of its own.
+    That call returns a real array exactly when every root in the stack
+    is real, read back with one ``tolist``; a complex stack gives each
+    polynomial that is real on its own real roots, as its own call would.
     """
     n = len(polys[0])
     if len(set(map(len, polys))) > 1:
         return [_monic_roots(c)[0] for c in polys]
-    if n == 0:
-        return [[] for _ in polys]
+    if n < 2:
+        return [[-float(c[0])] if n else [] for c in polys]
     # negated in Python, so the zeros of the table stay +0.0
     C = np.array((0.0, 1.0, *[-v for c in polys for v in c]))[_companion_index(len(polys), n)]
     roots = _lapack.eigvals(C)

@@ -64,7 +64,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MomentSequence:
     """Ordered real moments m_1..m_K with the branch split (n_x, n_y).
 
@@ -77,17 +77,16 @@ class MomentSequence:
     n_x: int
     n_y: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_tuple(self.values, "moments"))
-        object.__setattr__(self, "n_x", _as_count(self.n_x, "n_x"))
-        object.__setattr__(self, "n_y", _as_count(self.n_y, "n_y"))
-        if self.n_x + self.n_y != len(self.values):
-            raise ValueError(
-                f"n_x + n_y = {self.n_x + self.n_y} must equal the number "
-                f"of moments ({len(self.values)})"
-            )
-        if len(self.values) == 0:
+    def __init__(self, values: tuple[float, ...], n_x: int, n_y: int):
+        # frozen: each field is checked, then stored once
+        values, n_x, n_y = _as_float_tuple(values, "moments"), _as_count(n_x, "n_x"), _as_count(n_y, "n_y")
+        if n_x + n_y != len(values):
+            raise ValueError(f"n_x + n_y = {n_x + n_y} must equal the number of moments ({len(values)})")
+        if not values:
             raise ValueError("at least one moment is required")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "n_y", n_y)
 
     def __getstate__(self):
         # the fields only: the decision record that ``structure._decided``

@@ -12,7 +12,10 @@ eigenvalues and factors nothing more.  A full-rank A1 is solved once by
 LU, for c' and for the minimum-norm cbar alike; only a rank-deficient A1
 takes ``lstsq``, and only where the continuation asks for it.  The roots
 of p and q come from one eigenvalue call when their degrees agree, and
-the zero cutoff is read off the moments with no call at all.
+the zero cutoff is read off the moments with no call at all.  A size-1
+factorization takes no call either: a 1 x 1 A1 or reduced block is its
+own eigenvalue, the row [a0, 0] has the singular value |a0|, c' of a
+rank-1 system is a quotient, and z + c has the root -c.
 ``trig_invert`` ranks its Hankel block by one SVD and solves twice, for
 the pencil and for the amplitudes.  These are counts, not times, so they
 hold on any machine.  Every LAPACK driver that momentkit calls is
@@ -53,6 +56,11 @@ M_FALLBACK = mk.forward_moments([100.0, 128.0, -40.0], [])
 M_EMPTY = mk.MomentSequence((-3.0, -5.0), 0, 2)
 # the README's worked instance: y = 0 comes back as a rounding-noise root
 WORKED = mk.MomentSequence((2.0, 6.0, 20.0, 66.0), 2, 2)
+# n_x = n_y = 1: every block is 1 x 1 and read off its entry
+M1 = mk.forward_moments([2.0], [0.5])
+# one matched pair (0.8, 0.8) at n_x = 2: rank 1, d_max 2, so the reduced
+# block and both polynomials have size 1
+M1_PAIR = mk.forward_moments([0.5, 0.8], [0.25, 0.8])
 
 COUNTED = ("transform", "build_hankel", "assemble", "eigvalsh", "svd", "lstsq", "solve", "eigvals")
 KERNELS = ("eigvalsh", "svd", "solve", "lstsq", "eigvals")  # momentkit._lapack
@@ -127,14 +135,31 @@ def pin(**counts):
     # a y-root at the rounding-noise level, zeroed by the cutoff of the
     # moments without another call
     (mk.invert_min_degree, WORKED, pin(eigvalsh=1, solve=1, eigvals=1)),
+    # a 1 x 1 A1 is its own eigenvalue, c' its quotient and each root -c:
+    # no LAPACK call at all
+    (mk.invert_min_degree, M1, pin()),
+    (mk.analyze, M1, pin()),
+    (mk.markov_certificate, M1, pin()),
+    # rank 1 below n_x = 2: the SVD of A decides existence, and the 1 x 1
+    # reduced block, c' and the degree-1 roots are read off their entries
+    (mk.invert_min_degree, M1_PAIR, pin(eigvalsh=1, svd=1)),
 ], ids=[
     "analyze", "analyze_n3", "markov_certificate", "invert_companion", "invert_geneig", "next_moment",
     "invert_matched_pair", "next_moment_matched_pair", "markov_certificate_matched_pair",
     "invert_fallback", "analyze_empty", "invert_empty", "invert_worked",
+    "invert_n1", "analyze_n1", "markov_certificate_n1", "invert_rank_1_pair",
 ])
 def test_call_counts(counts, call, problem, want):
     call(dataclasses.replace(problem))
     assert counts == want
+
+
+def test_no_solution_at_n1_takes_no_svd(counts):
+    # a_1 = 0 ranks A1 = [0] at 0, and the row A = [0.75, 0] has the one
+    # singular value 0.75, which ranks nonzero: unsolvable, with no call
+    with pytest.raises(mk.NoSolution):
+        mk.invert_min_degree(mk.MomentSequence((0.0, 1.5), 1, 1))
+    assert counts == pin()
 
 
 def test_trig_invert_call_counts(counts):

@@ -1,11 +1,12 @@
 """Each step of the cold route and of the warm continuation against the
 form it replaced, bit for bit, on seeded random inputs: the companion
 stack gathered through ``structure._companion_index`` against a copy of
-stacked shift matrices with column 0 assigned; q's coefficients from
-``np.correlate`` against ``np.convolve``; the zero cutoff's cached
-exponents against the exponents formed on every call; the internal
-Hankel build against the public ``build_hankel``; and a warm
-``next_moment`` against ``extend_moments(m, 1)[-1]``.
+stacked shift matrices with column 0 assigned, and the degree-1 roots
+read off their coefficients against that copy's eigenvalues; q's
+coefficients from ``np.correlate`` against ``np.convolve``; the zero
+cutoff's cached exponents against the exponents formed on every call;
+the internal Hankel build against the public ``build_hankel``; and a
+warm ``next_moment`` against ``extend_moments(m, 1)[-1]``.
 """
 
 import dataclasses
@@ -67,8 +68,17 @@ def _problem(rng):
     return mk.forward_moments(xs, ys)
 
 
+def _reference_roots(polys):
+    """The roots of the reference stack, as ``_monic_roots`` reads them
+    back: real where every root of the stack is, else complex."""
+    w = np.linalg.eigvals(_reference_stack(polys))
+    if w.dtype.kind == "f":
+        return w.tolist()
+    return [(v if v.imag.any() else v.real).tolist() for v in w]
+
+
 @pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_the_gathered_companion_stack_is_the_copied_one(monkeypatch, count, n):
     stacks, eigvals = [], _lapack.eigvals
 
@@ -90,14 +100,26 @@ def test_the_gathered_companion_stack_is_the_copied_one(monkeypatch, count, n):
             assert got.flags.c_contiguous and got.flags.writeable
             assert got.tobytes() == want.tobytes()
             # the roots read back from it are the reference stack's roots
-            w = np.linalg.eigvals(want)
-            if w.dtype.kind == "f":
-                assert roots == w.tolist()
-            else:
-                assert roots == [(v if v.imag.any() else v.real).tolist() for v in w]
+            assert roots == _reference_roots(polys)
     # the table is shared and stays as it was
     table = structure._companion_index(count, n)
     assert table is structure._companion_index(count, n) and not table.flags.writeable
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_degree_one_roots_are_the_reference_stacks_without_a_gather(monkeypatch, count):
+    # z + c has the root -c, the 1 x 1 companion matrix's entry: read off
+    # the coefficients with no stack gathered and no eigenvalue call
+    calls = []
+    monkeypatch.setattr(_lapack, "eigvals", lambda C: calls.append(C))
+    rng = np.random.default_rng([1, count])
+    for stack_kinds in itertools.product(("real", "zero"), repeat=count):
+        for _ in range(3):
+            polys = [_poly(rng, 1, kind) for kind in stack_kinds]
+            roots = structure._monic_roots(*polys)
+            assert not calls and all(type(z) is float for r in roots for z in r)
+            # bit for bit, the sign of a zero root included
+            assert [[z.hex() for z in r] for r in roots] == [[z.hex() for z in r] for r in _reference_roots(polys)]
 
 
 def test_q_from_correlate_is_q_from_convolve(monkeypatch):

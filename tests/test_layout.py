@@ -104,9 +104,10 @@ def test_each_decision_rule_has_one_home():
 
 
 def test_frozen_values_are_set_only_where_they_are_built():
-    # a frozen field is set in __post_init__, and a problem's decision
-    # record beside its fields in structure._decided; no other code, and
-    # none on a HankelSystem, writes to a frozen object
+    # a frozen field is set where the object is built, in __post_init__ or
+    # in MomentSequence's own __init__, and a problem's decision record
+    # beside its fields in structure._decided; no other code, and none on a
+    # HankelSystem, writes to a frozen object
     def setattr_calls(node):
         return sum(isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__" for n in ast.walk(node))
 
@@ -114,11 +115,12 @@ def test_frozen_values_are_set_only_where_they_are_built():
         (f"{name}.{fn.name}", setattr_calls(fn))
         for name, tree in TREES.items()
         for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and (fn.name == "__post_init__" or (name, fn.name) == ("structure", "_decided"))
+        if isinstance(fn, ast.FunctionDef)
+        and (fn.name == "__post_init__" or (name, fn.name) in {("transform", "__init__"), ("structure", "_decided")})
     ]
     # every call in the package, at any depth, lies in an allowed body
     assert sum(map(setattr_calls, TREES.values())) == sum(count for _, count in allowed)
-    assert ("structure._decided", 1) in allowed
+    assert ("structure._decided", 1) in allowed and ("transform.__init__", 3) in allowed
 
 
 def test_cycle_finder_sees_a_cycle():

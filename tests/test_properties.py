@@ -59,6 +59,38 @@ def test_flipping_x_and_y_swaps_the_sides(instance):
     assert multiset_distance(flipped.ys, sol.xs) <= 1e-8
 
 
+def _verdict(m, xs, ys):
+    """The class of ``invert_min_degree``'s answer on ``m``, and whether a
+    returned solution is (xs, ys) within 1e-6 of their scale."""
+    try:
+        sol = invert_min_degree(m)
+    except MomentProblemError as exc:
+        return type(exc).__name__
+    scale = max(1.0, *map(abs, xs + ys))
+    close = multiset_distance(sol.xs, xs) <= 1e-6 * scale and multiset_distance(sol.ys, ys) <= 1e-6 * scale
+    return "right" if close else "wrong"
+
+
+# The x-side block is n_x x (n_x + 1) whichever side is larger, so a
+# problem with n_x > n_y is solved on the larger, worse-conditioned block
+# as called and on the smaller one flipped (ROADMAP item 22).
+UNBALANCED_FLIP = "an unbalanced split is solved on the larger Hankel block as called (ROADMAP item 22)"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=UNBALANCED_FLIP)
+def test_flipping_an_unbalanced_split_keeps_the_verdict():
+    # K = 16 at n_x = 14, n_y = 2: the verdict as called against the
+    # verdict on the sign-flipped problem, sides swapped
+    rng = np.random.default_rng([16, 14, 5])
+    verdicts = []
+    for _ in range(40):
+        values = separated_values(rng, 16, -3, 3, 0.1, 0.1)
+        xs, ys = values[:14], values[14:]
+        m = forward_moments(xs, ys)
+        verdicts.append((_verdict(m, xs, ys), _verdict(m.negated(), ys, xs)))
+    assert [called for called, _ in verdicts] == [flipped for _, flipped in verdicts]
+
+
 @PROPERTY_SETTINGS
 @given(separated_instances())
 def test_full_rank_implies_a_solution_exists(instance):
