@@ -13,8 +13,9 @@ solution; 4 malformed input, which includes moments that overflow (from
 ``forward``, ``trig-forward`` or the exponential transform), a minimal
 solution beyond the float range, more ``family`` matched pairs than the
 data admits, and ``markov-check`` with no positive branches; 1 internal
-error.  Every failure is reported on standard output as {"error":
-{"kind", "detail"}}, where kind is ``BadInput`` for malformed input and
+error, and a reply that standard output cannot take.  Every other
+failure is reported on standard output as {"error": {"kind",
+"detail"}}, where kind is ``BadInput`` for malformed input and
 otherwise the library error's class name.  A malformed command line is
 malformed input: its detail is argparse's message, and argparse's usage
 text goes to standard error.  ``--help`` exits 0.
@@ -48,10 +49,10 @@ and little else.  The request text is read by ``json.loads``.  A
 document of exactly its required fields passes ``_check_fields`` by one
 comparison of key sets.  The reply is encoded by one ``json.JSONEncoder``
 kept for the process, which checks for no cycle (a document made for
-one request holds none), and written by one ``write`` (``_write``).
+one request holds none), and written by one ``write`` in ``main``.
 Nothing kept between requests grows with the requests made.
 
-A handler returns the fields of its result, and ``main`` puts
+A handler returns the fields of its result, and ``_reply`` puts
 ``"schema": "momentkit/1"`` in front of them, once for every command.
 Result fields are the library's result dataclasses, field by field in
 declaration order (``BranchSolution``, ``SolvabilityReport``,
@@ -72,8 +73,8 @@ from .errors import FamilyOverflow, MomentProblemError, NonRealSolution, NoPosit
 from .inversion import _METHODS, extend_moments, family_member, invert_min_degree, next_moment
 from .markov import markov_certificate
 from .structure import analyze
-from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, DEFAULT_TOLERANCES, ToleranceSet
-from .transform import MomentSequence, _as_count, _as_float_tuple, _power_sum, exp_transform, forward_moments
+from .tolerances import DEFAULT_IMAG, DEFAULT_RANK, DEFAULT_TOLERANCES, DEFAULT_ZERO_FACTOR, ToleranceSet
+from .transform import BranchSolution, MomentSequence, _as_count, _as_float_tuple, _power_sum, exp_transform, forward_moments
 from .trig import TrigSignal, trig_forward, trig_invert
 
 SCHEMA = "momentkit/1"
@@ -104,11 +105,6 @@ def _fields(result) -> dict:
 # the encoder of every reply, kept for the process; a document made for
 # one request holds no cycle, so it is encoded without cycle checks
 _ENCODER = json.JSONEncoder(default=_fields, allow_nan=False, check_circular=False)
-
-
-def _write(doc) -> None:
-    """``doc`` as one line of JSON text on standard output, in one write."""
-    sys.stdout.write(_ENCODER.encode(doc) + "\n")
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -191,7 +187,9 @@ def _read_branches(doc) -> tuple[list[float], list[float]]:
     xs = _number_list(doc["xs"], "xs")
     ys = _number_list(doc["ys"], "ys")
     if "degree" in doc:
-        _as_count(doc["degree"], "degree")  # accepted for round-trips, not used
+        # accepted for round-trips, and checked as BranchSolution checks
+        # it: the count of nonzero xs
+        BranchSolution(xs, ys, _as_count(doc["degree"], "degree"))
     return xs, ys
 
 
@@ -203,7 +201,7 @@ def _moment_doc(m: MomentSequence) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns the output fields; ``main`` stamps
+# subcommand handlers (each returns the output fields; ``_reply`` stamps
 # the schema)
 
 def _cmd_forward(doc, args, tol):
@@ -317,14 +315,20 @@ _EXIT_BY_ERROR = {
 }
 
 
+class _UsageError(ValueError):
+    """A malformed command line: malformed input, with argparse's message."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are reported as every other
-    malformed request is, with argparse's message as the detail, before
-    argparse prints its usage text on stderr and exits."""
+    malformed request is, with argparse's message as the detail, after
+    argparse has printed its usage text on stderr."""
 
     def error(self, message):
-        _fail("BadInput", message, EXIT_BAD_INPUT)
-        super().error(message)
+        try:
+            super().error(message)
+        except SystemExit:
+            raise _UsageError(message) from None
 
 
 @functools.cache
@@ -340,7 +344,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     pays nothing for them.
 
     Each subcommand is declared here once: its parser binds its handler
-    as ``args.run`` and is entered in the table that ``main`` dispatches
+    as ``args.run`` and is entered in the table that ``_parse`` dispatches
     on, and its option table is read off the actions it declares, in the
     vocabulary that ``_option_table`` names and a test holds.  The
     top-level parser declares the same subcommands for ``--help`` and
@@ -353,7 +357,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     rank = _Parser(add_help=False, parents=[io])
     rank.add_argument("--tol-rank", type=float, default=None, help=f"relative rank tolerance (default {DEFAULT_RANK:g})")
     common = _Parser(add_help=False, parents=[rank])
-    common.add_argument("--tol-zero", type=float, default=None, help="absolute cutoff for structural zero roots of both sides (default 1e-8 * max_k |m_k|^(1/k))")
+    common.add_argument("--tol-zero", type=float, default=None, help=f"absolute cutoff for structural zero roots of both sides (default {DEFAULT_ZERO_FACTOR:g} * max_k |m_k|^(1/k))")
     common.add_argument("--tol-imag", type=float, default=None, help=f"imaginary-part tolerance for real roots (default {DEFAULT_IMAG:g})")
     for parent in (rank, common):
         parent.add_argument("--verbose", action="store_true", help="attach diagnostics to the output object")
@@ -481,40 +485,52 @@ def _tolerances(args) -> ToleranceSet:
     return ToleranceSet(**given) if given else DEFAULT_TOLERANCES
 
 
-def _fail(kind: str, detail: str, code: int) -> int:
-    _write({"error": {"kind": kind, "detail": detail}})
-    return code
-
-
-def main(argv=None) -> int:
+def _read_request(args):
+    """The request document, from ``--input FILE`` or standard input."""
     try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help; anything else is a malformed request
-        return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
-
-    try:
-        tol = _tolerances(args)
         if args.input is not None:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = sys.stdin.read()
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        _write({"schema": SCHEMA, **args.run(doc, args, tol)})
-        return EXIT_OK
     except OSError as exc:
-        return _fail("BadInput", f"cannot read input: {exc}", EXIT_BAD_INPUT)
+        raise ValueError(f"cannot read input: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+        raise ValueError(f"invalid JSON: {exc}") from exc
+
+
+def _reply(argv) -> tuple[str, int]:
+    """The JSON text of the reply to ``argv``, and its exit code."""
+    try:
+        args = _parse(argv)
+        tol = _tolerances(args)
+        return _ENCODER.encode({"schema": SCHEMA, **args.run(_read_request(args), args, tol)}), EXIT_OK
     except MomentProblemError as exc:
-        return _fail(type(exc).__name__, str(exc), _EXIT_BY_ERROR.get(type(exc), EXIT_NO_SOLUTION))
-    # every malformed request, whether the CLI or the library finds it
+        kind, detail, code = type(exc).__name__, str(exc), _EXIT_BY_ERROR.get(type(exc), EXIT_NO_SOLUTION)
+    # every malformed request, whether the command line, the CLI or the
+    # library finds it; a result that is not finite fails to encode here
     except ValueError as exc:
-        return _fail("BadInput", str(exc), EXIT_BAD_INPUT)
+        kind, detail, code = "BadInput", str(exc), EXIT_BAD_INPUT
     except Exception as exc:  # noqa: BLE001  - the CLI must not traceback
-        return _fail("InternalError", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
+        kind, detail, code = "InternalError", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL
+    return _ENCODER.encode({"error": {"kind": kind, "detail": detail}}), code
+
+
+def main(argv=None) -> int:
+    try:
+        text, code = _reply(argv)
+    except SystemExit:  # argparse exits only for --help, having written it
+        return EXIT_OK
+    # the reply, as one line in one write; a standard output that cannot
+    # take it (closed, None, a broken pipe) is an internal error, and the
+    # reply is not written a second time
+    try:
+        sys.stdout.write(text + "\n")
+    except (AttributeError, OSError, ValueError):
+        return EXIT_INTERNAL
+    return code
 
 
 if __name__ == "__main__":

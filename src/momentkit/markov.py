@@ -23,10 +23,8 @@ import numpy as np
 
 from .errors import NoPositiveBranches, RepeatedRoots
 from .structure import HankelSystem, _factor, _invert
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
+from .tolerances import DEFAULT_TOLERANCES, WEIGHT_SEPARATION_FACTOR, ToleranceSet
 from .transform import BranchSolution, MomentSequence, _as_float_tuple, _unchecked
-
-_SEPARATION_FACTOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ def weights(xs: Sequence[float], ys: Sequence[float]) -> WeightData:
     xv = _as_float_tuple(xs, "xs")
     yv = _as_float_tuple(ys, "ys")
     scale = max([1.0] + [abs(v) for v in xv])
-    sep = _SEPARATION_FACTOR * scale
+    sep = WEIGHT_SEPARATION_FACTOR * scale
     for i in range(len(xv)):
         for j in range(i + 1, len(xv)):
             if abs(xv[i] - xv[j]) <= sep:

@@ -22,6 +22,13 @@ from dataclasses import dataclass
 # (Beckermann 2000), so a larger cutoff calls more of them rank-deficient.
 DEFAULT_RANK = 1e-12
 DEFAULT_IMAG = 1e-8
+# the default zero cutoff is this factor times max_k |m_k|**(1/k)
+DEFAULT_ZERO_FACTOR = 1e-8
+# the default minimum spacing of recovered frequencies (trig inversion)
+DEFAULT_SEPARATION = 1e-8
+# ``markov.weights`` calls two x-values repeated when they lie within this
+# factor times max(1, max |x|)
+WEIGHT_SEPARATION_FACTOR = 1e-8
 
 
 def _check_rank(rank: float) -> float:
@@ -80,7 +87,7 @@ class ToleranceSet:
     rank: float = DEFAULT_RANK
     zero: float | None = None
     imag: float = DEFAULT_IMAG
-    separation: float = 1e-8
+    separation: float = DEFAULT_SEPARATION
 
     def __post_init__(self):
         _check_rank(self.rank)
@@ -97,7 +104,7 @@ class ToleranceSet:
         default ``1e-8 * max_k |m_k|**(1/k)``."""
         if self.zero is not None:
             return self.zero
-        return 1e-8 * max(map(pow, map(abs, moments), _inverse_orders(len(moments))))
+        return DEFAULT_ZERO_FACTOR * max(map(pow, map(abs, moments), _inverse_orders(len(moments))))
 
 
 @functools.cache

@@ -16,6 +16,11 @@ from momentkit import cli
 from momentkit.cli import main
 
 README_INSTANCE = {"moments": [2, 6, 20, 66], "n_x": 2, "n_y": 2}
+# the whole standard output of ``invert`` on it, trailing newline included
+README_TEXT = (
+    '{"schema": "momentkit/1", "xs": [0.9999999999999967, 2.999999999999999], '
+    '"ys": [1.9999999999999973, 0.0], "degree": 2}\n'
+)
 LEDGER = json.loads((Path(__file__).resolve().parent / "data" / "golden_outcomes.json").read_text())
 # the exit code each library error maps to: 2 no solution, 3 non-real, 4 malformed input
 EXIT_CODES = {"NoSolution": 2, "SingularReducedSystem": 2, "NonRealSolution": 3, "NoPositiveBranches": 4}
@@ -285,6 +290,17 @@ def test_markov_check_at_rank_deficient_A1(capsys, tmp_path):
     code, out = run_cli(capsys, ["markov-check"], doc, tmp_path)
     assert code == 0
     assert [out[k] for k in ("spd", "interlaced", "extended_singular", "weights_positive")] == [False, False, True, False]
+    # ... --verbose attaches the minimal solution, where the pair leaves a
+    # 0.0 pad on each side ...
+    code, out = run_cli(capsys, ["markov-check", "--verbose"], doc, tmp_path)
+    assert code == 0
+    solution = out["diagnostics"]["minimal_solution"]
+    assert np.allclose(solution["xs"], [1.0, 3.0, 0.0], rtol=0, atol=1e-9) and solution["xs"][2] == 0.0
+    assert np.allclose(solution["ys"], [0.25, 2.0, 0.0], rtol=0, atol=1e-9) and solution["ys"][2] == 0.0
+    # ... extend continues the moments past the rank-deficient A1 ...
+    code, out = run_cli(capsys, ["extend", "--count", "1"], doc, tmp_path)
+    assert code == 0
+    assert out["moments"][-1] == pytest.approx(1 + 3**7 - 2**7 - 0.25**7, rel=1e-9, abs=0)
     # ... and beside x = 1 +- i the inversion that checks the solution raises
     code, out = run_cli(capsys, ["markov-check"], {"moments": [2, 0, -4, -8], "n_x": 3, "n_y": 1}, tmp_path)
     assert code == 3
@@ -300,6 +316,9 @@ def test_markov_check_at_rank_deficient_A1(capsys, tmp_path):
     (["trig-forward", "--count", "2"], {"freqs": [0.1], "amps": [[1]]}, "amps entries must be [re, im] pairs"),
     (["trig-forward", "--count", "2"], {"freqs": [0.1], "amps": 1}, "amps must be an array of [re, im] pairs"),
     (["forward"], {"xs": [1.0], "ys": [], "count": 1}, "unknown fields: ['count']"),
+    # a degree is read by BranchSolution's rule: the count of nonzero xs
+    (["forward"], {"xs": [1, 0], "ys": [], "degree": 5}, "degree 5 != count of nonzero xs (1)"),
+    (["forward"], {"xs": [1, 0], "ys": [], "degree": -1}, "degree must be >= 0"),
     (["family", "--r-roots", "a,b"], README_INSTANCE, "bad --r-roots value 'a,b'"),
     # finite input whose moments overflow
     (["trig-forward", "--count", "2"], {"freqs": [0.5, 0.5], "amps": [[1e308, 0], [1e308, 0]]},
@@ -312,7 +331,7 @@ def test_markov_check_at_rank_deficient_A1(capsys, tmp_path):
     (["invert"], {"moments": [1e-300, 2e10], "n_x": 1, "n_y": 1}, "the minimal solution overflows"),
 ], ids=[
     "array", "missing-n_y", "moments-string", "moment-true", "n_x-float", "amps-entry",
-    "amps-number", "forward-count-field", "r-roots", "non-finite-output", "forward-power-overflow",
+    "amps-number", "forward-count-field", "forward-degree", "forward-negative-degree", "r-roots", "non-finite-output", "forward-power-overflow",
     "forward-sum-overflow", "analyze-transform-overflow", "invert-solution-overflow",
 ])
 def test_malformed_requests_are_bad_input(capsys, tmp_path, argv, doc, detail):
@@ -488,6 +507,10 @@ def test_float_serialization_is_faithful(capsys, tmp_path):
 # the whole standard output of a request: key order, spacing, float form
 # and the one trailing newline, which json.loads in run_cli does not see
 EXACT_TEXT = [
+    (["invert"], README_INSTANCE, 0, README_TEXT),
+    # n_x = n_y = 1, where every block is 1 x 1 and read off its entry
+    (["invert"], {"moments": [1.5, 3.75], "n_x": 1, "n_y": 1}, 0,
+     '{"schema": "momentkit/1", "xs": [2.0], "ys": [0.5], "degree": 1}\n'),
     (["analyze"], {"moments": [1, 1, 1], "n_x": 2, "n_y": 1}, 0,
      '{"schema": "momentkit/1", "exists": true, "rank_A1": 1, "d_min": 1, "d_max": 2, "unique": false, '
      '"minimal_solution": {"xs": [1.0, 0.0], "ys": [0.0], "degree": 1}, "tol_rank": 1e-12}\n'),
@@ -520,8 +543,8 @@ def _fresh_cli():
 
 @pytest.mark.parametrize("accelerated", [True, False], ids=["c-encoder", "python-encoder"])
 @pytest.mark.parametrize("argv, doc, code, text", EXACT_TEXT, ids=[
-    "analyze", "invert-verbose", "trig-invert-verbose", "cli-bad-input", "library-value-error",
-    "no-solution", "non-real", "usage-error",
+    "invert", "invert-size-one", "analyze", "invert-verbose", "trig-invert-verbose", "cli-bad-input",
+    "library-value-error", "no-solution", "non-real", "usage-error",
 ])
 def test_output_text_is_pinned(capsys, monkeypatch, argv, doc, code, text, accelerated):
     if not accelerated:
@@ -544,6 +567,57 @@ def test_a_non_finite_result_is_bad_input_and_nothing_else_is_written(capsys, mo
     error = json.loads(out)["error"]
     assert error["kind"] == "BadInput"
     assert error["detail"].startswith("Out of range float values are not JSON compliant")
+
+
+class _BrokenPipe(io.StringIO):
+    """A standard output whose every write fails as a closed pipe does."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _closed():
+    out = io.StringIO()
+    out.close()
+    return out
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["invert"], README_INSTANCE),
+    (["invert"], {"moments": [0, 1], "n_x": 1, "n_y": 1}),
+    (["invert", "--bogus"], README_INSTANCE),
+], ids=["result", "library-error", "usage-error"])
+@pytest.mark.parametrize("stdout", [_BrokenPipe, _closed, lambda: None], ids=["broken-pipe", "closed", "none"])
+def test_a_reply_that_cannot_be_written_is_an_internal_error(monkeypatch, argv, doc, stdout):
+    # the reply is not reported as unreadable input, and nothing escapes
+    out = stdout()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(argv) == 1
+    if isinstance(out, _BrokenPipe):
+        assert out.writes == 1  # no second document after the failed write
+
+
+def test_an_environment_variable_changes_no_byte(capsys, monkeypatch):
+    # a tolerance has one source, its --tol-* flag
+    monkeypatch.setenv("MOMENTKIT_TOL_RANK", "abc")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_INSTANCE)))
+    assert main(["invert"]) == 0
+    assert capsys.readouterr().out == README_TEXT
+
+
+def test_every_form_of_an_option_gives_one_document(capsys, monkeypatch):
+    # the option table reads the canonical line, argparse the other two
+    outs = []
+    for argv in (["extend", "--count", "2"], ["extend", "--count=2"], ["extend", "--cou", "2"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_INSTANCE)))
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1:] == outs[:1] * 2
+    assert json.loads(outs[0])["moments"] == pytest.approx([2, 6, 20, 66, 212, 666], rel=1e-12)
 
 
 def test_one_json_encoder_is_kept_per_process(tmp_path, monkeypatch, capsys):
@@ -732,11 +806,14 @@ ROUTE_CASES = [
 
 
 def _parsed(parse, argv):
-    """The namespace ``parse`` makes of ``argv``, or how it stops."""
+    """The namespace ``parse`` makes of ``argv``, or how it stops: by
+    exiting (``--help``) or by a usage error, with argparse's message."""
     try:
         return vars(parse(argv))
     except SystemExit as exc:
         return "exit", exc.code
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
 
 
 @pytest.mark.parametrize("name, argv", ROUTE_CASES, ids=[" ".join(argv) or "empty" for _, argv in ROUTE_CASES])
@@ -999,23 +1076,38 @@ def test_help_is_plain_text_for_users(capsys):
     out = capsys.readouterr().out
     assert out.startswith("usage: momentkit")
     assert "``" not in out
+    assert main(["extend", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: momentkit extend")
 
 
-def test_cold_entry_point():
+def _cold_env():
+    """The environment of a cold ``python -m momentkit``, which imports
+    the package these tests import."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + ((os.pathsep + env["PYTHONPATH"]) if env.get("PYTHONPATH") else "")
+    return env
+
+
+def test_cold_entry_point():
+    env = _cold_env()
     command = [sys.executable, "-m", "momentkit"]
 
     proc = subprocess.run(
         [*command, "invert"], input=json.dumps(README_INSTANCE),
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    out = json.loads(proc.stdout)
-    assert np.allclose(sorted(out["xs"]), [1.0, 3.0], rtol=0, atol=1e-10)
-    assert np.allclose(sorted(out["ys"]), [0.0, 2.0], rtol=0, atol=1e-10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, README_TEXT, "")
 
     proc = subprocess.run([*command, "--help"], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: momentkit")
+
+
+def test_a_cold_request_without_a_standard_output_exits_1_without_a_traceback():
+    # with file descriptor 1 closed, sys.stdout is None
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m momentkit invert >&-', sys.executable], input=json.dumps(README_INSTANCE),
+        capture_output=True, text=True, env=_cold_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")

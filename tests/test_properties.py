@@ -7,6 +7,7 @@ so every run draws the same ones.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -291,3 +292,40 @@ def test_a_non_real_pair_keeps_its_answer_at_every_power_of_two_scale(j):
     unscaled = _answer_class(MomentSequence((0.0, -2.0), 2, 0))
     assert unscaled == ("NonRealSolution", 2)
     assert _answer_class(MomentSequence((0.0, -2.0 * 4.0**j), 2, 0)) == unscaled
+
+
+def _repeated_value_instances():
+    """379 instances, n_x in 1..4 and n_y in 0..4, of integer values in
+    -4..4 (random.Random(1), 3000 draws): disjoint sides, a value repeated
+    on one side, and no value 0.  A repeated 0 is a multiple structural
+    zero, which the zero cutoff decides (ROADMAP item 21)."""
+    rng = random.Random(1)
+    out = []
+    for _ in range(3000):
+        n_x, n_y = rng.randint(1, 4), rng.randint(0, 4)
+        xs = [rng.randint(-4, 4) for _ in range(n_x)]
+        ys = [rng.randint(-4, 4) for _ in range(n_y)]
+        repeated = len(set(xs)) < n_x or len(set(ys)) < n_y
+        if repeated and not set(xs) & set(ys) and 0 not in xs + ys:
+            out.append((xs, ys))
+    return out
+
+
+# A double root of p or q splits into a complex pair at the sqrt(eps)
+# scale, beyond tol.imag, so 158 of the 379 raise NonRealSolution; none
+# comes back wrong.
+REPEATED_VALUES = "a repeated value splits into a non-real pair (ROADMAP item 19)"
+
+
+def _repeated_value_verdicts():
+    return [_verdict(forward_moments(xs, ys), xs, ys) for xs, ys in _repeated_value_instances()]
+
+
+def test_no_repeated_value_instance_is_silently_wrong():
+    verdicts = _repeated_value_verdicts()
+    assert len(verdicts) == 379 and "wrong" not in verdicts
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=REPEATED_VALUES)
+def test_repeated_values_are_recovered():
+    assert _repeated_value_verdicts() == ["right"] * 379
